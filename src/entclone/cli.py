@@ -2,7 +2,8 @@
 
 Subcommands: ``clone``, ``sweep``, ``tomo``, ``hom``, ``paper``. Global
 flags: ``--seed`` (falls back to the ECLONE_SEED environment variable),
-``--out``, ``--format {csv,json}``, ``--threads``. All file outputs are
+``--out``, ``--format {csv,json}`` (default: text for ``paper``, JSON for
+``tomo``, CSV otherwise), ``--threads``. All file outputs are
 bit-reproducible for a fixed seed. Angles (schmidt:<theta>) are in radians.
 """
 
@@ -52,17 +53,6 @@ def _write(text: str, out_path: str | None) -> None:
             f.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _report_text(pairs) -> str:
-    width = max(len(k) for k, _ in pairs)
-    lines = []
-    for k, v in pairs:
-        if isinstance(v, float):
-            lines.append(f"{k:<{width}}  {v:.12g}")
-        else:
-            lines.append(f"{k:<{width}}  {v}")
-    return "\n".join(lines) + "\n"
 
 
 def _emit_report(pairs, fmt: str, out_path: str | None) -> None:
@@ -168,14 +158,18 @@ def cmd_tomo(args) -> int:
         "reconstruction": tomography.matrix_to_json_dict(rec.rho_hat),
     }
     if args.resamples >= 2:
-        errors = {}
-        for stat in ("fidelity", "witness", "concurrence", "entropy",
-                     "trace_distance", "uhlmann_fidelity"):
-            mean, std = tomography.monte_carlo_uncertainty(
-                records, args.resamples, seed=args.seed, statistic=stat,
-                workers=args.threads)
-            errors[stat] = {"mean": mean, "std": std}
-        report["monte_carlo"] = {"resamples": args.resamples, **errors}
+        # one pass over the resamples yields every statistic
+        mc = tomography.monte_carlo_statistics(
+            records, args.resamples, seed=args.seed, workers=args.threads,
+            point=rec)
+        if mc.nonconverged:
+            print(f"entclone: warning: {mc.nonconverged} of {args.resamples} "
+                  "resample reconstructions did not converge", file=sys.stderr)
+        report["monte_carlo"] = {
+            "resamples": args.resamples,
+            **{stat: {"mean": mean, "std": std}
+               for stat, (mean, std) in mc.statistics.items()},
+        }
     _write(json.dumps(report, indent=2) + "\n", args.out)
     return 0
 
@@ -222,7 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="root RNG seed (default: ECLONE_SEED env var or 0)")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"), default=None,
+                   help="default: text for paper, json for tomo, "
+                        "csv otherwise")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                    help="worker processes for sweeps and Monte Carlo")
     sub = p.add_subparsers(dest="command", required=True)
@@ -263,9 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     h.set_defaults(func=cmd_hom)
 
     pp = sub.add_parser("paper", help="reproduce the reference numbers")
-    pp.set_defaults(func=cmd_paper, format_override="text")
+    pp.set_defaults(func=cmd_paper)
 
     return p
+
+
+# the paper table is human-readable text and tomo reports are JSON only
+_DEFAULT_FORMAT = {"paper": "text", "tomo": "json"}
 
 
 def main(argv=None) -> int:
@@ -273,10 +273,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seed is None:
         args.seed = _default_seed()
-    # the paper table defaults to human-readable text unless json is asked for
-    if args.command == "paper" and args.format == "csv":
-        args.format = "text"
+    if args.format is None:
+        args.format = _DEFAULT_FORMAT.get(args.command, "csv")
     try:
+        if args.threads < 1:
+            raise CliError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except (CliError, ValueError, KeyError, OSError) as exc:
         print(f"entclone: error: {exc}", file=sys.stderr)

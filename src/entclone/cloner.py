@@ -21,7 +21,8 @@ import numpy as np
 
 from . import fock, metrics
 from .fock import BeamSplitterSpec, FockState
-from .qmath import DensityMatrix, PureState, bell_state
+from .parallel import worker_count
+from .qmath import ConsistencyError, DensityMatrix, PureState, bell_state
 
 SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -247,15 +248,17 @@ def hom_visibility(r: float, overlap_sq: float) -> float:
     v = 1.0 - p / p_dist
     closed = overlap_sq * ideal_hom_visibility(r)
     if abs(v - closed) > 1e-9:
-        raise AssertionError(
+        raise ConsistencyError(
             f"fock visibility {v} disagrees with closed form {closed}")
     return v
 
 
 def fit_overlap(v_measured: float, r: float) -> float:
     """Squared overlap reproducing a measured HOM visibility at given R."""
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"reflectivity {r} outside [0, 1]")
     ideal = ideal_hom_visibility(r)
-    if v_measured < 0.0 or v_measured > ideal + 1e-12:
+    if not 0.0 <= v_measured <= ideal + 1e-12:
         raise ValueError(
             f"visibility {v_measured} outside physical range [0, {ideal}]")
     if ideal == 0.0:
@@ -283,10 +286,11 @@ def fidelity_sweep(input_spec: InputSpec, r_grid, overlap_sq: float,
 
     Returns a list of (R, F_local, F_distant, success_weight), fidelities
     measured against the pure input state. Grid points are independent and
-    fan out over ``workers`` processes when workers > 1.
+    fan out over min(workers, points, CPUs) processes when that exceeds 1.
     """
     tasks = [(input_spec, float(r), overlap_sq) for r in r_grid]
-    if workers > 1 and len(tasks) > 1:
+    workers = worker_count(workers, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_point, tasks))

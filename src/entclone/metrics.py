@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import qmath
-from .qmath import DensityMatrix, PureState, herm_eig, kron, psd_sqrt
+from .qmath import (ConsistencyError, DensityMatrix, PureState, herm_eig,
+                    kron, psd_sqrt)
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -48,7 +49,7 @@ def witness_expectation(rho) -> float:
 
     Evaluated both directly and through the three-correlation expansion
     (1/4)(1 - <XX> + <YY> - <ZZ>); the two agree identically and the
-    agreement is asserted as an internal consistency check.
+    agreement is checked internally (`ConsistencyError` if they differ).
     """
     m = _mat(rho)
     if m.shape != (4, 4):
@@ -60,7 +61,7 @@ def witness_expectation(rho) -> float:
                        + pauli_correlation(m, "Y", "Y")
                        - pauli_correlation(m, "Z", "Z"))
     if abs(direct - expanded) > 1e-10:
-        raise AssertionError(
+        raise ConsistencyError(
             f"witness forms disagree: {direct} vs {expanded}"
         )
     return direct

@@ -25,6 +25,11 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+class ConsistencyError(ValueError):
+    """Two independent evaluations of the same quantity disagree beyond
+    their tolerance: an internal check failed, not bad input."""
+
+
 def kron(*mats: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more matrices, left to right."""
     out = np.asarray(mats[0], dtype=complex)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
+from .parallel import worker_count
 from .qmath import DensityMatrix
 
 PROJECTOR_LETTERS = ("H", "V", "D", "A", "L", "R")
@@ -67,16 +68,12 @@ class TomographyRecord:
     log_likelihood: float
     converged: bool
     log_likelihood_history: list[float] = field(default_factory=list)
-    mc_samples: list[DensityMatrix] | None = field(default=None)
 
 
 def setting_projector(setting_a: str, setting_b: str) -> np.ndarray:
     ka, kb = _KETS[setting_a], _KETS[setting_b]
     k = np.kron(ka, kb)
     return np.outer(k, np.conj(k))
-
-
-_PROJECTOR_STACK = np.stack([setting_projector(a, b) for a, b in SETTINGS])
 
 
 def born_probability(rho, setting_a: str, setting_b: str) -> float:
@@ -175,8 +172,11 @@ def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
                             ll, converged, history)
 
 
-_STATISTICS = ("fidelity", "concurrence", "entropy", "witness",
+# also the key order of the monte_carlo block of a tomo report
+_STATISTICS = ("fidelity", "witness", "concurrence", "entropy",
                "trace_distance", "uhlmann_fidelity")
+# statistics that compare against the point estimate
+_REFERENCE_STATISTICS = ("trace_distance", "uhlmann_fidelity")
 
 
 def evaluate_statistic(name: str, rho: DensityMatrix,
@@ -195,7 +195,7 @@ def evaluate_statistic(name: str, rho: DensityMatrix,
         return metrics.von_neumann_entropy(rho)
     if name == "witness":
         return metrics.witness_expectation(rho)
-    if name in ("trace_distance", "uhlmann_fidelity"):
+    if name in _REFERENCE_STATISTICS:
         if reference is None:
             raise ValueError(f"statistic {name!r} needs a reference state")
         fn = metrics.trace_distance if name == "trace_distance" \
@@ -204,8 +204,18 @@ def evaluate_statistic(name: str, rho: DensityMatrix,
     raise ValueError(f"unknown statistic {name!r}; choose from {_STATISTICS}")
 
 
-def _mc_single(args):
-    counts, exposures, settings, child_seed, statistic, ref_matrix = args
+@dataclass(frozen=True)
+class MonteCarloSummary:
+    """Sample (mean, std) with ddof=1 of each statistic over the resamples,
+    and how many resample reconstructions did not converge."""
+
+    statistics: dict[str, tuple[float, float]]
+    nonconverged: int
+
+
+def _mc_resample(args):
+    """Reconstruct one Poisson resample and evaluate every statistic on it."""
+    counts, exposures, settings, child_seed, statistics, ref_matrix = args
     rng = np.random.default_rng(child_seed)
     resampled = [
         CountRecord(a, b, int(rng.poisson(c)), e)
@@ -214,35 +224,69 @@ def _mc_single(args):
     rec = mle_reconstruct(resampled)
     reference = DensityMatrix(ref_matrix, ("a", "b")) \
         if ref_matrix is not None else None
-    return evaluate_statistic(statistic, rec.rho_hat, reference)
+    values = [evaluate_statistic(name, rec.rho_hat, reference)
+              for name in statistics]
+    return values, rec.converged
+
+
+def monte_carlo_statistics(records: list[CountRecord], n_resamples: int,
+                           seed: int, statistics=_STATISTICS,
+                           workers: int = 1,
+                           point: TomographyRecord | None = None
+                           ) -> MonteCarloSummary:
+    """Poisson-resample the counts, reconstruct each resample once, and
+    summarize every named statistic over the resamples.
+
+    Resample k draws from child k of
+    ``SeedSequence(seed).spawn(n_resamples)``, so the result is deterministic
+    given the seed and independent of ``workers``. 'trace_distance' and
+    'uhlmann_fidelity' compare against the point estimate ``point``,
+    reconstructed here when not given.
+    """
+    if n_resamples < 2:
+        raise ValueError("need at least 2 resamples")
+    statistics = tuple(statistics)
+    if not statistics:
+        raise ValueError("need at least one statistic")
+    for name in statistics:
+        if name not in _STATISTICS:
+            raise ValueError(
+                f"unknown statistic {name!r}; choose from {_STATISTICS}")
+    ref = None
+    if any(name in _REFERENCE_STATISTICS for name in statistics):
+        if point is None:
+            point = mle_reconstruct(records)
+        elif point.records != list(records):
+            raise ValueError(
+                "point estimate was reconstructed from other counts")
+        ref = point.rho_hat.matrix
+    counts = [r.count for r in records]
+    exposures = [r.exposure for r in records]
+    settings = [(r.setting_a, r.setting_b) for r in records]
+    children = np.random.SeedSequence(seed).spawn(n_resamples)
+    tasks = [(counts, exposures, settings, child, statistics, ref)
+             for child in children]
+    workers = worker_count(workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_mc_resample, tasks, chunksize=8))
+    else:
+        results = [_mc_resample(t) for t in tasks]
+    summary = {}
+    for j, name in enumerate(statistics):
+        values = np.asarray([v[j] for v, _ in results], dtype=float)
+        summary[name] = (float(values.mean()), float(values.std(ddof=1)))
+    nonconverged = sum(not converged for _, converged in results)
+    return MonteCarloSummary(summary, nonconverged)
 
 
 def monte_carlo_uncertainty(records: list[CountRecord], n_resamples: int,
                             seed: int, statistic: str,
                             workers: int = 1) -> tuple[float, float]:
-    """Poisson-resample the counts, re-reconstruct, and report the sample
-    mean and standard deviation of a named statistic.
-
-    Deterministic given the seed; independent of ``workers``.
-    """
-    if n_resamples < 2:
-        raise ValueError("need at least 2 resamples")
-    point = mle_reconstruct(records)
-    ref = point.rho_hat.matrix if statistic in ("trace_distance",
-                                                "uhlmann_fidelity") else None
-    counts = [r.count for r in records]
-    exposures = [r.exposure for r in records]
-    settings = [(r.setting_a, r.setting_b) for r in records]
-    children = np.random.SeedSequence(seed).spawn(n_resamples)
-    tasks = [(counts, exposures, settings, child, statistic, ref)
-             for child in children]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_mc_single, tasks, chunksize=8))
-    else:
-        values = [_mc_single(t) for t in tasks]
-    values = np.asarray(values, dtype=float)
-    return float(values.mean()), float(values.std(ddof=1))
+    """Sample mean and standard deviation of one named statistic over
+    Poisson resamples; see `monte_carlo_statistics`."""
+    return monte_carlo_statistics(records, n_resamples, seed, (statistic,),
+                                  workers).statistics[statistic]
 
 
 # ---------------------------------------------------------------------------

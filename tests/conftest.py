@@ -25,3 +25,27 @@ def random_unitary(rng, dim):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240824)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """A serial stand-in for ProcessPoolExecutor that records each pool's
+    max_workers, on a machine that reports 4 CPUs. No process is started."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    RecordingPool.sizes = sizes
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    return RecordingPool

@@ -1,10 +1,17 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from entclone import metrics, tomography as tg
+from entclone import cloner, metrics, tomography as tg
 from entclone.cli import main
 from entclone.cloner import ideal_clone_sigma
+
+
+# bytes of `entclone --seed 11 --format json tomo --state sigma --n 2000
+# --resamples 8`; how the resamples are scheduled must not change them
+GOLDEN_TOMO = (Path(__file__).parent / "data"
+               / "tomo_sigma_seed11_n2000_b8.json")
 
 
 def run_cli(*argv, capsys=None):
@@ -166,6 +173,62 @@ class TestTomo:
                           capsys=capsys)
         assert code != 0
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_report_matches_golden_bytes(self, tmp_path, capsys, threads):
+        path = tmp_path / "report.json"
+        code, _ = run_cli("--seed", "11", "--format", "json", "--out",
+                          str(path), "--threads", threads, "tomo", "--state",
+                          "sigma", "--n", "2000", "--resamples", "8",
+                          capsys=capsys)
+        assert code == 0
+        assert path.read_bytes() == GOLDEN_TOMO.read_bytes()
+
+    def test_defaults_to_json(self, capsys):
+        argv = ("--seed", "4", "tomo", "--state", "mixed", "--n", "500")
+        code, out = run_cli(*argv, capsys=capsys)
+        assert code == 0
+        _, explicit = run_cli("--format", "json", *argv, capsys=capsys)
+        assert out.out == explicit.out
+        assert json.loads(out.out)["state"] == "mixed"
+
+    def test_one_reconstruction_per_resample(self, capsys, monkeypatch):
+        calls = []
+        real = tg.mle_reconstruct
+
+        def counting(records):
+            calls.append(len(records))
+            return real(records)
+
+        monkeypatch.setattr(tg, "mle_reconstruct", counting)
+        code, _ = run_cli("--seed", "3", "--threads", "1", "tomo", "--state",
+                          "mixed", "--n", "500", "--resamples", "5",
+                          capsys=capsys)
+        assert code == 0
+        assert len(calls) == 1 + 5
+
+    def test_nonconverged_resamples_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr(tg, "MAX_ITERATIONS", 1)
+        code, out = run_cli("--seed", "3", "--threads", "1", "tomo",
+                            "--state", "sigma", "--n", "2000", "--resamples",
+                            "4", capsys=capsys)
+        assert code == 0
+        assert "4 of 4 resample reconstructions did not converge" in out.err
+        assert "monte_carlo" in json.loads(out.out)
+
+    def test_threads_clamped(self, capsys, recording_pool, monkeypatch):
+        monkeypatch.setattr(tg, "ProcessPoolExecutor", recording_pool)
+        code, _ = run_cli("--threads", "100000", "tomo", "--state", "mixed",
+                          "--n", "500", "--resamples", "3", capsys=capsys)
+        assert code == 0
+        assert recording_pool.sizes == [3]
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_rejected(self, capsys, threads):
+        code, out = run_cli("--threads", threads, "tomo", "--state", "mixed",
+                            "--n", "500", "--resamples", "3", capsys=capsys)
+        assert code == 1
+        assert out.err.startswith("entclone: error: --threads")
+
 
 class TestHom:
     def test_ideal(self, capsys):
@@ -192,6 +255,26 @@ class TestHom:
                             "0.95", capsys=capsys)
         assert code != 0
         assert "error" in out.err
+
+    def test_fit_nan_fails(self, capsys):
+        code, out = run_cli("hom", "--r", "0.3", "--fit", "nan",
+                            capsys=capsys)
+        assert code == 1
+        assert out.err.startswith("entclone: error:")
+        assert out.out == ""
+
+    def test_consistency_error_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr(cloner, "ideal_hom_visibility", lambda r: 0.5)
+        code, out = run_cli("hom", "--r", "0.3", capsys=capsys)
+        assert code == 1
+        assert "entclone: error: fock visibility" in out.err
+
+    def test_witness_consistency_error_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr(metrics, "pauli_correlation", lambda *a: 0.0)
+        code, out = run_cli("clone", "--input", "phi+", "--r", "0.5",
+                            capsys=capsys)
+        assert code == 1
+        assert "entclone: error: witness forms disagree" in out.err
 
 
 class TestPaper:

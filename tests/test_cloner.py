@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from entclone import cloner, metrics
 from entclone.cloner import (InputSpec, NetworkConfig, fidelity_sweep,
                              fit_overlap, hom_visibility,
                              postselection_operator, run_ideal, run_physical)
+from entclone.qmath import ConsistencyError
 
 PHI = InputSpec("bell_phi_plus")
 PSI = InputSpec("bell_psi_plus")
@@ -162,6 +164,18 @@ class TestHom:
         with pytest.raises(ValueError):
             fit_overlap(0.9, 1 / 3)
 
+    @pytest.mark.parametrize("v, r", [
+        (float("nan"), 1 / 3), (0.5, float("nan")), (0.5, -0.1), (0.5, 1.5),
+    ])
+    def test_fit_rejects_nan_and_out_of_range(self, v, r):
+        with pytest.raises(ValueError):
+            fit_overlap(v, r)
+
+    def test_disagreeing_forms_raise_typed_error(self, monkeypatch):
+        monkeypatch.setattr(cloner, "ideal_hom_visibility", lambda r: 0.5)
+        with pytest.raises(ConsistencyError, match="disagrees"):
+            hom_visibility(1 / 3, 1.0)
+
 
 class TestSweep:
     def test_endpoint_fixed_points(self):
@@ -188,6 +202,23 @@ class TestSweep:
         serial = fidelity_sweep(PHI, grid, 0.9, workers=1)
         parallel = fidelity_sweep(PHI, grid, 0.9, workers=2)
         assert np.allclose(np.array(serial), np.array(parallel))
+
+    @pytest.mark.parametrize("workers, grid_size, expected", [
+        (1000, 3, [3]), (1000, 6, [4]), (2, 6, [2]), (1, 6, []),
+        (1000, 0, []),
+    ])
+    def test_pool_size_clamped(self, recording_pool, monkeypatch, workers,
+                               grid_size, expected):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            recording_pool)
+        rows = fidelity_sweep(PHI, np.linspace(0, 1, grid_size), 1.0,
+                              workers=workers)
+        assert len(rows) == grid_size
+        assert recording_pool.sizes == expected
+
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            fidelity_sweep(PHI, [0.1, 0.2], 1.0, workers=0)
 
 
 class TestInputSpec:

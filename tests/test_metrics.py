@@ -8,7 +8,7 @@ from entclone.metrics import (concurrence, fidelity_to_pure, pauli_correlation,
                               ppt_min_eigenvalue, trace_distance,
                               uhlmann_fidelity, von_neumann_entropy,
                               witness_expectation)
-from entclone.qmath import DensityMatrix, bell_state, kron
+from entclone.qmath import ConsistencyError, DensityMatrix, bell_state, kron
 
 PHI_DM = bell_state("phi+").to_density()
 MIXED = DensityMatrix(np.eye(4) / 4, ("a", "b"))
@@ -79,6 +79,11 @@ class TestWitness:
             rho = random_density(rng)
             if witness_expectation(rho) < 0:
                 assert concurrence(rho) > 0
+
+    def test_disagreeing_forms_raise_typed_error(self, monkeypatch):
+        monkeypatch.setattr(metrics, "pauli_correlation", lambda *a: 0.0)
+        with pytest.raises(ConsistencyError, match="disagree"):
+            witness_expectation(PHI_DM)
 
 
 class TestConcurrence:

@@ -153,6 +153,65 @@ class TestMonteCarlo:
             tg.monte_carlo_uncertainty(records, 5, seed=1, statistic="magic")
 
 
+class TestMonteCarloStatistics:
+    def test_single_pass_matches_per_statistic_runs(self):
+        records = tg.sample_counts(SIGMA, 2000, seed=8)
+        summary = tg.monte_carlo_statistics(records, 6, seed=4)
+        assert tuple(summary.statistics) == tg._STATISTICS
+        assert summary.nonconverged == 0
+        for name, value in summary.statistics.items():
+            assert value == tg.monte_carlo_uncertainty(records, 6, seed=4,
+                                                       statistic=name)
+
+    def test_given_point_estimate_is_used_as_is(self):
+        records = tg.sample_counts(SIGMA, 2000, seed=8)
+        point = tg.mle_reconstruct(records)
+        given = tg.monte_carlo_statistics(records, 4, seed=1, point=point)
+        own = tg.monte_carlo_statistics(records, 4, seed=1)
+        assert given == own
+
+    def test_point_from_other_counts_rejected(self):
+        records = tg.sample_counts(SIGMA, 2000, seed=8)
+        other = tg.mle_reconstruct(tg.sample_counts(SIGMA, 2000, seed=9))
+        with pytest.raises(ValueError, match="other counts"):
+            tg.monte_carlo_statistics(records, 4, seed=1, point=other)
+
+    def test_bad_statistics_rejected(self):
+        records = tg.sample_counts(SIGMA, 1000, seed=8)
+        with pytest.raises(ValueError, match="at least one"):
+            tg.monte_carlo_statistics(records, 4, seed=1, statistics=())
+        with pytest.raises(ValueError, match="unknown statistic"):
+            tg.monte_carlo_statistics(records, 4, seed=1,
+                                      statistics=("fidelity", "magic"))
+
+    def test_nonconverged_resamples_counted(self, monkeypatch):
+        records = tg.sample_counts(SIGMA, 2000, seed=8)
+        monkeypatch.setattr(tg, "MAX_ITERATIONS", 1)
+        summary = tg.monte_carlo_statistics(records, 5, seed=4,
+                                            statistics=("fidelity",))
+        assert summary.nonconverged == 5
+
+    @pytest.mark.parametrize("workers, resamples, expected", [
+        (1000, 3, [3]), (1000, 10, [4]), (2, 10, [2]), (1, 10, []),
+    ])
+    def test_pool_size_clamped(self, recording_pool, monkeypatch, workers,
+                               resamples, expected):
+        monkeypatch.setattr(tg, "ProcessPoolExecutor", recording_pool)
+        records = tg.sample_counts(SIGMA, 1000, seed=8)
+        serial = tg.monte_carlo_statistics(records, resamples, seed=2,
+                                           statistics=("entropy",))
+        pooled = tg.monte_carlo_statistics(records, resamples, seed=2,
+                                           statistics=("entropy",),
+                                           workers=workers)
+        assert pooled == serial
+        assert recording_pool.sizes == expected
+
+    def test_zero_workers_rejected(self):
+        records = tg.sample_counts(SIGMA, 1000, seed=8)
+        with pytest.raises(ValueError, match="at least 1"):
+            tg.monte_carlo_statistics(records, 4, seed=1, workers=0)
+
+
 class TestInterchange:
     def test_csv_round_trip(self, tmp_path):
         records = tg.sample_counts(SIGMA, 4000, seed=6, exposure=1.5)
