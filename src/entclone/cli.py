@@ -137,6 +137,9 @@ def cmd_sweep(args) -> int:
 def cmd_tomo(args) -> int:
     if args.format == "csv":
         raise CliError("tomo reports are JSON only; use --format json")
+    if args.resamples == 1 or args.resamples < 0:
+        raise CliError("--resamples must be 0 (no error bars) or at least 2, "
+                       f"got {args.resamples}")
     rho_true, state_name = _named_density(args.state)
     records = tomography.sample_counts(rho_true, args.n, seed=args.seed)
     rec = tomography.mle_reconstruct(records)
@@ -157,7 +160,7 @@ def cmd_tomo(args) -> int:
         },
         "reconstruction": tomography.matrix_to_json_dict(rec.rho_hat),
     }
-    if args.resamples >= 2:
+    if args.resamples:
         # one pass over the resamples yields every statistic
         mc = tomography.monte_carlo_statistics(
             records, args.resamples, seed=args.seed, workers=args.threads,
@@ -248,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--n", type=float, default=4000.0,
                    help="mean counts per setting")
     t.add_argument("--resamples", type=int, default=0,
-                   help="Monte Carlo resamples for error bars")
+                   help="Monte Carlo resamples for error bars "
+                        "(0 for none, else at least 2)")
     t.set_defaults(func=cmd_tomo)
 
     h = sub.add_parser("hom", help="Hong-Ou-Mandel visibility / overlap fit")

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -57,8 +59,9 @@ class CountRecord:
                 f"unknown setting ({self.setting_a}, {self.setting_b})")
         if self.count < 0:
             raise ValueError("negative count")
-        if self.exposure <= 0:
-            raise ValueError("exposure must be positive")
+        if not (math.isfinite(self.exposure) and self.exposure > 0):
+            raise ValueError(
+                f"exposure must be finite and positive, got {self.exposure}")
 
 
 @dataclass
@@ -97,6 +100,16 @@ def sample_counts(rho, n_per_setting: float, seed: int,
     return records
 
 
+def _require_each_setting_once(records: list[CountRecord]) -> None:
+    seen = Counter((r.setting_a, r.setting_b) for r in records)
+    missing = " ".join(a + b for a, b in SETTINGS if seen[a, b] == 0)
+    duplicated = " ".join(a + b for a, b in SETTINGS if seen[a, b] > 1)
+    if missing or duplicated:
+        raise ValueError("records must hold each of the 36 settings once; "
+                         f"missing: {missing or 'none'}; "
+                         f"duplicated: {duplicated or 'none'}")
+
+
 def _unpack(records: list[CountRecord]):
     projs = np.stack([setting_projector(r.setting_a, r.setting_b)
                       for r in records])
@@ -116,12 +129,16 @@ def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
 
     Independent Poisson likelihood per setting with the overall rate
     estimated as 4 x mean(count / exposure) (the 36 projectors sum to 9 I,
-    so the mean success probability per setting is 1/4). The maximizer is
-    found by RrhoR fixed-point iteration with step dilution: a full step is
-    tried first and geometrically damped until the log-likelihood improves,
-    which keeps iterates PSD with unit trace and the likelihood monotone.
+    so the mean success probability per setting is 1/4). That rate is only
+    right for the full set, so the records must hold each of the 36
+    ``SETTINGS`` exactly once; any other set raises ValueError. The
+    maximizer is found by RrhoR fixed-point iteration with step dilution: a
+    full step is tried first and geometrically damped until the
+    log-likelihood improves, which keeps iterates PSD with unit trace and the
+    likelihood monotone.
     """
-    if len(records) == 0 or all(r.count == 0 for r in records):
+    _require_each_setting_once(records)
+    if all(r.count == 0 for r in records):
         raise ValueError("degenerate data: all counts are zero")
     # canonical ordering makes the result exactly independent of record order
     ordered = sorted(records, key=lambda r: (r.setting_a, r.setting_b))

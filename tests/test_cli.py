@@ -6,12 +6,18 @@ import pytest
 from entclone import cloner, metrics, tomography as tg
 from entclone.cli import main
 from entclone.cloner import ideal_clone_sigma
+from entclone.paperchecks import CheckResult
 
 
 # bytes of `entclone --seed 11 --format json tomo --state sigma --n 2000
 # --resamples 8`; how the resamples are scheduled must not change them
 GOLDEN_TOMO = (Path(__file__).parent / "data"
                / "tomo_sigma_seed11_n2000_b8.json")
+# bytes of `entclone --seed 3 paper` and `entclone --seed 3 --format json
+# paper`; the JSON prints full-precision floats, so it pins every computed
+# value of the reference checks bit for bit
+GOLDEN_PAPER = {fmt: Path(__file__).parent / "data" / f"paper_seed3.{ext}"
+                for fmt, ext in (("text", "txt"), ("json", "json"))}
 
 
 def run_cli(*argv, capsys=None):
@@ -222,6 +228,22 @@ class TestTomo:
         assert code == 0
         assert recording_pool.sizes == [3]
 
+    @pytest.mark.parametrize("resamples", ["1", "-1"])
+    def test_resamples_without_error_bars_rejected(self, capsys, resamples):
+        # one resample has no spread; the report must not silently drop
+        # its error bars
+        code, out = run_cli("tomo", "--state", "mixed", "--n", "500",
+                            "--resamples", resamples, capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err.startswith("entclone: error: --resamples")
+
+    def test_zero_resamples_means_no_error_bars(self, capsys):
+        code, out = run_cli("tomo", "--state", "mixed", "--n", "500",
+                            "--resamples", "0", capsys=capsys)
+        assert code == 0
+        assert "monte_carlo" not in json.loads(out.out)
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_rejected(self, capsys, threads):
         code, out = run_cli("--threads", threads, "tomo", "--state", "mixed",
@@ -293,3 +315,19 @@ class TestPaper:
         assert all(c["passed"] for c in checks)
         assert all({"name", "computed", "expected", "tolerance"} <= set(c)
                    for c in checks)
+
+    def test_margin_is_distance_inside_tolerance(self):
+        inside = CheckResult("inside", 0.6, 0.5, 0.15)
+        outside = CheckResult("outside", 0.3, 0.5, 0.15)
+        assert inside.passed and inside.margin == pytest.approx(0.05)
+        assert not outside.passed and outside.margin == pytest.approx(-0.05)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_matches_golden_bytes(self, tmp_path, capsys, fmt):
+        path = tmp_path / "paper.out"
+        argv = ["--seed", "3", "--out", str(path)]
+        if fmt == "json":
+            argv += ["--format", "json"]
+        code, _ = run_cli(*argv, "paper", capsys=capsys)
+        assert code == 0
+        assert path.read_bytes() == GOLDEN_PAPER[fmt].read_bytes()

@@ -113,6 +113,19 @@ class TestMleReconstruct:
         with pytest.raises(ValueError):
             tg.mle_reconstruct(records)
 
+    # the rate estimate assumes all 36 settings once each; without this
+    # check sigma at n = 1e6 reconstructs to F = 0.972 (6 duplicates) or
+    # 0.905 (30 settings), both reported as converged
+    @pytest.mark.parametrize("pick, problem", [
+        (lambda r: r + r[:6], "missing: none; duplicated: HH HV HD HA HL HR$"),
+        (lambda r: r[:30], "missing: RH RV RD RA RL RR; duplicated: none"),
+        (lambda r: [], "missing: HH HV"),
+    ], ids=["duplicated", "missing", "empty"])
+    def test_settings_not_each_once_rejected(self, pick, problem):
+        records = tg.sample_counts(SIGMA, 1_000_000, seed=5)
+        with pytest.raises(ValueError, match=problem):
+            tg.mle_reconstruct(pick(records))
+
 
 class TestMonteCarlo:
     def test_deterministic(self):
@@ -252,3 +265,10 @@ class TestCountRecord:
             tg.CountRecord("H", "H", -1)
         with pytest.raises(ValueError):
             tg.CountRecord("H", "H", 5, exposure=0.0)
+
+    @pytest.mark.parametrize("exposure", [float("nan"), float("inf")])
+    def test_non_finite_exposure_rejected(self, exposure):
+        # a NaN exposure would reach the MLE and come back as a converged
+        # reconstruction of plausible fidelity
+        with pytest.raises(ValueError, match="finite and positive"):
+            tg.CountRecord("H", "H", 5, exposure=exposure)
