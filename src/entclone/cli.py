@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 
@@ -140,6 +141,8 @@ def cmd_tomo(args) -> int:
     if args.resamples == 1 or args.resamples < 0:
         raise CliError("--resamples must be 0 (no error bars) or at least 2, "
                        f"got {args.resamples}")
+    if not (math.isfinite(args.n) and args.n > 0):
+        raise CliError(f"--n must be finite and positive, got {args.n}")
     rho_true, state_name = _named_density(args.state)
     records = tomography.sample_counts(rho_true, args.n, seed=args.seed)
     rec = tomography.mle_reconstruct(records)

@@ -12,6 +12,10 @@ PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 _PAULI = {"X": qmath.SX, "Y": qmath.SY, "Z": qmath.SZ}
 PAULI_BASES = ("X", "Y", "Z")
+# two-qubit operators built once, at import
+_PAULI_PRODUCTS = {(a, b): kron(_PAULI[a], _PAULI[b])
+                   for a in PAULI_BASES for b in PAULI_BASES}
+_WITNESS = 0.5 * np.eye(4) - np.outer(PHI_PLUS, np.conj(PHI_PLUS))
 
 
 def _mat(rho) -> np.ndarray:
@@ -30,7 +34,7 @@ def fidelity_to_pure(rho, target) -> float:
     t = _vec(target)
     if m.shape[0] != t.size:
         raise ValueError(f"dimension mismatch: {m.shape[0]} vs {t.size}")
-    return float(np.real(np.vdot(t, m @ t)))
+    return float(np.vdot(t, m @ t).real)
 
 
 def pauli_correlation(rho, basis_a: str, basis_b: str) -> float:
@@ -40,8 +44,11 @@ def pauli_correlation(rho, basis_a: str, basis_b: str) -> float:
         raise ValueError("pauli_correlation requires a two-qubit state")
     if basis_a not in _PAULI or basis_b not in _PAULI:
         raise ValueError(f"bases must be in {PAULI_BASES}")
-    op = kron(_PAULI[basis_a], _PAULI[basis_b])
-    return float(np.real(np.trace(m @ op)))
+    return _expectation(m, _PAULI_PRODUCTS[basis_a, basis_b])
+
+
+def _expectation(m: np.ndarray, op: np.ndarray) -> float:
+    return float((m @ op).trace().real)
 
 
 def witness_expectation(rho) -> float:
@@ -54,8 +61,7 @@ def witness_expectation(rho) -> float:
     m = _mat(rho)
     if m.shape != (4, 4):
         raise ValueError("witness_expectation requires a two-qubit state")
-    witness = 0.5 * np.eye(4) - np.outer(PHI_PLUS, np.conj(PHI_PLUS))
-    direct = float(np.real(np.trace(m @ witness)))
+    direct = _expectation(m, _WITNESS)
     expanded = 0.25 * (1.0
                        - pauli_correlation(m, "X", "X")
                        + pauli_correlation(m, "Y", "Y")
@@ -75,10 +81,10 @@ def concurrence(rho) -> float:
     m = _mat(rho)
     if m.shape != (4, 4):
         raise ValueError("concurrence requires a two-qubit state")
-    yy = kron(qmath.SY, qmath.SY)
-    m_tilde = yy @ np.conj(m) @ yy
+    yy = _PAULI_PRODUCTS["Y", "Y"]
+    m_tilde = yy @ m.conj() @ yy
     vals = np.linalg.eigvals(m @ m_tilde)
-    vals = np.sqrt(np.clip(np.real(vals), 0.0, None))
+    vals = np.sqrt(np.maximum(vals.real, 0.0))
     vals = np.sort(vals)[::-1]
     return float(max(0.0, vals[0] - vals[1] - vals[2] - vals[3]))
 
@@ -86,9 +92,9 @@ def concurrence(rho) -> float:
 def von_neumann_entropy(rho) -> float:
     """Entropy -sum(p log2 p) in bits; eigenvalues clamped at zero."""
     vals, _ = herm_eig(_mat(rho))
-    vals = np.clip(vals, 0.0, None)
+    vals = np.maximum(vals, 0.0)
     vals = vals[vals > 0.0]
-    return float(-np.sum(vals * np.log2(vals)))
+    return float(-(vals * np.log2(vals)).sum())
 
 
 def trace_distance(a, b) -> float:
@@ -106,7 +112,7 @@ def uhlmann_fidelity(a, b) -> float:
         raise ValueError("dimension mismatch")
     sa = psd_sqrt(ma)
     inner = psd_sqrt(sa @ mb @ sa)
-    f = float(np.real(np.trace(inner)) ** 2)
+    f = float(inner.trace().real ** 2)
     return min(1.0, f)
 
 

@@ -79,19 +79,32 @@ def setting_projector(setting_a: str, setting_b: str) -> np.ndarray:
     return np.outer(k, np.conj(k))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# built once: every probability and every MLE iteration reads these
+_PROJECTORS = {s: _frozen(setting_projector(*s)) for s in SETTINGS}
+# in the (setting_a, setting_b) sort order in which the MLE takes its records
+_MLE_PROJECTORS = _frozen(np.stack([_PROJECTORS[s] for s in sorted(SETTINGS)]))
+_IDENTITY = _frozen(np.eye(4, dtype=complex))
+
+
 def born_probability(rho, setting_a: str, setting_b: str) -> float:
     """Tr[rho (Pi_a x Pi_b)] for single-photon projectors a, b."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     if m.shape != (4, 4):
         raise ValueError("born_probability requires a two-qubit state")
-    return float(np.real(np.trace(m @ setting_projector(setting_a, setting_b))))
+    return float((m @ _PROJECTORS[setting_a, setting_b]).trace().real)
 
 
 def sample_counts(rho, n_per_setting: float, seed: int,
                   exposure: float = 1.0) -> list[CountRecord]:
     """Poisson counts for all 36 settings; deterministic given the seed."""
-    if n_per_setting <= 0:
-        raise ValueError("n_per_setting must be positive")
+    if not (math.isfinite(n_per_setting) and n_per_setting > 0):
+        raise ValueError(
+            f"n_per_setting must be finite and positive, got {n_per_setting}")
     rng = np.random.default_rng(seed)
     records = []
     for a, b in SETTINGS:
@@ -108,20 +121,6 @@ def _require_each_setting_once(records: list[CountRecord]) -> None:
         raise ValueError("records must hold each of the 36 settings once; "
                          f"missing: {missing or 'none'}; "
                          f"duplicated: {duplicated or 'none'}")
-
-
-def _unpack(records: list[CountRecord]):
-    projs = np.stack([setting_projector(r.setting_a, r.setting_b)
-                      for r in records])
-    counts = np.array([r.count for r in records], dtype=float)
-    exposures = np.array([r.exposure for r in records], dtype=float)
-    return projs, counts, exposures
-
-
-def _poisson_loglik(counts, mu):
-    # log factorial terms dropped: constant in rho
-    mu = np.clip(mu, 1e-300, None)
-    return float(np.sum(counts * np.log(mu) - mu))
 
 
 def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
@@ -142,48 +141,53 @@ def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
         raise ValueError("degenerate data: all counts are zero")
     # canonical ordering makes the result exactly independent of record order
     ordered = sorted(records, key=lambda r: (r.setting_a, r.setting_b))
-    projs, counts, exposures = _unpack(ordered)
+    counts = np.array([r.count for r in ordered], dtype=float)
+    exposures = np.array([r.exposure for r in ordered], dtype=float)
     n_hat = 4.0 * float(np.mean(counts / exposures))
-
-    rho = np.eye(4, dtype=complex) / 4.0
+    # loop invariants, hoisted with the same operands and operation order
+    expected = n_hat * exposures
+    total = max(counts.sum(), 1.0)
 
     def probs(r):
-        return np.clip(np.real(np.einsum("jab,ba->j", projs, r)), 1e-12, None)
+        return np.maximum(
+            np.einsum("jab,ba->j", _MLE_PROJECTORS, r).real, 1e-12)
 
-    def loglik(r):
-        return _poisson_loglik(counts, n_hat * exposures * probs(r))
+    def loglik(p):
+        # Poisson log-likelihood, log factorial terms dropped: constant in rho
+        mu = np.maximum(expected * p, 1e-300)
+        return float((counts * np.log(mu) - mu).sum())
 
-    ll = loglik(rho)
+    rho = _IDENTITY / 4.0
+    p = probs(rho)
+    ll = loglik(p)
     history = [ll]
     converged = False
-    identity = np.eye(4, dtype=complex)
     for _ in range(MAX_ITERATIONS):
-        p = probs(rho)
-        r_op = np.einsum("j,jab->ab", counts / p, projs) / max(counts.sum(), 1.0)
-        improved = False
-        eps = 1.0
-        while eps > 1e-14:
-            step = identity + eps * r_op
+        r_op = np.einsum("j,jab->ab", counts / p, _MLE_PROJECTORS) / total
+        # the undiluted step first; eps * r_op at eps = 1 changes no bit
+        step, eps = _IDENTITY + r_op, 1.0
+        while True:
             cand = step @ rho @ step.conj().T
-            cand /= np.real(np.trace(cand))
-            cand_ll = loglik(cand)
-            if cand_ll > ll:
-                improved = True
-                break
+            cand /= cand.trace().real
+            cand_p = probs(cand)
+            cand_ll = loglik(cand_p)
             eps *= 0.5
-        if not improved:
+            if cand_ll > ll or eps <= 1e-14:
+                break
+            step = _IDENTITY + eps * r_op
+        if not cand_ll > ll:
             converged = True  # no improving step exists at machine precision
             break
-        if cand_ll - ll < LOGLIK_TOL:
-            rho, ll = cand, cand_ll
-            history.append(ll)
+        gain = cand_ll - ll
+        # the accepted candidate's probabilities feed the next R operator
+        rho, p, ll = cand, cand_p, cand_ll
+        history.append(ll)
+        if gain < LOGLIK_TOL:
             converged = True
             break
-        rho, ll = cand, cand_ll
-        history.append(ll)
 
     rho = (rho + rho.conj().T) / 2.0
-    rho /= np.real(np.trace(rho))
+    rho /= rho.trace().real
     return TomographyRecord(list(records),
                             DensityMatrix(rho, ("a", "b")),
                             ll, converged, history)
@@ -285,8 +289,12 @@ def monte_carlo_statistics(records: list[CountRecord], n_resamples: int,
              for child in children]
     workers = worker_count(workers, len(tasks))
     if workers > 1:
+        # one chunk per worker; a pool of more workers than chunks would
+        # start processes that get no task
+        chunksize = -(-len(tasks) // workers)
+        workers = -(-len(tasks) // chunksize)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mc_resample, tasks, chunksize=8))
+            results = list(pool.map(_mc_resample, tasks, chunksize=chunksize))
     else:
         results = [_mc_resample(t) for t in tasks]
     summary = {}

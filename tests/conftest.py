@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from entclone.qmath import DensityMatrix
+
+# property tests draw the same bounded set of examples on every run and keep
+# no example database, so the suite stays reproducible
+settings.register_profile("entclone", derandomize=True, max_examples=60,
+                          deadline=None, database=None)
+settings.load_profile("entclone")
 
 
 def random_density(rng, n_qubits=2, labels=None):
@@ -30,12 +37,16 @@ def rng():
 @pytest.fixture
 def recording_pool(monkeypatch):
     """A serial stand-in for ProcessPoolExecutor that records each pool's
-    max_workers, on a machine that reports 4 CPUs. No process is started."""
+    max_workers and each map's chunksize, on a machine that reports 4 CPUs,
+    and asserts that the tasks fill at least one chunk per worker. No
+    process is started."""
     sizes = []
+    chunksizes = []
 
     class RecordingPool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -44,8 +55,14 @@ def recording_pool(monkeypatch):
             return False
 
         def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            chunksizes.append(chunksize)
+            chunks = -(-len(tasks) // chunksize)
+            assert chunks >= self.max_workers, \
+                f"{self.max_workers} workers started for {chunks} chunks"
             return map(fn, tasks)
 
     RecordingPool.sizes = sizes
+    RecordingPool.chunksizes = chunksizes
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     return RecordingPool

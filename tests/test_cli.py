@@ -238,6 +238,15 @@ class TestTomo:
         assert out.out == ""
         assert out.err.startswith("entclone: error: --resamples")
 
+    @pytest.mark.parametrize("n", ["nan", "inf", "0", "-3"])
+    def test_bad_n_rejected(self, capsys, n):
+        # NaN and infinity used to fail inside numpy's Poisson sampler
+        code, out = run_cli("tomo", "--state", "sigma", "--n", n,
+                            capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err.startswith("entclone: error: --n must be finite")
+
     def test_zero_resamples_means_no_error_bars(self, capsys):
         code, out = run_cli("tomo", "--state", "mixed", "--n", "500",
                             "--resamples", "0", capsys=capsys)

@@ -1,13 +1,42 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import random_density
 from entclone import metrics, tomography as tg
+from entclone.cli import _named_density
 from entclone.cloner import ideal_clone_sigma
-from entclone.qmath import bell_state
+from entclone.qmath import DensityMatrix, bell_state
 
 PHI_DM = bell_state("phi+").to_density()
 SIGMA = ideal_clone_sigma()
+
+# (state, counts per setting, seed) of the pinned reconstructions: a mixed
+# entangled state that stops on LOGLIK_TOL, two that stop when no diluted step
+# improves, and a 2437-iteration run on 30 counts per setting
+MLE_GOLDEN_CASES = (("sigma", 2000.0, 21), ("phi+", 1e6, 22),
+                    ("mixed", 3e4, 23), ("schmidt:0.4", 30.0, 23))
+# written by `mle_golden_text()` before the MLE inner loop was rewritten to
+# hoist its invariants; any change to the floating-point work shows here
+MLE_GOLDEN = Path(__file__).parent / "data" / "mle_golden.json"
+
+
+def mle_golden_text() -> str:
+    """JSON of each golden case's converged flag, log-likelihood history and
+    reconstruction, floats in repr form."""
+    out = {}
+    for state, n, seed in MLE_GOLDEN_CASES:
+        rho, _ = _named_density(state)
+        rec = tg.mle_reconstruct(tg.sample_counts(rho, n, seed=seed))
+        out[f"{state} n={n!r} seed={seed}"] = {
+            "converged": rec.converged,
+            "log_likelihood_history": rec.log_likelihood_history,
+            "rho_hat": tg.matrix_to_json_dict(rec.rho_hat)["matrix"],
+        }
+    return json.dumps(out, indent=1) + "\n"
 
 
 class TestBornProbability:
@@ -53,6 +82,12 @@ class TestSampleCounts:
     def test_bad_n_raises(self):
         with pytest.raises(ValueError):
             tg.sample_counts(SIGMA, 0, seed=1)
+
+    @pytest.mark.parametrize("n", [float("nan"), float("inf"), -float("inf"),
+                                   0.0, -5.0])
+    def test_non_finite_or_non_positive_n_rejected(self, n):
+        with pytest.raises(ValueError, match="n_per_setting must be finite"):
+            tg.sample_counts(SIGMA, n, seed=1)
 
 
 class TestMleReconstruct:
@@ -125,6 +160,38 @@ class TestMleReconstruct:
         records = tg.sample_counts(SIGMA, 1_000_000, seed=5)
         with pytest.raises(ValueError, match=problem):
             tg.mle_reconstruct(pick(records))
+
+
+class TestMleGolden:
+    def test_reproduces_golden_bits(self):
+        assert mle_golden_text() == MLE_GOLDEN.read_text()
+
+
+_SPARSE_COUNT = st.one_of(st.just(0), st.integers(0, 3),
+                          st.integers(0, 10**6))
+
+
+class TestMleProperties:
+    """Random 36-setting data, including sparse and zero-heavy counts."""
+
+    @given(counts=st.lists(_SPARSE_COUNT, min_size=36, max_size=36)
+           .filter(any),
+           exposures=st.lists(st.floats(1e-3, 1e3), min_size=36,
+                              max_size=36),
+           order=st.permutations(range(36)))
+    def test_physical_monotone_and_order_free(self, counts, exposures,
+                                              order):
+        records = [tg.CountRecord(a, b, c, e) for (a, b), c, e
+                   in zip(tg.SETTINGS, counts, exposures)]
+        rec = tg.mle_reconstruct(records)
+        # the constructor validates Hermiticity, unit trace and PSD
+        assert isinstance(rec.rho_hat, DensityMatrix)
+        assert np.all(np.diff(rec.log_likelihood_history) >= 0)
+        assert rec.log_likelihood == rec.log_likelihood_history[-1]
+        shuffled = tg.mle_reconstruct([records[k] for k in order])
+        assert np.array_equal(shuffled.rho_hat.matrix, rec.rho_hat.matrix)
+        assert shuffled.log_likelihood_history == rec.log_likelihood_history
+        assert shuffled.converged == rec.converged
 
 
 class TestMonteCarlo:
@@ -223,6 +290,22 @@ class TestMonteCarloStatistics:
         records = tg.sample_counts(SIGMA, 1000, seed=8)
         with pytest.raises(ValueError, match="at least 1"):
             tg.monte_carlo_statistics(records, 4, seed=1, workers=0)
+
+    # a fixed chunksize of 8 gave all 6 resamples of `tomo --resamples 6
+    # --threads 2` to one worker; 5 resamples on 4 CPUs make chunks of 2,
+    # which keep only 3 workers busy, so only 3 are started
+    @pytest.mark.parametrize("workers, resamples, sizes, chunksizes", [
+        (2, 6, [2], [3]), (2, 10, [2], [5]), (4, 10, [4], [3]),
+        (4, 5, [3], [2]),
+    ])
+    def test_one_chunk_per_worker(self, recording_pool, monkeypatch, workers,
+                                  resamples, sizes, chunksizes):
+        monkeypatch.setattr(tg, "ProcessPoolExecutor", recording_pool)
+        records = tg.sample_counts(SIGMA, 1000, seed=8)
+        tg.monte_carlo_statistics(records, resamples, seed=2,
+                                  statistics=("entropy",), workers=workers)
+        assert recording_pool.sizes == sizes
+        assert recording_pool.chunksizes == chunksizes
 
 
 class TestInterchange:
