@@ -226,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: text for paper, json for tomo, "
                         "csv otherwise")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for sweeps and Monte Carlo")
+                   help="worker processes for the tomo Monte Carlo pool "
+                        "(sweeps run serially)")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("clone", help="run the network once and report metrics")

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import fock, metrics
 from .fock import BeamSplitterSpec, FockState
-from .parallel import worker_count
 from .qmath import ConsistencyError, DensityMatrix, PureState, bell_state
 
 SWAP = np.array([[1, 0, 0, 0],
@@ -175,20 +174,21 @@ def _fock_initial_state(input_spec: InputSpec) -> FockState:
     return inp.tensor(singlet("3", "4")).tensor(singlet("5", "6"))
 
 
-def run_physical(config: NetworkConfig) -> CloneOutcome:
-    """Second-quantized network with the distinguishability branch model.
+def _network_branches(input_spec: InputSpec,
+                      overlap_sq: float) -> list[tuple[FockState, float]]:
+    """The six-photon input split over the distinguishability branches of
+    photons 3 and 5; it does not depend on the reflectivities."""
+    lam = math.sqrt(overlap_sq)
+    return fock.dephase_internal(_fock_initial_state(input_spec),
+                                 [("1", "3", lam), ("2", "5", lam)])
 
-    Photons 3 and 5 (from the ancilla sources) each carry squared overlap
-    ``overlap_sq`` with the photon they interfere with; the orthogonal
-    branches evolve separately and the post-selected density matrices are
-    averaged weighted by branch probability times post-selection weight.
-    """
-    lam = math.sqrt(config.overlap_sq)
-    state = _fock_initial_state(config.input_spec)
-    branches = fock.dephase_internal(
-        state, [("1", "3", lam), ("2", "5", lam)])
-    bs1 = BeamSplitterSpec(("1", "3"), ("1'", "3'"), config.r1)
-    bs2 = BeamSplitterSpec(("2", "5"), ("2'", "5'"), config.r2)
+
+def _run_branches(branches: list[tuple[FockState, float]], r1: float,
+                  r2: float) -> CloneOutcome:
+    """Send each branch through both beam splitters, post-select one photon
+    per output arm and average the branches by weight."""
+    bs1 = BeamSplitterSpec(("1", "3"), ("1'", "3'"), r1)
+    bs2 = BeamSplitterSpec(("2", "5"), ("2'", "5'"), r2)
 
     dim = 2 ** len(_ALL_OUTPUT_ARMS)
     rho_acc = np.zeros((dim, dim), dtype=complex)
@@ -207,6 +207,19 @@ def run_physical(config: NetworkConfig) -> CloneOutcome:
     return CloneOutcome(full.partial_trace(LOCAL_PAIR),
                         full.partial_trace(DISTANT_PAIR),
                         total)
+
+
+def run_physical(config: NetworkConfig) -> CloneOutcome:
+    """Second-quantized network with the distinguishability branch model.
+
+    Photons 3 and 5 (from the ancilla sources) each carry squared overlap
+    ``overlap_sq`` with the photon they interfere with; the orthogonal
+    branches evolve separately and the post-selected density matrices are
+    averaged weighted by branch probability times post-selection weight.
+    """
+    return _run_branches(
+        _network_branches(config.input_spec, config.overlap_sq),
+        config.r1, config.r2)
 
 
 def ideal_clone_sigma() -> DensityMatrix:
@@ -266,32 +279,34 @@ def fit_overlap(v_measured: float, r: float) -> float:
     return min(1.0, v_measured / ideal)
 
 
-def _sweep_point(args) -> tuple[float, float, float, float]:
-    input_spec, r, overlap_sq = args
-    target = input_spec.state().amplitudes
-    out = run_physical(NetworkConfig(input_spec, r, r, overlap_sq))
-    if out.rho_local is None:
-        return (float(r), float("nan"), float("nan"), 0.0)
-    return (
-        float(r),
-        metrics.fidelity_to_pure(out.rho_local, target),
-        metrics.fidelity_to_pure(out.rho_distant, target),
-        out.success_weight,
-    )
-
-
 def fidelity_sweep(input_spec: InputSpec, r_grid, overlap_sq: float,
                    workers: int = 1):
     """Run the physical network over a reflectivity grid (R1 = R2 = R).
 
     Returns a list of (R, F_local, F_distant, success_weight), fidelities
-    measured against the pure input state. Grid points are independent and
-    fan out over min(workers, points, CPUs) processes when that exceeds 1.
+    measured against the pure input state. The input state and its
+    distinguishability branches are built once; the points run serially.
+    ``workers`` must be at least 1 but starts no process: a point costs a
+    few milliseconds, and a process pool measured slower than this loop.
     """
-    tasks = [(input_spec, float(r), overlap_sq) for r in r_grid]
-    workers = worker_count(workers, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_point, tasks))
-    return [_sweep_point(t) for t in tasks]
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
+    configs = [NetworkConfig(input_spec, float(r), float(r), overlap_sq)
+               for r in r_grid]
+    if not configs:
+        return []
+    target = input_spec.state().amplitudes
+    branches = _network_branches(input_spec, overlap_sq)
+    rows = []
+    for config in configs:
+        out = _run_branches(branches, config.r1, config.r2)
+        if out.rho_local is None:
+            rows.append((config.r1, float("nan"), float("nan"), 0.0))
+        else:
+            rows.append((
+                config.r1,
+                metrics.fidelity_to_pure(out.rho_local, target),
+                metrics.fidelity_to_pure(out.rho_distant, target),
+                out.success_weight,
+            ))
+    return rows

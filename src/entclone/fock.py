@@ -14,8 +14,10 @@ so nothing dense is ever materialized.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -69,6 +71,22 @@ class FockState:
             clean[mono] = clean.get(mono, 0.0) + coeff
         self.terms = {m: c for m, c in clean.items() if abs(c) > _PRUNE}
 
+    @classmethod
+    def _from_canonical(cls, terms: Mapping[tuple[Mode, ...], complex]
+                        ) -> "FockState":
+        """State from monomials that are already sorted and summed.
+
+        Each coefficient must be a sum that started from ``0j`` (as a
+        ``defaultdict(complex)`` builds it), so the constructor's merge
+        would leave its bits unchanged; this skips the merge and the
+        re-sort but keeps the prune and the photon-number check.
+        """
+        state = object.__new__(cls)
+        state.terms = {m: c for m, c in terms.items() if abs(c) > _PRUNE}
+        if len({len(m) for m in state.terms}) > 1:
+            raise ValueError("mixed total photon number in one state")
+        return state
+
     @staticmethod
     def from_photons(modes: Iterable[Mode]) -> "FockState":
         """Product state with one photon per listed mode, amplitude 1."""
@@ -117,35 +135,39 @@ def apply_beamsplitter(state: FockState, bs: BeamSplitterSpec) -> FockState:
     """
     a_in, b_in = bs.input_arms
     c_out, d_out = bs.output_arms
+    modes = {mode for mono in state.terms for mode in mono}
     # a vacuum port is legitimate (single-photon splitting); both ports
     # empty means the splitter is wired to arms this state does not have
-    if state.terms and not set(bs.input_arms) & state.arms():
+    if state.terms and not {a_in, b_in} & {arm for arm, _, _ in modes}:
         raise KeyError(
             f"neither input arm of {bs.input_arms} carries a photon")
     t = math.sqrt(1.0 - bs.reflectivity)
     r = 1j * math.sqrt(bs.reflectivity)
 
+    # each mode's output (factor, mode) pairs, split into the factors and
+    # the modes so that one product over each walks the same combinations;
+    # a passive arm keeps its factor 1.0, which is multiplied in like the
+    # others so every amplitude is the same product in the same order
+    factors: dict[Mode, tuple] = {}
+    routes: dict[Mode, tuple] = {}
+    for mode in modes:
+        arm, pol, internal = mode
+        if arm in (a_in, b_in):
+            factors[mode] = (t, r) if arm == a_in else (r, t)
+            routes[mode] = ((c_out, pol, internal), (d_out, pol, internal))
+        else:
+            factors[mode] = (1.0,)
+            routes[mode] = (mode,)
+
     out: dict[tuple[Mode, ...], complex] = defaultdict(complex)
     for mono, coeff in state.terms.items():
-        choices = []
-        for arm, pol, internal in mono:
-            if arm == a_in:
-                choices.append(((t, (c_out, pol, internal)),
-                                (r, (d_out, pol, internal))))
-            elif arm == b_in:
-                choices.append(((r, (c_out, pol, internal)),
-                                (t, (d_out, pol, internal))))
-            else:
-                choices.append(((1.0, (arm, pol, internal)),))
-        for combo in itertools.product(*choices):
-            amp = coeff
-            modes = []
-            for factor, mode in combo:
-                amp *= factor
-                modes.append(mode)
+        for amps, outs in zip(
+                itertools.product(*[factors[m] for m in mono]),
+                itertools.product(*[routes[m] for m in mono])):
+            amp = functools.reduce(operator.mul, amps, coeff)
             if abs(amp) > _PRUNE:
-                out[tuple(sorted(modes))] += amp
-    return FockState(out)
+                out[tuple(sorted(outs))] += amp
+    return FockState._from_canonical(out)
 
 
 def postselect_coincidence(
@@ -165,19 +187,21 @@ def postselect_coincidence(
         )
     arm_pos = {a: k for k, a in enumerate(arms)}
 
-    # (pol indices per arm, internal labels per arm) -> amplitude
+    # (pol indices per arm, internal labels per arm) -> amplitude; with the
+    # photon number checked above, a monomial is kept unless some photon
+    # sits in an unlisted arm or shares its arm with an earlier one
     kept: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] = defaultdict(complex)
     for mono, coeff in state.terms.items():
-        counts = Counter(m[0] for m in mono)
-        if any(counts.get(a, 0) != 1 for a in arms):
-            continue
-        pols = [0] * len(arms)
+        pols = [None] * len(arms)
         internals = [0] * len(arms)
         for arm, pol, internal in mono:
-            k = arm_pos[arm]
+            k = arm_pos.get(arm)
+            if k is None or pols[k] is not None:
+                break
             pols[k] = _POL_INDEX[pol]
             internals[k] = internal
-        kept[(tuple(pols), tuple(internals))] += coeff
+        else:
+            kept[(tuple(pols), tuple(internals))] += coeff
 
     weight = sum(abs(c) ** 2 for c in kept.values())
     if weight <= 0.0:
@@ -192,13 +216,29 @@ def postselect_coincidence(
         idx = 0
         for p in pols:
             idx = 2 * idx + p
-        by_internal[internals][idx] = by_internal[internals].get(idx, 0.0) + amp
+        # kept's keys are unique, so each index appears once per group
+        by_internal[internals][idx] = amp
     for vec in by_internal.values():
-        for i, ai in vec.items():
-            for j, aj in vec.items():
-                rho[i, j] += ai * np.conj(aj)
+        idx = list(vec)
+        amps = np.fromiter(vec.values(), dtype=complex, count=len(idx))
+        rho[np.ix_(idx, idx)] += _outer_conj(amps)
     rho /= weight
     return DensityMatrix(rho, tuple(arms)), weight
+
+
+def _outer_conj(a: np.ndarray) -> np.ndarray:
+    """``a_i * conj(a_j)`` for all i, j, rounded as the scalar complex
+    product rounds it.
+
+    numpy's vectorized complex multiply may fuse a multiply and an add
+    (``np.outer`` of a vector with its conjugate can leave a diagonal
+    imaginary part of ~1e-18), so the product is formed from real parts.
+    """
+    re, im = a.real, a.imag
+    out = np.empty((a.size, a.size), dtype=complex)
+    out.real = np.multiply.outer(re, re) - np.multiply.outer(im, -im)
+    out.imag = np.multiply.outer(re, -im) + np.multiply.outer(im, re)
+    return out
 
 
 def dephase_internal(

@@ -1,4 +1,4 @@
-"""Worker-count policy of the sweep and Monte Carlo process pools."""
+"""Worker-count policy of the Monte Carlo process pool."""
 
 from __future__ import annotations
 

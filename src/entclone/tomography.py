@@ -71,6 +71,10 @@ class TomographyRecord:
     log_likelihood: float
     converged: bool
     log_likelihood_history: list[float] = field(default_factory=list)
+    # accepted RrhoR steps, and the dilution of the last step tried (None
+    # when none was); diagnostics only, no report prints them
+    iterations: int = 0
+    final_eps: float | None = None
 
 
 def setting_projector(setting_a: str, setting_b: str) -> np.ndarray:
@@ -162,6 +166,7 @@ def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
     ll = loglik(p)
     history = [ll]
     converged = False
+    final_eps = None
     for _ in range(MAX_ITERATIONS):
         r_op = np.einsum("j,jab->ab", counts / p, _MLE_PROJECTORS) / total
         # the undiluted step first; eps * r_op at eps = 1 changes no bit
@@ -171,6 +176,7 @@ def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
             cand /= cand.trace().real
             cand_p = probs(cand)
             cand_ll = loglik(cand_p)
+            final_eps = eps
             eps *= 0.5
             if cand_ll > ll or eps <= 1e-14:
                 break
@@ -190,7 +196,8 @@ def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
     rho /= rho.trace().real
     return TomographyRecord(list(records),
                             DensityMatrix(rho, ("a", "b")),
-                            ll, converged, history)
+                            ll, converged, history, len(history) - 1,
+                            final_eps)
 
 
 # also the key order of the monte_carlo block of a tomo report

@@ -1,20 +1,77 @@
 import concurrent.futures
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from entclone import cloner, metrics
 from entclone.cloner import (InputSpec, NetworkConfig, fidelity_sweep,
                              fit_overlap, hom_visibility,
                              postselection_operator, run_ideal, run_physical)
-from entclone.qmath import ConsistencyError
+from entclone.paperchecks import REFERENCES
+from entclone.qmath import ConsistencyError, DensityMatrix
+from entclone.tomography import matrix_to_json_dict
 
 PHI = InputSpec("bell_phi_plus")
 PSI = InputSpec("bell_psi_plus")
 
 P_SYM = (np.eye(4) + cloner.SWAP) / 2
 P_ANTI = (np.eye(4) - cloner.SWAP) / 2
+
+# the paper's Fock/qubit agreement tolerance
+EQUIVALENCE_TOL = REFERENCES["fock_qubit_equivalence_max_deviation"][1]
+# fidelities of 1 come back as 1 + a few ulp
+RANGE_TOL = 1e-12
+
+# every named input leaves each network amplitude real or imaginary, and
+# such products round the same with or without a fused multiply-add; the
+# complex amplitudes of this input would show one in the last bit
+_CUSTOM = InputSpec("custom", amplitudes=(0.4 + 0.3j, 0.1 - 0.5j, -0.3 + 0.2j,
+                                          0.5 + math.sqrt(0.11) * 1j))
+NETWORK_GOLDEN_INPUTS = {"phi+": InputSpec.from_name("phi+"),
+                         "psi-": InputSpec.from_name("psi-"),
+                         "schmidt:0.3": InputSpec.from_name("schmidt:0.3"),
+                         "custom": _CUSTOM}
+NETWORK_GOLDEN_OVERLAPS = (1.0, 0.91375, 0.5, 0.0)
+NETWORK_GOLDEN_GRID = (0.0, 0.1, 1 / 3, 0.5, 2 / 3, 1.0)
+# (input, R1, R2, overlap^2), all with R1 != R2
+NETWORK_GOLDEN_ASYMMETRIC = (("phi+", 0.5, 0.35, 0.91375),
+                             ("psi-", 0.2, 0.9, 0.5),
+                             ("schmidt:0.3", 1 / 3, 0.0, 1.0),
+                             ("phi+", 0.8, 0.56, 0.0),
+                             ("custom", 0.3, 0.6, 0.9))
+NETWORK_GOLDEN_HOM = ((1 / 3, 0.91375), (0.5, 0.5), (0.2, 1.0), (0.0, 0.7),
+                      (0.9, 0.0))
+# written by `network_golden_text()` on the Fock kernel as it was before each
+# sweep built its branches once; any change to the floating-point work of
+# fock.py or the physical network shows here
+NETWORK_GOLDEN = Path(__file__).parent / "data" / "network_golden.json"
+
+
+def network_golden_text() -> str:
+    """JSON of sweep rows, asymmetric `run_physical` outputs and HOM
+    visibilities, floats in repr form."""
+    out = {}
+    for name, spec in NETWORK_GOLDEN_INPUTS.items():
+        for overlap_sq in NETWORK_GOLDEN_OVERLAPS:
+            out[f"sweep {name} overlap_sq={overlap_sq!r}"] = [
+                list(row) for row in
+                fidelity_sweep(spec, NETWORK_GOLDEN_GRID, overlap_sq)]
+    for name, r1, r2, overlap_sq in NETWORK_GOLDEN_ASYMMETRIC:
+        res = run_physical(NetworkConfig(NETWORK_GOLDEN_INPUTS[name], r1, r2,
+                                         overlap_sq))
+        out[f"run_physical {name} r1={r1!r} r2={r2!r} "
+            f"overlap_sq={overlap_sq!r}"] = {
+            "rho_local": matrix_to_json_dict(res.rho_local)["matrix"],
+            "rho_distant": matrix_to_json_dict(res.rho_distant)["matrix"],
+            "success_weight": res.success_weight,
+        }
+    out["hom_visibility"] = [[r, overlap_sq, hom_visibility(r, overlap_sq)]
+                             for r, overlap_sq in NETWORK_GOLDEN_HOM]
+    return json.dumps(out, indent=1) + "\n"
 
 
 class TestPostselectionOperator:
@@ -144,6 +201,38 @@ class TestRunPhysical:
         assert f_noisy < f_clean
 
 
+class TestNetworkGolden:
+    def test_reproduces_golden_bits(self):
+        assert network_golden_text() == NETWORK_GOLDEN.read_text()
+
+
+class TestPhysicalProperties:
+    """Physical outputs over the whole parameter space; at overlap^2 = 1
+    the Fock model must be the qubit model."""
+
+    @given(r1=st.floats(0.0, 1.0), r2=st.floats(0.0, 1.0),
+           overlap_sq=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+           theta=st.floats(0.0, math.pi / 2))
+    def test_outputs_physical_and_match_ideal(self, r1, r2, overlap_sq,
+                                              theta):
+        spec = InputSpec("schmidt", theta=theta)
+        out = run_physical(NetworkConfig(spec, r1, r2, overlap_sq))
+        assert math.isfinite(out.success_weight)
+        assert out.success_weight >= 0.0
+        target = spec.state().amplitudes
+        for rho in (out.rho_local, out.rho_distant):
+            assert isinstance(rho, DensityMatrix) and rho.validate
+            f = metrics.fidelity_to_pure(rho, target)
+            assert -RANGE_TOL <= f <= 1.0 + RANGE_TOL
+        if overlap_sq == 1.0:
+            ideal = run_ideal(NetworkConfig(spec, r1, r2))
+            for a, b in ((ideal.rho_local, out.rho_local),
+                         (ideal.rho_distant, out.rho_distant)):
+                assert np.max(np.abs(a.matrix - b.matrix)) <= EQUIVALENCE_TOL
+            assert abs(ideal.success_weight
+                       - out.success_weight) <= EQUIVALENCE_TOL
+
+
 class TestHom:
     def test_ideal_visibility_at_one_third(self):
         assert hom_visibility(1 / 3, 1.0) == pytest.approx(0.8, abs=1e-12)
@@ -203,18 +292,31 @@ class TestSweep:
         parallel = fidelity_sweep(PHI, grid, 0.9, workers=2)
         assert np.allclose(np.array(serial), np.array(parallel))
 
-    @pytest.mark.parametrize("workers, grid_size, expected", [
-        (1000, 3, [3]), (1000, 6, [4]), (2, 6, [2]), (1, 6, []),
-        (1000, 0, []),
+    @pytest.mark.parametrize("workers, grid_size", [
+        (1000, 3), (1000, 6), (2, 6), (1, 6), (1000, 0),
     ])
-    def test_pool_size_clamped(self, recording_pool, monkeypatch, workers,
-                               grid_size, expected):
+    def test_no_pool_started(self, recording_pool, monkeypatch, workers,
+                             grid_size):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             recording_pool)
         rows = fidelity_sweep(PHI, np.linspace(0, 1, grid_size), 1.0,
                               workers=workers)
         assert len(rows) == grid_size
-        assert recording_pool.sizes == expected
+        assert recording_pool.sizes == []
+
+    def test_branches_built_once_per_sweep(self, monkeypatch):
+        calls = []
+        dephase = cloner.fock.dephase_internal
+        monkeypatch.setattr(cloner.fock, "dephase_internal",
+                            lambda *a: calls.append(a) or dephase(*a))
+        rows = fidelity_sweep(PHI, [0.1, 0.4, 0.7], 0.9)
+        assert len(rows) == 3 and len(calls) == 1
+
+    def test_every_point_validated(self):
+        with pytest.raises(ValueError, match="r1 = 1.5"):
+            fidelity_sweep(PHI, [0.2, 1.5], 1.0)
+        with pytest.raises(ValueError, match="overlap_sq"):
+            fidelity_sweep(PHI, [0.2], float("nan"))
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):

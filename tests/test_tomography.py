@@ -143,6 +143,22 @@ class TestMleReconstruct:
             medians.append(float(np.median(errs)))
         assert all(a > b for a, b in zip(medians, medians[1:]))
 
+    def test_iterations_and_final_eps_reported(self, monkeypatch):
+        # sigma stops on LOGLIK_TOL after a full step; phi+ at 1e6 counts
+        # stops when the most diluted step, eps = 2^-46, does not improve
+        records = tg.sample_counts(SIGMA, 2000, seed=8)
+        rec = tg.mle_reconstruct(records)
+        assert rec.converged
+        assert rec.iterations == len(rec.log_likelihood_history) - 1 > 1
+        assert rec.final_eps == 1.0
+        phi = tg.mle_reconstruct(tg.sample_counts(PHI_DM, 1e6, seed=22))
+        assert phi.converged
+        assert phi.iterations == len(phi.log_likelihood_history) - 1 > 1
+        assert phi.final_eps == 2.0 ** -46
+        monkeypatch.setattr(tg, "MAX_ITERATIONS", 1)
+        one = tg.mle_reconstruct(records)
+        assert (one.converged, one.iterations, one.final_eps) == (False, 1, 1.0)
+
     def test_all_zero_counts_raises(self):
         records = [tg.CountRecord(a, b, 0) for a, b in tg.SETTINGS]
         with pytest.raises(ValueError):
