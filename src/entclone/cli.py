@@ -226,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: text for paper, json for tomo, "
                         "csv otherwise")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for the tomo Monte Carlo pool "
-                        "(sweeps run serially)")
+                   help="at least 1; accepted for compatibility: tomo "
+                        "reconstructs its resamples in one batched pass "
+                        "and sweeps run serially, both in one process")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("clone", help="run the network once and report metrics")

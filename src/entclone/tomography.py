@@ -5,8 +5,9 @@ count statistics, maximum-likelihood reconstruction by diluted fixed-point
 iteration, and Monte Carlo error bars from Poisson resampling.
 
 Every stochastic operation takes an explicit integer seed; Monte Carlo
-resamples draw their streams from ``numpy.random.SeedSequence.spawn`` so the
-results are reproducible regardless of evaluation order or parallelism.
+resamples draw their streams from ``numpy.random.SeedSequence.spawn``, and
+are reconstructed together in one batched pass with the bits of one-at-a-time
+reconstruction, so the results are reproducible for a seed.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ import csv
 import json
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics
-from .parallel import worker_count
 from .qmath import DensityMatrix
 
 PROJECTOR_LETTERS = ("H", "V", "D", "A", "L", "R")
@@ -57,8 +56,11 @@ class CountRecord:
                 self.setting_b not in PROJECTOR_LETTERS:
             raise ValueError(
                 f"unknown setting ({self.setting_a}, {self.setting_b})")
-        if self.count < 0:
-            raise ValueError("negative count")
+        # NaN fails every comparison, so `count < 0` alone let it through
+        if not (math.isfinite(self.count) and self.count >= 0
+                and self.count == int(self.count)):
+            raise ValueError(
+                f"count must be a non-negative integer, got {self.count}")
         if not (math.isfinite(self.exposure) and self.exposure > 0):
             raise ValueError(
                 f"exposure must be finite and positive, got {self.exposure}")
@@ -127,6 +129,98 @@ def _require_each_setting_once(records: list[CountRecord]) -> None:
                          f"duplicated: {duplicated or 'none'}")
 
 
+def _mle_arrays(records: list[CountRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and exposures in the MLE's setting order, after checking that
+    the records hold each setting once and not only zero counts."""
+    _require_each_setting_once(records)
+    if all(r.count == 0 for r in records):
+        raise ValueError("degenerate data: all counts are zero")
+    # canonical ordering makes the result exactly independent of record order
+    ordered = sorted(records, key=lambda r: (r.setting_a, r.setting_b))
+    counts = np.array([r.count for r in ordered], dtype=float)
+    exposures = np.array([r.exposure for r in ordered], dtype=float)
+    return counts, exposures
+
+
+def _probs(rho: np.ndarray) -> np.ndarray:
+    """The 36 Born probabilities of one state in the MLE's setting order,
+    floored at 1e-12."""
+    return np.maximum(
+        np.einsum("jab,ba->j", _MLE_PROJECTORS, rho).real, 1e-12)
+
+
+def _probs_stack(stack: np.ndarray) -> np.ndarray:
+    """`_probs` of each state of an (n, 4, 4) stack, as a C-ordered (n, 36)
+    array with the bits `_probs` gives each state alone."""
+    if len(stack) <= 2:
+        # one state needs the 2-D form for its bits, and two take 14 us that
+        # way against 27 us in the stacked einsum (numpy 2.4)
+        return np.array([_probs(rho) for rho in stack])
+    # this operand layout sums each probability in the order of `_probs`;
+    # the einsum writes a Fortran-ordered result, and a row sum over a
+    # Fortran-ordered array would add the terms in another order
+    p = np.einsum("jab,anb->nj", _MLE_PROJECTORS,
+                  np.ascontiguousarray(stack.transpose(2, 0, 1)))
+    return np.maximum(p.real, 1e-12, order="C")
+
+
+def _loglik(counts: np.ndarray, expected: np.ndarray,
+            p: np.ndarray) -> np.ndarray:
+    """Poisson log-likelihood over the last axis, log factorial terms
+    dropped: they are constant in rho."""
+    mu = np.maximum(expected * p, 1e-300)
+    return (counts * np.log(mu) - mu).sum(axis=-1)
+
+
+def _finish(rho: np.ndarray) -> np.ndarray:
+    """Hermitian part of the last iterate, at unit trace."""
+    rho = (rho + rho.conj().T) / 2.0
+    rho /= rho.trace().real
+    return rho
+
+
+def _rrr_loop(counts, expected, total, rho, p, ll, budget, final_eps=None,
+              history=None):
+    """At most ``budget`` diluted RrhoR steps of one reconstruction, resumed
+    from the iterate ``rho``, its probabilities ``p`` and log-likelihood
+    ``ll``.
+
+    Each accepted log-likelihood is appended to ``history`` when one is
+    given. Returns the finished state, its log-likelihood, whether the loop
+    converged, the number of steps it accepted and the dilution of the last
+    step it tried (``final_eps`` when it tried none).
+    """
+    converged = False
+    accepted = 0
+    for _ in range(budget):
+        r_op = np.einsum("j,jab->ab", counts / p, _MLE_PROJECTORS) / total
+        # the undiluted step first; eps * r_op at eps = 1 changes no bit
+        step, eps = _IDENTITY + r_op, 1.0
+        while True:
+            cand = step @ rho @ step.conj().T
+            cand /= cand.trace().real
+            cand_p = _probs(cand)
+            cand_ll = float(_loglik(counts, expected, cand_p))
+            final_eps = eps
+            eps *= 0.5
+            if cand_ll > ll or eps <= 1e-14:
+                break
+            step = _IDENTITY + eps * r_op
+        if not cand_ll > ll:
+            converged = True  # no improving step exists at machine precision
+            break
+        gain = cand_ll - ll
+        # the accepted candidate's probabilities feed the next R operator
+        rho, p, ll = cand, cand_p, cand_ll
+        accepted += 1
+        if history is not None:
+            history.append(ll)
+        if gain < LOGLIK_TOL:
+            converged = True
+            break
+    return _finish(rho), ll, converged, accepted, final_eps
+
+
 def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
     """Maximum-likelihood density matrix from the 36 count records.
 
@@ -140,64 +234,112 @@ def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
     log-likelihood improves, which keeps iterates PSD with unit trace and the
     likelihood monotone.
     """
-    _require_each_setting_once(records)
-    if all(r.count == 0 for r in records):
-        raise ValueError("degenerate data: all counts are zero")
-    # canonical ordering makes the result exactly independent of record order
-    ordered = sorted(records, key=lambda r: (r.setting_a, r.setting_b))
-    counts = np.array([r.count for r in ordered], dtype=float)
-    exposures = np.array([r.exposure for r in ordered], dtype=float)
+    counts, exposures = _mle_arrays(records)
     n_hat = 4.0 * float(np.mean(counts / exposures))
     # loop invariants, hoisted with the same operands and operation order
     expected = n_hat * exposures
     total = max(counts.sum(), 1.0)
-
-    def probs(r):
-        return np.maximum(
-            np.einsum("jab,ba->j", _MLE_PROJECTORS, r).real, 1e-12)
-
-    def loglik(p):
-        # Poisson log-likelihood, log factorial terms dropped: constant in rho
-        mu = np.maximum(expected * p, 1e-300)
-        return float((counts * np.log(mu) - mu).sum())
-
     rho = _IDENTITY / 4.0
-    p = probs(rho)
-    ll = loglik(p)
+    p = _probs(rho)
+    ll = float(_loglik(counts, expected, p))
     history = [ll]
-    converged = False
-    final_eps = None
-    for _ in range(MAX_ITERATIONS):
-        r_op = np.einsum("j,jab->ab", counts / p, _MLE_PROJECTORS) / total
-        # the undiluted step first; eps * r_op at eps = 1 changes no bit
-        step, eps = _IDENTITY + r_op, 1.0
-        while True:
-            cand = step @ rho @ step.conj().T
-            cand /= cand.trace().real
-            cand_p = probs(cand)
-            cand_ll = loglik(cand_p)
-            final_eps = eps
-            eps *= 0.5
-            if cand_ll > ll or eps <= 1e-14:
-                break
-            step = _IDENTITY + eps * r_op
-        if not cand_ll > ll:
-            converged = True  # no improving step exists at machine precision
-            break
-        gain = cand_ll - ll
-        # the accepted candidate's probabilities feed the next R operator
-        rho, p, ll = cand, cand_p, cand_ll
-        history.append(ll)
-        if gain < LOGLIK_TOL:
-            converged = True
-            break
-
-    rho = (rho + rho.conj().T) / 2.0
-    rho /= rho.trace().real
+    rho, ll, converged, iterations, final_eps = _rrr_loop(
+        counts, expected, total, rho, p, ll, MAX_ITERATIONS, history=history)
     return TomographyRecord(list(records),
                             DensityMatrix(rho, ("a", "b")),
-                            ll, converged, history, len(history) - 1,
-                            final_eps)
+                            ll, converged, history, iterations, final_eps)
+
+
+def _candidates(step, rho, counts, expected):
+    """Each row's candidate step @ rho @ step^H at unit trace, with its
+    probabilities and log-likelihood."""
+    cand = step @ rho @ step.conj().transpose(0, 2, 1)
+    cand /= cand.trace(axis1=1, axis2=2).real[:, None, None]
+    cand_p = _probs_stack(cand)
+    return cand, cand_p, _loglik(counts, expected, cand_p)
+
+
+def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
+    """`mle_reconstruct`'s iteration on every row of a (B, 36) count array
+    at once.
+
+    The columns are in the MLE's setting order (sorted ``SETTINGS``), and
+    ``exposures`` broadcasts against ``counts``. The rows run as one
+    (B, 4, 4) stack; each row keeps its own dilution, stopping test and
+    ``MAX_ITERATIONS`` budget, and does the floating-point operations of
+    `mle_reconstruct`, so its result has the same bits. A row leaves the
+    stack when it stops, and the last row left finishes in the one-set
+    loop, which is faster for a single state. Returns per row what
+    `_rrr_loop` returns, with the steps accepted counted from the start.
+    """
+    counts = np.ascontiguousarray(counts, dtype=float)
+    exposures = np.ascontiguousarray(
+        np.broadcast_to(exposures, counts.shape), dtype=float)
+    n_rows = len(counts)
+    budget = MAX_ITERATIONS
+    n_hat = 4.0 * np.mean(counts / exposures, axis=1)
+    expected = n_hat[:, None] * exposures
+    total = np.maximum(counts.sum(axis=1), 1.0)[:, None, None]
+    rho = np.repeat((_IDENTITY / 4.0)[None], n_rows, axis=0)
+    p = np.repeat(_probs(_IDENTITY / 4.0)[None], n_rows, axis=0)
+    ll = _loglik(counts, expected, p)
+    final_eps = np.empty(n_rows)
+    # positions in the caller's array of the rows still in the stack
+    rows = np.arange(n_rows)
+    results = [None] * n_rows
+    steps = 0
+    while len(rows) > 1 and steps < budget:
+        r_op = np.einsum("nj,jab->nab", counts / p, _MLE_PROJECTORS) / total
+        # the undiluted step first; eps * r_op at eps = 1 changes no bit
+        eps = 1.0
+        cand, cand_p, cand_ll = _candidates(_IDENTITY + r_op, rho, counts,
+                                            expected)
+        final_eps.fill(eps)
+        steps += 1
+        # a row goes on while its gain is at least the tolerance, which is
+        # positive: a row that goes on has improved
+        keep = cand_ll - ll >= LOGLIK_TOL
+        if not keep.all():
+            improved = cand_ll > ll
+            if not improved.all():
+                # the rows without a gain try ever more diluted steps alone
+                searching = np.flatnonzero(~improved)
+                while len(searching):
+                    eps *= 0.5
+                    if eps <= 1e-14:
+                        break
+                    found = _candidates(_IDENTITY + eps * r_op[searching],
+                                        rho[searching], counts[searching],
+                                        expected[searching])
+                    cand[searching], cand_p[searching], cand_ll[searching] = \
+                        found
+                    final_eps[searching] = eps
+                    searching = searching[~(found[2] > ll[searching])]
+                improved = cand_ll > ll
+                keep = cand_ll - ll >= LOGLIK_TOL
+            # an improved row with a gain below the tolerance has converged
+            # on its new iterate, a row without a gain on its last one
+            for i in np.flatnonzero(~keep):
+                last, last_ll = (cand[i], cand_ll[i]) if improved[i] \
+                    else (rho[i], ll[i])
+                results[rows[i]] = (_finish(last), float(last_ll), True,
+                                    steps - (not improved[i]),
+                                    float(final_eps[i]))
+            rows, counts, expected, total, final_eps = (
+                a[keep] for a in (rows, counts, expected, total, final_eps))
+            cand, cand_p, cand_ll = cand[keep], cand_p[keep], cand_ll[keep]
+        # the accepted candidates' probabilities feed the next R operators
+        rho, p, ll = cand, cand_p, cand_ll
+    for i, row in enumerate(rows):
+        last_eps = None if steps == 0 else float(final_eps[i])
+        # the one-set loop takes a lone row faster than a stack of one, and
+        # with no budget left it only finishes the iterate
+        left = budget - steps if len(rows) == 1 else 0
+        rho_i, ll_i, converged, accepted, last_eps = _rrr_loop(
+            counts[i], expected[i], total[i, 0, 0], rho[i], p[i],
+            float(ll[i]), left, last_eps)
+        results[row] = (rho_i, ll_i, converged, steps + accepted, last_eps)
+    return results
 
 
 # also the key order of the monte_carlo block of a tomo report
@@ -241,22 +383,6 @@ class MonteCarloSummary:
     nonconverged: int
 
 
-def _mc_resample(args):
-    """Reconstruct one Poisson resample and evaluate every statistic on it."""
-    counts, exposures, settings, child_seed, statistics, ref_matrix = args
-    rng = np.random.default_rng(child_seed)
-    resampled = [
-        CountRecord(a, b, int(rng.poisson(c)), e)
-        for (a, b), c, e in zip(settings, counts, exposures)
-    ]
-    rec = mle_reconstruct(resampled)
-    reference = DensityMatrix(ref_matrix, ("a", "b")) \
-        if ref_matrix is not None else None
-    values = [evaluate_statistic(name, rec.rho_hat, reference)
-              for name in statistics]
-    return values, rec.converged
-
-
 def monte_carlo_statistics(records: list[CountRecord], n_resamples: int,
                            seed: int, statistics=_STATISTICS,
                            workers: int = 1,
@@ -266,13 +392,18 @@ def monte_carlo_statistics(records: list[CountRecord], n_resamples: int,
     summarize every named statistic over the resamples.
 
     Resample k draws from child k of
-    ``SeedSequence(seed).spawn(n_resamples)``, so the result is deterministic
-    given the seed and independent of ``workers``. 'trace_distance' and
-    'uhlmann_fidelity' compare against the point estimate ``point``,
-    reconstructed here when not given.
+    ``SeedSequence(seed).spawn(n_resamples)``, and all resamples are
+    reconstructed in one batched pass whose every reconstruction has the
+    bits `mle_reconstruct` gives it, so the result is deterministic given
+    the seed. ``workers`` must be at least 1 and does not change the work:
+    the pass runs in this process. 'trace_distance' and 'uhlmann_fidelity'
+    compare against the point estimate ``point``, reconstructed here when
+    not given.
     """
     if n_resamples < 2:
         raise ValueError("need at least 2 resamples")
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
     statistics = tuple(statistics)
     if not statistics:
         raise ValueError("need at least one statistic")
@@ -280,35 +411,37 @@ def monte_carlo_statistics(records: list[CountRecord], n_resamples: int,
         if name not in _STATISTICS:
             raise ValueError(
                 f"unknown statistic {name!r}; choose from {_STATISTICS}")
-    ref = None
+    _require_each_setting_once(records)
+    reference = None
     if any(name in _REFERENCE_STATISTICS for name in statistics):
         if point is None:
             point = mle_reconstruct(records)
         elif point.records != list(records):
             raise ValueError(
                 "point estimate was reconstructed from other counts")
-        ref = point.rho_hat.matrix
-    counts = [r.count for r in records]
-    exposures = [r.exposure for r in records]
-    settings = [(r.setting_a, r.setting_b) for r in records]
-    children = np.random.SeedSequence(seed).spawn(n_resamples)
-    tasks = [(counts, exposures, settings, child, statistics, ref)
-             for child in children]
-    workers = worker_count(workers, len(tasks))
-    if workers > 1:
-        # one chunk per worker; a pool of more workers than chunks would
-        # start processes that get no task
-        chunksize = -(-len(tasks) // workers)
-        workers = -(-len(tasks) // chunksize)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mc_resample, tasks, chunksize=chunksize))
-    else:
-        results = [_mc_resample(t) for t in tasks]
-    summary = {}
-    for j, name in enumerate(statistics):
-        values = np.asarray([v[j] for v, _ in results], dtype=float)
-        summary[name] = (float(values.mean()), float(values.std(ddof=1)))
-    nonconverged = sum(not converged for _, converged in results)
+        reference = point.rho_hat
+    resamples = []
+    for child in np.random.SeedSequence(seed).spawn(n_resamples):
+        rng = np.random.default_rng(child)
+        drawn = [int(rng.poisson(r.count)) for r in records]
+        if not any(drawn):
+            raise ValueError("degenerate data: all counts are zero")
+        resamples.append(drawn)
+    # columns in the MLE's setting order
+    order = sorted(range(len(records)),
+                   key=lambda k: (records[k].setting_a, records[k].setting_b))
+    counts = np.array(resamples, dtype=float)[:, order]
+    exposures = np.array([records[k].exposure for k in order], dtype=float)
+    values = np.empty((len(statistics), n_resamples))
+    nonconverged = 0
+    for k, (rho, _, converged, _, _) in enumerate(
+            _mle_batch(counts, exposures)):
+        rho_hat = DensityMatrix(rho, ("a", "b"))
+        values[:, k] = [evaluate_statistic(name, rho_hat, reference)
+                        for name in statistics]
+        nonconverged += not converged
+    summary = {name: (float(v.mean()), float(v.std(ddof=1)))
+               for name, v in zip(statistics, values)}
     return MonteCarloSummary(summary, nonconverged)
 
 

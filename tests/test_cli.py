@@ -1,6 +1,8 @@
+import concurrent.futures
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from entclone import cloner, metrics, tomography as tg
@@ -198,19 +200,26 @@ class TestTomo:
         assert json.loads(out.out)["state"] == "mixed"
 
     def test_one_reconstruction_per_resample(self, capsys, monkeypatch):
-        calls = []
-        real = tg.mle_reconstruct
+        # the point estimate alone, then the resamples as the rows of one
+        # batch: 1 + B reconstructions of 36 settings each
+        points, batches = [], []
+        real, real_batch = tg.mle_reconstruct, tg._mle_batch
 
         def counting(records):
-            calls.append(len(records))
+            points.append(len(records))
             return real(records)
 
+        def counting_batch(counts, exposures):
+            batches.append(np.shape(counts))
+            return real_batch(counts, exposures)
+
         monkeypatch.setattr(tg, "mle_reconstruct", counting)
+        monkeypatch.setattr(tg, "_mle_batch", counting_batch)
         code, _ = run_cli("--seed", "3", "--threads", "1", "tomo", "--state",
                           "mixed", "--n", "500", "--resamples", "5",
                           capsys=capsys)
         assert code == 0
-        assert len(calls) == 1 + 5
+        assert points == [36] and batches == [(5, 36)]
 
     def test_nonconverged_resamples_reported(self, capsys, monkeypatch):
         monkeypatch.setattr(tg, "MAX_ITERATIONS", 1)
@@ -221,12 +230,13 @@ class TestTomo:
         assert "4 of 4 resample reconstructions did not converge" in out.err
         assert "monte_carlo" in json.loads(out.out)
 
-    def test_threads_clamped(self, capsys, recording_pool, monkeypatch):
-        monkeypatch.setattr(tg, "ProcessPoolExecutor", recording_pool)
+    def test_no_pool_started(self, capsys, recording_pool, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            recording_pool)
         code, _ = run_cli("--threads", "100000", "tomo", "--state", "mixed",
                           "--n", "500", "--resamples", "3", capsys=capsys)
         assert code == 0
-        assert recording_pool.sizes == [3]
+        assert recording_pool.sizes == []
 
     @pytest.mark.parametrize("resamples", ["1", "-1"])
     def test_resamples_without_error_bars_rejected(self, capsys, resamples):

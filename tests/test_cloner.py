@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from entclone import cloner, metrics
 from entclone.cloner import (InputSpec, NetworkConfig, fidelity_sweep,
@@ -231,6 +231,24 @@ class TestPhysicalProperties:
                 assert np.max(np.abs(a.matrix - b.matrix)) <= EQUIVALENCE_TOL
             assert abs(ideal.success_weight
                        - out.success_weight) <= EQUIVALENCE_TOL
+
+    # each post-selected beam splitter succeeds with w(R, s) whatever its
+    # input, and the two factorize; w >= (2 - s)/4 >= 1/4 for R, s in
+    # [0, 1], so post-selection never fails. The minimum, 1/16 at
+    # R1 = R2 = 1/2 and s = 1, comes out a few ulp either side of it, so the
+    # bound takes the closed form's 1e-12
+    @example(r1=0.5, r2=0.5, overlap_sq=1.0, theta=0.0)
+    @given(r1=st.floats(0.0, 1.0), r2=st.floats(0.0, 1.0),
+           overlap_sq=st.floats(0.0, 1.0),
+           theta=st.floats(0.0, math.pi / 2))
+    def test_success_weight_closed_form(self, r1, r2, overlap_sq, theta):
+        def w(r):
+            return (1 - r) ** 2 + r ** 2 - overlap_sq * r * (1 - r)
+
+        spec = InputSpec("schmidt", theta=theta)
+        out = run_physical(NetworkConfig(spec, r1, r2, overlap_sq))
+        assert abs(out.success_weight - w(r1) * w(r2)) <= 1e-12
+        assert out.success_weight >= 1 / 16 - 1e-12
 
 
 class TestHom:
