@@ -294,13 +294,13 @@ class TestMonteCarloStatistics:
             tg.monte_carlo_statistics(records, 4, seed=1, workers=0)
 
     # the resamples are reconstructed in one batched pass in this process,
-    # whatever the worker count; a 2-worker pool took 1.07 s where that pass
-    # takes 0.57 s (tomo --n 4000 --resamples 200)
-    @pytest.mark.parametrize("workers, resamples", [
-        (1000, 3), (1000, 10), (2, 10), (1, 10), (2, 6), (4, 10), (4, 5),
+    # whatever the worker count, so no pool is started; a 2-worker pool took
+    # 1.07 s where that pass takes 0.57 s (tomo --n 4000 --resamples 200)
+    @pytest.mark.parametrize("workers, resamples, expected", [
+        (1000, 3, []), (1000, 10, []), (2, 10, []), (1, 10, []),
     ])
-    def test_no_pool_started(self, recording_pool, monkeypatch, workers,
-                             resamples):
+    def test_pool_size_clamped(self, recording_pool, monkeypatch, workers,
+                               resamples, expected):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             recording_pool)
         records = tg.sample_counts(SIGMA, 1000, seed=8)
@@ -310,7 +310,31 @@ class TestMonteCarloStatistics:
                                           statistics=("entropy",),
                                           workers=workers)
         assert other == serial
-        assert recording_pool.sizes == []
+        assert recording_pool.sizes == expected
+
+    # every resample goes into the one batch, whatever the worker count;
+    # `chunksizes` are the row counts handed to the batched reconstruction
+    @pytest.mark.parametrize("workers, resamples, sizes, chunksizes", [
+        (2, 6, [], [6]), (2, 10, [], [10]), (4, 10, [], [10]),
+        (4, 5, [], [5]),
+    ])
+    def test_one_chunk_per_worker(self, recording_pool, monkeypatch, workers,
+                                  resamples, sizes, chunksizes):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            recording_pool)
+        rows = []
+        batch = tg._mle_batch
+
+        def recording_batch(counts, exposures):
+            rows.append(len(counts))
+            return batch(counts, exposures)
+
+        monkeypatch.setattr(tg, "_mle_batch", recording_batch)
+        records = tg.sample_counts(SIGMA, 1000, seed=8)
+        tg.monte_carlo_statistics(records, resamples, seed=2,
+                                  statistics=("entropy",), workers=workers)
+        assert recording_pool.sizes == sizes
+        assert rows == chunksizes
 
     def test_resamples_match_one_at_a_time_reconstruction(self):
         # the summary of the batched pass, against the statistics of each
