@@ -30,7 +30,12 @@ class CliError(Exception):
 
 def _default_seed() -> int:
     env = os.environ.get("ECLONE_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise CliError(f"ECLONE_SEED must be an integer, got {env!r}") from None
 
 
 def _named_density(name: str) -> tuple[DensityMatrix, str]:
@@ -81,8 +86,6 @@ def cmd_clone(args) -> int:
         out = cloner.run_ideal(config)
     else:
         out = cloner.run_physical(config)
-    if out.rho_local is None:
-        raise CliError("post-selection never succeeds for this configuration")
     target = spec.state().amplitudes
     pairs = [
         ("input", args.input),
@@ -118,8 +121,7 @@ def cmd_sweep(args) -> int:
         grid = [args.r_min]
     else:
         grid = list(np.linspace(args.r_min, args.r_max, args.steps))
-    rows = cloner.fidelity_sweep(spec, grid, args.overlap_sq,
-                                 workers=args.threads)
+    rows = cloner.fidelity_sweep(spec, grid, args.overlap_sq)
     if args.format == "json":
         payload = [
             {"R": r, "F_local": fl, "F_distant": fd, "success_weight": w}
@@ -166,8 +168,7 @@ def cmd_tomo(args) -> int:
     if args.resamples:
         # one pass over the resamples yields every statistic
         mc = tomography.monte_carlo_statistics(
-            records, args.resamples, seed=args.seed, workers=args.threads,
-            point=rec)
+            records, args.resamples, seed=args.seed, point=rec)
         if mc.nonconverged:
             print(f"entclone: warning: {mc.nonconverged} of {args.resamples} "
                   "resample reconstructions did not converge", file=sys.stderr)
@@ -194,6 +195,8 @@ def cmd_hom(args) -> int:
 
 
 def cmd_paper(args) -> int:
+    if args.format == "csv":
+        raise CliError("the paper table is text or JSON; use --format json")
     checks = run_paper_checks(seed=args.seed)
     failed = [c for c in checks if not c.passed]
     if args.format == "json":
@@ -225,10 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default=None,
                    help="default: text for paper, json for tomo, "
                         "csv otherwise")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="at least 1; accepted for compatibility: tomo "
-                        "reconstructs its resamples in one batched pass "
-                        "and sweeps run serially, both in one process")
+    p.add_argument("--threads", type=int, default=1,
+                   help="at least 1; accepted and ignored: every command "
+                        "runs in one process")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("clone", help="run the network once and report metrics")
@@ -280,11 +282,11 @@ _DEFAULT_FORMAT = {"paper": "text", "tomo": "json"}
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = _default_seed()
     if args.format is None:
         args.format = _DEFAULT_FORMAT.get(args.command, "csv")
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         if args.threads < 1:
             raise CliError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)

@@ -93,11 +93,12 @@ class NetworkConfig:
 @dataclass(frozen=True)
 class CloneOutcome:
     """Post-selected outputs: Alice's pair, Bob's pair, and the relative
-    success weight. Both matrices are None when post-selection never
-    succeeds (success_weight = 0)."""
+    success weight. Each beam splitter keeps a weight
+    (1-R)^2 + R^2 - sR(1-R) >= 1/4 (s the squared overlap), so the weight
+    is at least 1/16 and both pairs always exist."""
 
-    rho_local: DensityMatrix | None
-    rho_distant: DensityMatrix | None
+    rho_local: DensityMatrix
+    rho_distant: DensityMatrix
     success_weight: float
 
 
@@ -143,8 +144,8 @@ def run_ideal(config: NetworkConfig) -> CloneOutcome:
     vec = _apply_two_qubit(vec, postselection_operator(config.r1), 0, 2, 6)
     vec = _apply_two_qubit(vec, postselection_operator(config.r2), 1, 4, 6)
     weight = float(np.vdot(vec, vec).real)
-    if weight <= 1e-30:
-        return CloneOutcome(None, None, 0.0)
+    if weight == 0.0:
+        raise ConsistencyError("post-selection kept no weight")
     rho = np.outer(vec, np.conj(vec)) / weight
     labels = ("1'", "2'", "3'", "4", "5'", "6")
     full = DensityMatrix(rho, labels)
@@ -198,11 +199,9 @@ def _run_branches(branches: list[tuple[FockState, float]], r1: float,
         st = fock.apply_beamsplitter(st, bs2)
         rho6, weight = fock.postselect_coincidence(st, _ALL_OUTPUT_ARMS)
         if rho6 is None:
-            continue
+            raise ConsistencyError("post-selection rejected a branch")
         rho_acc += w * weight * rho6.matrix
         total += w * weight
-    if total <= 1e-30:
-        return CloneOutcome(None, None, 0.0)
     full = DensityMatrix(rho_acc / total, _ALL_OUTPUT_ARMS)
     return CloneOutcome(full.partial_trace(LOCAL_PAIR),
                         full.partial_trace(DISTANT_PAIR),
@@ -300,13 +299,10 @@ def fidelity_sweep(input_spec: InputSpec, r_grid, overlap_sq: float,
     rows = []
     for config in configs:
         out = _run_branches(branches, config.r1, config.r2)
-        if out.rho_local is None:
-            rows.append((config.r1, float("nan"), float("nan"), 0.0))
-        else:
-            rows.append((
-                config.r1,
-                metrics.fidelity_to_pure(out.rho_local, target),
-                metrics.fidelity_to_pure(out.rho_distant, target),
-                out.success_weight,
-            ))
+        rows.append((
+            config.r1,
+            metrics.fidelity_to_pure(out.rho_local, target),
+            metrics.fidelity_to_pure(out.rho_distant, target),
+            out.success_weight,
+        ))
     return rows

@@ -385,7 +385,6 @@ class MonteCarloSummary:
 
 def monte_carlo_statistics(records: list[CountRecord], n_resamples: int,
                            seed: int, statistics=_STATISTICS,
-                           workers: int = 1,
                            point: TomographyRecord | None = None
                            ) -> MonteCarloSummary:
     """Poisson-resample the counts, reconstruct each resample once, and
@@ -395,15 +394,11 @@ def monte_carlo_statistics(records: list[CountRecord], n_resamples: int,
     ``SeedSequence(seed).spawn(n_resamples)``, and all resamples are
     reconstructed in one batched pass whose every reconstruction has the
     bits `mle_reconstruct` gives it, so the result is deterministic given
-    the seed. ``workers`` must be at least 1 and does not change the work:
-    the pass runs in this process. 'trace_distance' and 'uhlmann_fidelity'
-    compare against the point estimate ``point``, reconstructed here when
-    not given.
+    the seed. 'trace_distance' and 'uhlmann_fidelity' compare against the
+    point estimate ``point``, reconstructed here when not given.
     """
     if n_resamples < 2:
         raise ValueError("need at least 2 resamples")
-    if workers < 1:
-        raise ValueError(f"worker count must be at least 1, got {workers}")
     statistics = tuple(statistics)
     if not statistics:
         raise ValueError("need at least one statistic")
@@ -445,15 +440,6 @@ def monte_carlo_statistics(records: list[CountRecord], n_resamples: int,
     return MonteCarloSummary(summary, nonconverged)
 
 
-def monte_carlo_uncertainty(records: list[CountRecord], n_resamples: int,
-                            seed: int, statistic: str,
-                            workers: int = 1) -> tuple[float, float]:
-    """Sample mean and standard deviation of one named statistic over
-    Poisson resamples; see `monte_carlo_statistics`."""
-    return monte_carlo_statistics(records, n_resamples, seed, (statistic,),
-                                  workers).statistics[statistic]
-
-
 # ---------------------------------------------------------------------------
 # CSV / JSON interchange
 
@@ -488,8 +474,15 @@ def matrix_to_json_dict(rho: DensityMatrix) -> dict:
 
 
 def matrix_from_json_dict(d: dict) -> DensityMatrix:
-    mat = np.array([[complex(re, im) for re, im in row]
-                    for row in d["matrix"]])
+    if not isinstance(d, dict):
+        raise ValueError("matrix JSON must be an object with 'labels' and "
+                         f"'matrix', got {type(d).__name__}")
+    try:
+        mat = np.array([[complex(re, im) for re, im in row]
+                        for row in d["matrix"]])
+    except TypeError:
+        raise ValueError(
+            "matrix JSON entries must be [re, im] pairs of numbers") from None
     return DensityMatrix(mat, tuple(d["labels"]))
 
 

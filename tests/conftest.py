@@ -33,36 +33,3 @@ def random_unitary(rng, dim):
 def rng():
     return np.random.default_rng(20240824)
 
-
-@pytest.fixture
-def recording_pool(monkeypatch):
-    """A serial stand-in for ProcessPoolExecutor that records each pool's
-    max_workers and each map's chunksize, on a machine that reports 4 CPUs,
-    and asserts that the tasks fill at least one chunk per worker. No
-    process is started."""
-    sizes = []
-    chunksizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            self.max_workers = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            tasks = list(tasks)
-            chunksizes.append(chunksize)
-            chunks = -(-len(tasks) // chunksize)
-            assert chunks >= self.max_workers, \
-                f"{self.max_workers} workers started for {chunks} chunks"
-            return map(fn, tasks)
-
-    RecordingPool.sizes = sizes
-    RecordingPool.chunksizes = chunksizes
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
-    return RecordingPool

@@ -1,10 +1,11 @@
-import concurrent.futures
+import ast
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entclone
 from entclone import cloner, metrics, tomography as tg
 from entclone.cli import main
 from entclone.cloner import ideal_clone_sigma
@@ -84,6 +85,19 @@ class TestClone:
                             capsys=capsys)
         assert code != 0
 
+    @pytest.mark.parametrize("model", ["ideal", "physical"])
+    def test_zero_weight_is_an_error(self, capsys, monkeypatch, model):
+        # unreachable from any input: the weight is at least 1/16
+        monkeypatch.setattr(cloner.fock, "postselect_coincidence",
+                            lambda state, arms: (None, 0.0))
+        monkeypatch.setattr(cloner, "postselection_operator",
+                            lambda r: np.zeros((4, 4), dtype=complex))
+        code, out = run_cli("clone", "--input", "phi+", "--r", "0.3",
+                            "--model", model, capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err.startswith("entclone: error: post-selection")
+
 
 class TestSweep:
     def test_csv_schema_and_fixed_points(self, capsys):
@@ -156,6 +170,14 @@ class TestTomo:
         assert code == 0
         assert json.loads(out.out)["seed"] == 23
 
+    def test_bad_env_seed_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("ECLONE_SEED", "abc")
+        code, out = run_cli("paper", capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err == ("entclone: error: ECLONE_SEED must be an integer, "
+                           "got 'abc'\n")
+
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ECLONE_SEED", "23")
         code, out = run_cli("--seed", "5", "--format", "json", "tomo",
@@ -175,6 +197,22 @@ class TestTomo:
         recon = tg.matrix_from_json_dict(report["reconstruction"])
         assert abs(metrics.concurrence(recon)
                    - report["metrics"]["concurrence"]) < 1e-12
+
+    @pytest.mark.parametrize("payload, problem", [
+        ({"labels": ["a", "b"], "matrix": np.eye(4).tolist()},
+         "entries must be [re, im] pairs"),
+        ([[1, 0], [0, 0]], "must be an object"),
+    ])
+    def test_bad_matrix_file_rejected(self, tmp_path, capsys, payload,
+                                      problem):
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(payload))
+        code, out = run_cli("tomo", "--state", str(path), "--n", "500",
+                            capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err.startswith("entclone: error: matrix JSON")
+        assert problem in out.err
 
     def test_csv_format_rejected(self, capsys):
         code, _ = run_cli("--format", "csv", "tomo", "--state", "sigma",
@@ -229,14 +267,6 @@ class TestTomo:
         assert code == 0
         assert "4 of 4 resample reconstructions did not converge" in out.err
         assert "monte_carlo" in json.loads(out.out)
-
-    def test_no_pool_started(self, capsys, recording_pool, monkeypatch):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            recording_pool)
-        code, _ = run_cli("--threads", "100000", "tomo", "--state", "mixed",
-                          "--n", "500", "--resamples", "3", capsys=capsys)
-        assert code == 0
-        assert recording_pool.sizes == []
 
     @pytest.mark.parametrize("resamples", ["1", "-1"])
     def test_resamples_without_error_bars_rejected(self, capsys, resamples):
@@ -335,6 +365,12 @@ class TestPaper:
         assert all({"name", "computed", "expected", "tolerance"} <= set(c)
                    for c in checks)
 
+    def test_csv_rejected(self, capsys):
+        code, out = run_cli("--format", "csv", "paper", capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err.startswith("entclone: error: the paper table")
+
     def test_margin_is_distance_inside_tolerance(self):
         inside = CheckResult("inside", 0.6, 0.5, 0.15)
         outside = CheckResult("outside", 0.3, 0.5, 0.15)
@@ -350,3 +386,19 @@ class TestPaper:
         code, _ = run_cli(*argv, "paper", capsys=capsys)
         assert code == 0
         assert path.read_bytes() == GOLDEN_PAPER[fmt].read_bytes()
+
+
+def test_no_module_imports_a_process_pool():
+    # every command runs in one process; a pool would reintroduce workers
+    banned = {"concurrent", "multiprocessing"}
+    for path in Path(entclone.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in banned, \
+                    f"{path.name} imports {name}"

@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import math
 from pathlib import Path
@@ -251,6 +250,25 @@ class TestPhysicalProperties:
         assert out.success_weight >= 1 / 16 - 1e-12
 
 
+class TestZeroWeight:
+    """No input reaches a zero post-selection weight (see the bound above),
+    so reaching one is an internal error, not an empty outcome."""
+
+    def test_rejected_branch_raises(self, monkeypatch):
+        monkeypatch.setattr(cloner.fock, "postselect_coincidence",
+                            lambda state, arms: (None, 0.0))
+        with pytest.raises(ConsistencyError, match="rejected a branch"):
+            run_physical(NetworkConfig(PHI, 0.3, 0.3, 0.9))
+        with pytest.raises(ConsistencyError, match="rejected a branch"):
+            fidelity_sweep(PHI, [0.3], 0.9)
+
+    def test_zero_ideal_weight_raises(self, monkeypatch):
+        monkeypatch.setattr(cloner, "postselection_operator",
+                            lambda r: np.zeros((4, 4), dtype=complex))
+        with pytest.raises(ConsistencyError, match="no weight"):
+            run_ideal(NetworkConfig(PHI, 0.3, 0.3))
+
+
 class TestHom:
     def test_ideal_visibility_at_one_third(self):
         assert hom_visibility(1 / 3, 1.0) == pytest.approx(0.8, abs=1e-12)
@@ -310,17 +328,15 @@ class TestSweep:
         parallel = fidelity_sweep(PHI, grid, 0.9, workers=2)
         assert np.allclose(np.array(serial), np.array(parallel))
 
+    # the points run serially whatever the worker count; that no module
+    # can start a pool is checked in test_cli.py
     @pytest.mark.parametrize("workers, grid_size", [
         (1000, 3), (1000, 6), (2, 6), (1, 6), (1000, 0),
     ])
-    def test_no_pool_started(self, recording_pool, monkeypatch, workers,
-                             grid_size):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            recording_pool)
-        rows = fidelity_sweep(PHI, np.linspace(0, 1, grid_size), 1.0,
-                              workers=workers)
-        assert len(rows) == grid_size
-        assert recording_pool.sizes == []
+    def test_no_pool_started(self, workers, grid_size):
+        grid = np.linspace(0, 1, grid_size)
+        rows = fidelity_sweep(PHI, grid, 1.0, workers=workers)
+        assert [r for r, _, _, _ in rows] == list(grid)
 
     def test_branches_built_once_per_sweep(self, monkeypatch):
         calls = []

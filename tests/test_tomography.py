@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 from pathlib import Path
 
@@ -214,17 +213,11 @@ class TestMleProperties:
 class TestMonteCarlo:
     def test_deterministic(self):
         records = tg.sample_counts(SIGMA, 4000, seed=8)
-        a = tg.monte_carlo_uncertainty(records, 25, seed=4, statistic="fidelity")
-        b = tg.monte_carlo_uncertainty(records, 25, seed=4, statistic="fidelity")
+        a = tg.monte_carlo_statistics(records, 25, seed=4,
+                                      statistics=("fidelity",))
+        b = tg.monte_carlo_statistics(records, 25, seed=4,
+                                      statistics=("fidelity",))
         assert a == b
-
-    def test_workers_do_not_change_result(self):
-        records = tg.sample_counts(SIGMA, 2000, seed=8)
-        serial = tg.monte_carlo_uncertainty(records, 16, seed=4,
-                                            statistic="concurrence", workers=1)
-        other = tg.monte_carlo_uncertainty(records, 16, seed=4,
-                                           statistic="concurrence", workers=2)
-        assert serial == other
 
     def test_noiseless_large_n_tiny_std(self):
         n = 1_000_000
@@ -232,14 +225,15 @@ class TestMonteCarlo:
             tg.CountRecord(a, b, round(n * tg.born_probability(PHI_DM, a, b)))
             for a, b in tg.SETTINGS
         ]
-        _, std = tg.monte_carlo_uncertainty(records, 20, seed=2,
-                                            statistic="fidelity")
+        _, std = tg.monte_carlo_statistics(
+            records, 20, seed=2, statistics=("fidelity",)).statistics["fidelity"]
         assert std < 1e-3
 
     def test_reference_statistics(self):
         records = tg.sample_counts(SIGMA, 4000, seed=8)
-        mean, std = tg.monte_carlo_uncertainty(records, 10, seed=4,
-                                               statistic="trace_distance")
+        mean, std = tg.monte_carlo_statistics(
+            records, 10, seed=4,
+            statistics=("trace_distance",)).statistics["trace_distance"]
         assert mean >= 0
         with pytest.raises(ValueError):
             tg.evaluate_statistic("trace_distance", SIGMA, None)
@@ -247,7 +241,7 @@ class TestMonteCarlo:
     def test_unknown_statistic(self):
         records = tg.sample_counts(SIGMA, 1000, seed=8)
         with pytest.raises(ValueError):
-            tg.monte_carlo_uncertainty(records, 5, seed=1, statistic="magic")
+            tg.monte_carlo_statistics(records, 5, seed=1, statistics=("magic",))
 
 
 class TestMonteCarloStatistics:
@@ -257,8 +251,8 @@ class TestMonteCarloStatistics:
         assert tuple(summary.statistics) == tg._STATISTICS
         assert summary.nonconverged == 0
         for name, value in summary.statistics.items():
-            assert value == tg.monte_carlo_uncertainty(records, 6, seed=4,
-                                                       statistic=name)
+            assert value == tg.monte_carlo_statistics(
+                records, 6, seed=4, statistics=(name,)).statistics[name]
 
     def test_given_point_estimate_is_used_as_is(self):
         records = tg.sample_counts(SIGMA, 2000, seed=8)
@@ -288,40 +282,9 @@ class TestMonteCarloStatistics:
                                             statistics=("fidelity",))
         assert summary.nonconverged == 5
 
-    def test_zero_workers_rejected(self):
-        records = tg.sample_counts(SIGMA, 1000, seed=8)
-        with pytest.raises(ValueError, match="at least 1"):
-            tg.monte_carlo_statistics(records, 4, seed=1, workers=0)
-
-    # the resamples are reconstructed in one batched pass in this process,
-    # whatever the worker count, so no pool is started; a 2-worker pool took
-    # 1.07 s where that pass takes 0.57 s (tomo --n 4000 --resamples 200)
-    @pytest.mark.parametrize("workers, resamples, expected", [
-        (1000, 3, []), (1000, 10, []), (2, 10, []), (1, 10, []),
-    ])
-    def test_pool_size_clamped(self, recording_pool, monkeypatch, workers,
-                               resamples, expected):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            recording_pool)
-        records = tg.sample_counts(SIGMA, 1000, seed=8)
-        serial = tg.monte_carlo_statistics(records, resamples, seed=2,
-                                           statistics=("entropy",))
-        other = tg.monte_carlo_statistics(records, resamples, seed=2,
-                                          statistics=("entropy",),
-                                          workers=workers)
-        assert other == serial
-        assert recording_pool.sizes == expected
-
-    # every resample goes into the one batch, whatever the worker count;
-    # `chunksizes` are the row counts handed to the batched reconstruction
-    @pytest.mark.parametrize("workers, resamples, sizes, chunksizes", [
-        (2, 6, [], [6]), (2, 10, [], [10]), (4, 10, [], [10]),
-        (4, 5, [], [5]),
-    ])
-    def test_one_chunk_per_worker(self, recording_pool, monkeypatch, workers,
-                                  resamples, sizes, chunksizes):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            recording_pool)
+    # every resample goes into one batched reconstruction in this process
+    @pytest.mark.parametrize("resamples", [5, 6, 10])
+    def test_one_chunk_per_worker(self, monkeypatch, resamples):
         rows = []
         batch = tg._mle_batch
 
@@ -332,9 +295,8 @@ class TestMonteCarloStatistics:
         monkeypatch.setattr(tg, "_mle_batch", recording_batch)
         records = tg.sample_counts(SIGMA, 1000, seed=8)
         tg.monte_carlo_statistics(records, resamples, seed=2,
-                                  statistics=("entropy",), workers=workers)
-        assert recording_pool.sizes == sizes
-        assert rows == chunksizes
+                                  statistics=("entropy",))
+        assert rows == [resamples]
 
     def test_resamples_match_one_at_a_time_reconstruction(self):
         # the summary of the batched pass, against the statistics of each
