@@ -10,6 +10,7 @@ bit-reproducible for a fixed seed. Angles (schmidt:<theta>) are in radians.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -33,9 +34,12 @@ def _default_seed() -> int:
     if not env:
         return 0
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
         raise CliError(f"ECLONE_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise CliError(f"ECLONE_SEED must be non-negative, got {env!r}")
+    return seed
 
 
 def _named_density(name: str) -> tuple[DensityMatrix, str]:
@@ -143,8 +147,10 @@ def cmd_tomo(args) -> int:
     if args.resamples == 1 or args.resamples < 0:
         raise CliError("--resamples must be 0 (no error bars) or at least 2, "
                        f"got {args.resamples}")
-    if not (math.isfinite(args.n) and args.n > 0):
-        raise CliError(f"--n must be finite and positive, got {args.n}")
+    most = tomography.MAX_MEAN_COUNT
+    if not (math.isfinite(args.n) and 0 < args.n <= most):
+        raise CliError(f"--n must be finite, positive and at most {most:g}, "
+                       f"got {args.n}")
     rho_true, state_name = _named_density(args.state)
     records = tomography.sample_counts(rho_true, args.n, seed=args.seed)
     rec = tomography.mle_reconstruct(records)
@@ -218,12 +224,15 @@ def cmd_paper(args) -> int:
     return 1 if failed else 0
 
 
+# parsing leaves the parser as it was, so one serves every call of `main`
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="entclone",
         description="Entanglement broadcasting network simulator")
     p.add_argument("--seed", type=int, default=None,
-                   help="root RNG seed (default: ECLONE_SEED env var or 0)")
+                   help="root RNG seed, non-negative (default: ECLONE_SEED "
+                        "env var or 0)")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=None,
                    help="default: text for paper, json for tomo, "
@@ -241,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--r2", type=float, default=None)
     c.add_argument("--overlap-sq", type=float, default=1.0)
     c.add_argument("--model", choices=("ideal", "physical"), default="ideal")
-    c.set_defaults(func=cmd_clone)
 
     s = sub.add_parser("sweep", help="fidelity vs reflectivity sweep")
     s.add_argument("--input", required=True)
@@ -249,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--r-max", type=float, default=1.0)
     s.add_argument("--steps", type=int, default=11)
     s.add_argument("--overlap-sq", type=float, default=1.0)
-    s.set_defaults(func=cmd_sweep)
 
     t = sub.add_parser("tomo", help="simulate tomography and reconstruct")
     t.add_argument("--state", required=True,
@@ -260,17 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--resamples", type=int, default=0,
                    help="Monte Carlo resamples for error bars "
                         "(0 for none, else at least 2)")
-    t.set_defaults(func=cmd_tomo)
 
     h = sub.add_parser("hom", help="Hong-Ou-Mandel visibility / overlap fit")
     h.add_argument("--r", type=float, required=True)
     h.add_argument("--overlap-sq", type=float, default=1.0)
     h.add_argument("--fit", type=float, default=None,
                    help="measured visibility to invert into overlap_sq")
-    h.set_defaults(func=cmd_hom)
 
-    pp = sub.add_parser("paper", help="reproduce the reference numbers")
-    pp.set_defaults(func=cmd_paper)
+    sub.add_parser("paper", help="reproduce the reference numbers")
 
     return p
 
@@ -280,16 +284,20 @@ _DEFAULT_FORMAT = {"paper": "text", "tomo": "json"}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.format is None:
         args.format = _DEFAULT_FORMAT.get(args.command, "csv")
     try:
         if args.seed is None:
             args.seed = _default_seed()
+        elif args.seed < 0:
+            raise CliError(f"--seed must be non-negative, got {args.seed}")
         if args.threads < 1:
             raise CliError(f"--threads must be at least 1, got {args.threads}")
-        return args.func(args)
+        # looked up per call, so the parser built once holds no handler
+        handler = {"clone": cmd_clone, "sweep": cmd_sweep, "tomo": cmd_tomo,
+                   "hom": cmd_hom, "paper": cmd_paper}[args.command]
+        return handler(args)
     except (CliError, ValueError, KeyError, OSError) as exc:
         print(f"entclone: error: {exc}", file=sys.stderr)
         return 1

@@ -42,6 +42,10 @@ SETTINGS: tuple[tuple[str, str], ...] = tuple(
 
 MAX_ITERATIONS = 100_000
 LOGLIK_TOL = 1e-10
+# the largest mean count sample_counts draws: numpy's Poisson sampler refuses
+# means above about 9.2e18, and with every Born probability at most 1 the
+# mean counts stay under n_per_setting * exposure
+MAX_MEAN_COUNT = 1e18
 
 
 @dataclass(frozen=True)
@@ -111,6 +115,13 @@ def sample_counts(rho, n_per_setting: float, seed: int,
     if not (math.isfinite(n_per_setting) and n_per_setting > 0):
         raise ValueError(
             f"n_per_setting must be finite and positive, got {n_per_setting}")
+    if not (math.isfinite(exposure) and exposure > 0):
+        raise ValueError(
+            f"exposure must be finite and positive, got {exposure}")
+    if n_per_setting * exposure > MAX_MEAN_COUNT:
+        raise ValueError(
+            f"n_per_setting * exposure must be at most {MAX_MEAN_COUNT:g}, "
+            f"got {n_per_setting} * {exposure}")
     rng = np.random.default_rng(seed)
     records = []
     for a, b in SETTINGS:
@@ -194,18 +205,18 @@ def _rrr_loop(counts, expected, total, rho, p, ll, budget, final_eps=None,
     accepted = 0
     for _ in range(budget):
         r_op = np.einsum("j,jab->ab", counts / p, _MLE_PROJECTORS) / total
-        # the undiluted step first; eps * r_op at eps = 1 changes no bit
-        step, eps = _IDENTITY + r_op, 1.0
-        while True:
-            cand = step @ rho @ step.conj().T
-            cand /= cand.trace().real
-            cand_p = _probs(cand)
-            cand_ll = float(_loglik(counts, expected, cand_p))
-            final_eps = eps
-            eps *= 0.5
-            if cand_ll > ll or eps <= 1e-14:
-                break
-            step = _IDENTITY + eps * r_op
+        # the undiluted step first
+        step = _IDENTITY + r_op
+        cand = step @ rho @ step.conj().T
+        cand /= cand.trace().real
+        cand_p = _probs(cand)
+        cand_ll = float(_loglik(counts, expected, cand_p))
+        final_eps = 1.0
+        if not cand_ll > ll:
+            found = _dilute(r_op[None], rho[None], counts[None],
+                            expected[None], np.array([ll]))
+            cand, cand_p = found[0][0], found[1][0]
+            cand_ll, final_eps = float(found[2][0]), float(found[3][0])
         if not cand_ll > ll:
             converged = True  # no improving step exists at machine precision
             break
@@ -251,12 +262,56 @@ def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
 
 
 def _candidates(step, rho, counts, expected):
-    """Each row's candidate step @ rho @ step^H at unit trace, with its
-    probabilities and log-likelihood."""
-    cand = step @ rho @ step.conj().transpose(0, 2, 1)
-    cand /= cand.trace(axis1=1, axis2=2).real[:, None, None]
-    cand_p = _probs_stack(cand)
+    """Each candidate step @ rho @ step^H at unit trace, with its
+    probabilities and log-likelihood, over the leading axes of a stack of
+    steps; ``rho``, ``counts`` and ``expected`` broadcast against them."""
+    cand = step @ rho @ step.conj().swapaxes(-1, -2)
+    cand /= cand.trace(axis1=-2, axis2=-1).real[..., None, None]
+    cand_p = _probs_stack(cand.reshape(-1, 4, 4)).reshape(
+        *cand.shape[:-2], 36)
     return cand, cand_p, _loglik(counts, expected, cand_p)
+
+
+# the diluted steps tried when the full one does not raise the likelihood:
+# eps = 2^-1, ..., 2^-46, the last power of 2 above 1e-14. A row tries 1/2
+# alone, then up to 8 at a time as one stack; the cap bounds the stack's
+# memory, as most rows that search try all 46
+_DILUTIONS = np.array([0.5 ** k for k in range(1, 47)])
+_LADDER = [_DILUTIONS[:1]] + [_DILUTIONS[k:k + 8] for k in range(1, 46, 8)]
+
+
+def _dilute(r_op, rho, counts, expected, ll):
+    """The step search of the rows of an (n, 4, 4) stack whose full step
+    did not raise the log-likelihood ``ll``: each row takes the first
+    dilution of `_DILUTIONS` whose candidate raises it, or the last one
+    when none does.
+
+    Every candidate goes through `_candidates`, so each has the bits of the
+    same step tried alone. Returns each row's candidate, its probabilities,
+    its log-likelihood and its dilution.
+    """
+    n = len(rho)
+    cand, cand_p = np.empty_like(rho), np.empty((n, 36))
+    cand_ll, eps = np.empty(n), np.empty(n)
+    # positions in the given stack of the rows still searching
+    rows = np.arange(n)
+    for chunk in _LADDER:
+        # (rows, dilutions) stacks: row i's candidate at chunk[j] is [i, j]
+        found = _candidates(
+            _IDENTITY + chunk[:, None, None] * r_op[rows, None],
+            rho[rows, None], counts[rows, None], expected[rows, None])
+        gains = found[2] > ll[rows, None]
+        each = np.arange(len(rows))
+        first = gains.argmax(axis=1)
+        hit = gains[each, first]
+        pick = np.where(hit, first, len(chunk) - 1)
+        cand[rows], cand_p[rows], cand_ll[rows] = (a[each, pick]
+                                                   for a in found)
+        eps[rows] = chunk[pick]
+        rows = rows[~hit]
+        if not len(rows):
+            break
+    return cand, cand_p, cand_ll, eps
 
 
 def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
@@ -290,11 +345,10 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     steps = 0
     while len(rows) > 1 and steps < budget:
         r_op = np.einsum("nj,jab->nab", counts / p, _MLE_PROJECTORS) / total
-        # the undiluted step first; eps * r_op at eps = 1 changes no bit
-        eps = 1.0
+        # the undiluted step first
         cand, cand_p, cand_ll = _candidates(_IDENTITY + r_op, rho, counts,
                                             expected)
-        final_eps.fill(eps)
+        final_eps.fill(1.0)
         steps += 1
         # a row goes on while its gain is at least the tolerance, which is
         # positive: a row that goes on has improved
@@ -302,19 +356,13 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
         if not keep.all():
             improved = cand_ll > ll
             if not improved.all():
-                # the rows without a gain try ever more diluted steps alone
+                # the rows without a gain search the diluted steps
                 searching = np.flatnonzero(~improved)
-                while len(searching):
-                    eps *= 0.5
-                    if eps <= 1e-14:
-                        break
-                    found = _candidates(_IDENTITY + eps * r_op[searching],
-                                        rho[searching], counts[searching],
-                                        expected[searching])
-                    cand[searching], cand_p[searching], cand_ll[searching] = \
-                        found
-                    final_eps[searching] = eps
-                    searching = searching[~(found[2] > ll[searching])]
+                found = _dilute(r_op[searching], rho[searching],
+                                counts[searching], expected[searching],
+                                ll[searching])
+                for a, b in zip((cand, cand_p, cand_ll, final_eps), found):
+                    a[searching] = b
                 improved = cand_ll > ll
                 keep = cand_ll - ll >= LOGLIK_TOL
             # an improved row with a gain below the tolerance has converged

@@ -1,13 +1,16 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import entclone
-from entclone import cloner, metrics, tomography as tg
-from entclone.cli import main
+from entclone import cli, cloner, metrics, tomography as tg
+from entclone.cli import build_parser, main
 from entclone.cloner import ideal_clone_sigma
 from entclone.paperchecks import CheckResult
 
@@ -178,6 +181,15 @@ class TestTomo:
         assert out.err == ("entclone: error: ECLONE_SEED must be an integer, "
                            "got 'abc'\n")
 
+    def test_negative_env_seed_rejected(self, capsys, monkeypatch):
+        # numpy used to reject it deep inside sampling, naming no input
+        monkeypatch.setenv("ECLONE_SEED", "-5")
+        code, out = run_cli("tomo", "--state", "sigma", capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err == ("entclone: error: ECLONE_SEED must be "
+                           "non-negative, got '-5'\n")
+
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ECLONE_SEED", "23")
         code, out = run_cli("--seed", "5", "--format", "json", "tomo",
@@ -287,6 +299,15 @@ class TestTomo:
         assert out.out == ""
         assert out.err.startswith("entclone: error: --n must be finite")
 
+    def test_n_too_large_rejected(self, capsys):
+        # numpy's Poisson sampler used to fail with "lam value too large"
+        code, out = run_cli("tomo", "--state", "sigma", "--n", "1e20",
+                            capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err == ("entclone: error: --n must be finite, positive "
+                           "and at most 1e+18, got 1e+20\n")
+
     def test_zero_resamples_means_no_error_bars(self, capsys):
         code, out = run_cli("tomo", "--state", "mixed", "--n", "500",
                             "--resamples", "0", capsys=capsys)
@@ -386,6 +407,49 @@ class TestPaper:
         code, _ = run_cli(*argv, "paper", capsys=capsys)
         assert code == 0
         assert path.read_bytes() == GOLDEN_PAPER[fmt].read_bytes()
+
+
+class TestGlobalFlags:
+    # `paper` failed inside numpy with a message naming no input, and
+    # `sweep`, which draws nothing, accepted the seed
+    @pytest.mark.parametrize("command", [
+        ["paper"], ["sweep", "--input", "phi+"], ["tomo", "--state", "sigma"],
+    ], ids=["paper", "sweep", "tomo"])
+    def test_negative_seed_rejected(self, capsys, command):
+        code, out = run_cli("--seed", "-1", *command, capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err == ("entclone: error: --seed must be non-negative, "
+                           "got -1\n")
+
+    def test_calls_in_one_process_match_separate_processes(self, capsys,
+                                                            monkeypatch):
+        # one parser serves every call of `main` in a process
+        monkeypatch.delenv("ECLONE_SEED", raising=False)
+        commands = [["--format", "json", "hom", "--r", "0.3"],
+                    ["sweep", "--input", "psi-", "--steps", "3"],
+                    ["--seed", "2", "tomo", "--state", "mixed", "--n", "500"],
+                    ["--format", "csv", "paper"]]
+        in_process = [run_cli(*argv, capsys=capsys) for argv in commands]
+        assert build_parser() is build_parser()
+        env = {k: v for k, v in os.environ.items() if k != "ECLONE_SEED"}
+        env["PYTHONPATH"] = str(Path(entclone.__file__).parents[1])
+        for argv, (code, out) in zip(commands, in_process):
+            alone = subprocess.run(
+                [sys.executable, "-m", "entclone.cli", *argv], env=env,
+                capture_output=True, text=True, timeout=120)
+            assert (code, out.out, out.err) == \
+                (alone.returncode, alone.stdout, alone.stderr)
+
+
+    def test_handler_looked_up_per_call(self, capsys, monkeypatch):
+        # a wrapper installed after the first call still runs
+        run_cli("hom", "--r", "0.3", capsys=capsys)
+        calls = []
+        monkeypatch.setattr(cli, "cmd_hom",
+                            lambda args: calls.append(args.r) or 0)
+        assert run_cli("hom", "--r", "0.3", capsys=capsys)[0] == 0
+        assert calls == [0.3]
 
 
 def test_no_module_imports_a_process_pool():

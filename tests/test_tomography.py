@@ -89,6 +89,21 @@ class TestSampleCounts:
         with pytest.raises(ValueError, match="n_per_setting must be finite"):
             tg.sample_counts(SIGMA, n, seed=1)
 
+    def test_mean_count_too_large_rejected(self):
+        # numpy's Poisson sampler failed with "lam value too large"
+        for n, exposure in ((1e20, 1.0), (1e17, 100.0)):
+            with pytest.raises(ValueError, match="n_per_setting \\* exposure "
+                               "must be at most 1e\\+18"):
+                tg.sample_counts(SIGMA, n, seed=1, exposure=exposure)
+        assert len(tg.sample_counts(SIGMA, 1e18, seed=1)) == 36
+
+    # NaN and negative exposures failed inside numpy's Poisson sampler
+    @pytest.mark.parametrize("exposure", [float("nan"), float("inf"), 0.0,
+                                          -1.0])
+    def test_bad_exposure_rejected(self, exposure):
+        with pytest.raises(ValueError, match="exposure must be finite"):
+            tg.sample_counts(SIGMA, 100.0, seed=1, exposure=exposure)
+
 
 class TestMleReconstruct:
     def test_noiseless_bell_counts(self):
@@ -417,6 +432,117 @@ class TestMleBatch:
     def test_rows_match_one_set_property(self, rows, exposures):
         assert_rows_match_one_set(np.array(rows, dtype=float),
                                   np.array(exposures))
+
+
+def reference_mle(counts, exposures):
+    """Test-only copy of the RrhoR loop as it ran before its dilutions were
+    stacked: one candidate at a time, the step halved until the
+    log-likelihood rises or the dilution falls to 1e-14.
+
+    Takes one row of counts and exposures in the MLE's setting order and
+    returns the state, log-likelihood, history, converged flag, accepted
+    steps, last dilution tried and the dilution of each accepted step.
+    """
+    counts = np.asarray(counts, dtype=float)
+    exposures = np.asarray(exposures, dtype=float)
+    n_hat = 4.0 * float(np.mean(counts / exposures))
+    expected = n_hat * exposures
+    total = max(counts.sum(), 1.0)
+    rho = tg._IDENTITY / 4.0
+    p = tg._probs(rho)
+    ll = float(tg._loglik(counts, expected, p))
+    history, accepted_eps = [ll], []
+    converged, final_eps = False, None
+    for _ in range(tg.MAX_ITERATIONS):
+        r_op = np.einsum("j,jab->ab", counts / p, tg._MLE_PROJECTORS) / total
+        step, eps = tg._IDENTITY + r_op, 1.0
+        while True:
+            cand = step @ rho @ step.conj().T
+            cand /= cand.trace().real
+            cand_p = tg._probs(cand)
+            cand_ll = float(tg._loglik(counts, expected, cand_p))
+            final_eps = eps
+            eps *= 0.5
+            if cand_ll > ll or eps <= 1e-14:
+                break
+            step = tg._IDENTITY + eps * r_op
+        if not cand_ll > ll:
+            converged = True
+            break
+        gain = cand_ll - ll
+        rho, p, ll = cand, cand_p, cand_ll
+        history.append(ll)
+        accepted_eps.append(final_eps)
+        if gain < tg.LOGLIK_TOL:
+            converged = True
+            break
+    return (tg._finish(rho), ll, history, converged, len(history) - 1,
+            final_eps, accepted_eps)
+
+
+def assert_match_reference(counts, exposures):
+    """`mle_reconstruct` on each row, and every row of one `_mle_batch`,
+    equal `reference_mle` in every field. Returns the references."""
+    exposures = np.broadcast_to(exposures, np.shape(counts))
+    refs = [reference_mle(row, e) for row, e in zip(counts, exposures)]
+    for row, row_exposures, ref in zip(counts, exposures, refs):
+        one = tg.mle_reconstruct([
+            tg.CountRecord(a, b, int(c), float(e)) for (a, b), c, e
+            in zip(sorted(tg.SETTINGS), row, row_exposures)])
+        assert np.array_equal(one.rho_hat.matrix, ref[0])
+        assert (one.log_likelihood, one.log_likelihood_history,
+                one.converged, one.iterations, one.final_eps) == ref[1:6]
+    for (rho, *fields), ref in zip(tg._mle_batch(counts, exposures), refs):
+        assert np.array_equal(rho, ref[0])
+        assert tuple(fields) == (ref[1], *ref[3:6])
+    return refs
+
+
+def _point_rows(cases):
+    """Counts of each simulated (state, counts per setting, seed) data set,
+    in the MLE's setting order."""
+    return np.array([tg._mle_arrays(tg.sample_counts(
+        _named_density(state)[0], n, seed=seed))[0]
+        for state, n, seed in cases])
+
+
+class TestDilutionLadder:
+    """The stacked step search against the one-candidate-at-a-time loop."""
+
+    def test_ladder_runs_out(self):
+        # no dilution down to 2^-46 raises the likelihood of the last iterate
+        rows = _point_rows([("phi+", 1e6, 22)] * 2)
+        for ref in assert_match_reference(rows, np.ones(36)):
+            assert ref[3] and ref[5] == 2.0 ** -46
+
+    # the first, a middle and the last dilution of the second stacked chunk
+    @pytest.mark.parametrize("case, eps", [
+        (("sigma", 1e4, 2), 2.0 ** -10), (("mixed", 1e5, 0), 2.0 ** -16),
+        (("sigma", 1e5, 9), 2.0 ** -17)])
+    def test_hit_in_second_chunk(self, case, eps):
+        # twin rows stay in the stack to the end, so the hit is in the batch
+        rows = _point_rows([case, case, ("phi+", 1e6, 22)])
+        ref = assert_match_reference(rows, np.ones(36))[0]
+        assert eps in ref[6]
+
+    def test_rows_stopping_in_one_iteration(self):
+        # uniform counts give I/4 back, which no step improves: these rows
+        # run the whole ladder together in the first iteration and stop
+        uniform = np.array([[1.0], [100.0], [12345.0]]) * np.ones(36)
+        rows = np.concatenate(
+            [uniform, _point_rows([("sigma", 2000.0, 21)] * 2)])
+        refs = assert_match_reference(rows, np.ones(36))
+        assert [ref[4] for ref in refs[:3]] == [0, 0, 0]
+        assert all(ref[3] and ref[5] == 2.0 ** -46 for ref in refs[:3])
+
+    @settings(max_examples=25)
+    @given(rows=st.lists(st.lists(_SPARSE_COUNT, min_size=36, max_size=36)
+                         .filter(any), min_size=1, max_size=5),
+           exposures=st.lists(st.floats(1e-3, 1e3), min_size=36,
+                              max_size=36))
+    def test_matches_reference_property(self, rows, exposures):
+        assert_match_reference(np.array(rows, dtype=float),
+                               np.array(exposures))
 
 
 class TestInterchange:
