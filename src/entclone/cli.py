@@ -173,8 +173,8 @@ def cmd_tomo(args) -> int:
     }
     if args.resamples:
         # one pass over the resamples yields every statistic
-        mc = tomography.monte_carlo_statistics(
-            records, args.resamples, seed=args.seed, point=rec)
+        mc = tomography.monte_carlo_statistics(rec, args.resamples,
+                                               seed=args.seed)
         if mc.nonconverged:
             print(f"entclone: warning: {mc.nonconverged} of {args.resamples} "
                   "resample reconstructions did not converge", file=sys.stderr)

@@ -107,15 +107,6 @@ class FockState:
     def arms(self) -> set[str]:
         return {m[0] for mono in self.terms for m in mono}
 
-    def superpose(self, other: "FockState", a: complex = 1.0,
-                  b: complex = 1.0) -> "FockState":
-        out: dict[tuple[Mode, ...], complex] = defaultdict(complex)
-        for mono, c in self.terms.items():
-            out[mono] += a * c
-        for mono, c in other.terms.items():
-            out[mono] += b * c
-        return FockState(out)
-
     def tensor(self, other: "FockState") -> "FockState":
         out: dict[tuple[Mode, ...], complex] = defaultdict(complex)
         for m1, c1 in self.terms.items():

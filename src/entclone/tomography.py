@@ -61,8 +61,12 @@ class CountRecord:
             raise ValueError(
                 f"unknown setting ({self.setting_a}, {self.setting_b})")
         # NaN fails every comparison, so `count < 0` alone let it through
-        if not (math.isfinite(self.count) and self.count >= 0
-                and self.count == int(self.count)):
+        try:
+            valid = (math.isfinite(self.count) and self.count >= 0
+                     and self.count == int(self.count))
+        except OverflowError:  # an int too large for a float
+            valid = False
+        if not valid:
             raise ValueError(
                 f"count must be a non-negative integer, got {self.count}")
         if not (math.isfinite(self.exposure) and self.exposure > 0):
@@ -140,14 +144,21 @@ def _require_each_setting_once(records: list[CountRecord]) -> None:
                          f"duplicated: {duplicated or 'none'}")
 
 
+def _mle_order(records: list[CountRecord]) -> list[int]:
+    """Positions of the records in the MLE's setting order (sorted
+    ``SETTINGS``); this canonical order makes a reconstruction exactly
+    independent of record order."""
+    return sorted(range(len(records)),
+                  key=lambda k: (records[k].setting_a, records[k].setting_b))
+
+
 def _mle_arrays(records: list[CountRecord]) -> tuple[np.ndarray, np.ndarray]:
     """Counts and exposures in the MLE's setting order, after checking that
     the records hold each setting once and not only zero counts."""
     _require_each_setting_once(records)
     if all(r.count == 0 for r in records):
         raise ValueError("degenerate data: all counts are zero")
-    # canonical ordering makes the result exactly independent of record order
-    ordered = sorted(records, key=lambda r: (r.setting_a, r.setting_b))
+    ordered = [records[k] for k in _mle_order(records)]
     counts = np.array([r.count for r in ordered], dtype=float)
     exposures = np.array([r.exposure for r in ordered], dtype=float)
     return counts, exposures
@@ -390,36 +401,20 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     return results
 
 
-# also the key order of the monte_carlo block of a tomo report
-_STATISTICS = ("fidelity", "witness", "concurrence", "entropy",
-               "trace_distance", "uhlmann_fidelity")
-# statistics that compare against the point estimate
-_REFERENCE_STATISTICS = ("trace_distance", "uhlmann_fidelity")
-
-
-def evaluate_statistic(name: str, rho: DensityMatrix,
-                       reference: DensityMatrix | None = None) -> float:
-    """Named scalar statistic of a reconstructed state.
-
-    'fidelity' and 'witness' are taken against |Phi+>; 'trace_distance' and
-    'uhlmann_fidelity' compare against ``reference`` (for Monte Carlo runs,
-    the point-estimate reconstruction).
-    """
-    if name == "fidelity":
-        return metrics.fidelity_to_pure(rho, metrics.PHI_PLUS)
-    if name == "concurrence":
-        return metrics.concurrence(rho)
-    if name == "entropy":
-        return metrics.von_neumann_entropy(rho)
-    if name == "witness":
-        return metrics.witness_expectation(rho)
-    if name in _REFERENCE_STATISTICS:
-        if reference is None:
-            raise ValueError(f"statistic {name!r} needs a reference state")
-        fn = metrics.trace_distance if name == "trace_distance" \
-            else metrics.uhlmann_fidelity
-        return fn(rho, reference)
-    raise ValueError(f"unknown statistic {name!r}; choose from {_STATISTICS}")
+# each statistic of a resample's state rho, against the point estimate
+# point_rho where it compares the two; fidelity and witness are taken against
+# |Phi+>. Also the key order of the monte_carlo block of a tomo report
+_STATISTICS = {
+    "fidelity":
+        lambda rho, point_rho: metrics.fidelity_to_pure(rho, metrics.PHI_PLUS),
+    "witness": lambda rho, point_rho: metrics.witness_expectation(rho),
+    "concurrence": lambda rho, point_rho: metrics.concurrence(rho),
+    "entropy": lambda rho, point_rho: metrics.von_neumann_entropy(rho),
+    "trace_distance":
+        lambda rho, point_rho: metrics.trace_distance(rho, point_rho),
+    "uhlmann_fidelity":
+        lambda rho, point_rho: metrics.uhlmann_fidelity(rho, point_rho),
+}
 
 
 @dataclass(frozen=True)
@@ -431,38 +426,23 @@ class MonteCarloSummary:
     nonconverged: int
 
 
-def monte_carlo_statistics(records: list[CountRecord], n_resamples: int,
-                           seed: int, statistics=_STATISTICS,
-                           point: TomographyRecord | None = None
-                           ) -> MonteCarloSummary:
-    """Poisson-resample the counts, reconstruct each resample once, and
-    summarize every named statistic over the resamples.
+def monte_carlo_statistics(point: TomographyRecord, n_resamples: int,
+                           seed: int) -> MonteCarloSummary:
+    """Poisson-resample the counts of the point estimate ``point``,
+    reconstruct each resample once, and summarize every statistic of
+    `_STATISTICS` over the resamples, in its key order.
 
     Resample k draws from child k of
     ``SeedSequence(seed).spawn(n_resamples)``, and all resamples are
     reconstructed in one batched pass whose every reconstruction has the
     bits `mle_reconstruct` gives it, so the result is deterministic given
-    the seed. 'trace_distance' and 'uhlmann_fidelity' compare against the
-    point estimate ``point``, reconstructed here when not given.
+    the seed. 'trace_distance' and 'uhlmann_fidelity' compare each resample
+    with ``point.rho_hat``.
     """
     if n_resamples < 2:
         raise ValueError("need at least 2 resamples")
-    statistics = tuple(statistics)
-    if not statistics:
-        raise ValueError("need at least one statistic")
-    for name in statistics:
-        if name not in _STATISTICS:
-            raise ValueError(
-                f"unknown statistic {name!r}; choose from {_STATISTICS}")
-    _require_each_setting_once(records)
-    reference = None
-    if any(name in _REFERENCE_STATISTICS for name in statistics):
-        if point is None:
-            point = mle_reconstruct(records)
-        elif point.records != list(records):
-            raise ValueError(
-                "point estimate was reconstructed from other counts")
-        reference = point.rho_hat
+    # mle_reconstruct has checked that these hold each setting once
+    records = point.records
     resamples = []
     for child in np.random.SeedSequence(seed).spawn(n_resamples):
         rng = np.random.default_rng(child)
@@ -470,21 +450,19 @@ def monte_carlo_statistics(records: list[CountRecord], n_resamples: int,
         if not any(drawn):
             raise ValueError("degenerate data: all counts are zero")
         resamples.append(drawn)
-    # columns in the MLE's setting order
-    order = sorted(range(len(records)),
-                   key=lambda k: (records[k].setting_a, records[k].setting_b))
+    order = _mle_order(records)
     counts = np.array(resamples, dtype=float)[:, order]
     exposures = np.array([records[k].exposure for k in order], dtype=float)
-    values = np.empty((len(statistics), n_resamples))
+    values = np.empty((len(_STATISTICS), n_resamples))
     nonconverged = 0
     for k, (rho, _, converged, _, _) in enumerate(
             _mle_batch(counts, exposures)):
         rho_hat = DensityMatrix(rho, ("a", "b"))
-        values[:, k] = [evaluate_statistic(name, rho_hat, reference)
-                        for name in statistics]
+        values[:, k] = [fn(rho_hat, point.rho_hat)
+                        for fn in _STATISTICS.values()]
         nonconverged += not converged
     summary = {name: (float(v.mean()), float(v.std(ddof=1)))
-               for name, v in zip(statistics, values)}
+               for name, v in zip(_STATISTICS, values)}
     return MonteCarloSummary(summary, nonconverged)
 
 
@@ -508,9 +486,18 @@ def counts_from_csv(path) -> list[CountRecord]:
         if reader.fieldnames != CSV_HEADER:
             raise ValueError(
                 f"bad counts CSV header {reader.fieldnames}, expected {CSV_HEADER}")
-        return [CountRecord(row["setting_a"], row["setting_b"],
-                            int(row["count"]), float(row["exposure"]))
-                for row in reader]
+        records = []
+        for row in reader:
+            # DictReader files extra fields under the key None and gives
+            # missing ones the value None
+            if None in row or None in row.values():
+                raise ValueError(
+                    f"counts CSV line {reader.line_num} does not have the "
+                    f"{len(CSV_HEADER)} fields {CSV_HEADER}")
+            records.append(CountRecord(row["setting_a"], row["setting_b"],
+                                       int(row["count"]),
+                                       float(row["exposure"])))
+        return records
 
 
 def matrix_to_json_dict(rho: DensityMatrix) -> dict:

@@ -190,9 +190,3 @@ class TestStateRepresentation:
         st = FockState({(("b", "H", 0), ("a", "H", 0)): 0.5,
                         (("a", "H", 0), ("b", "H", 0)): 0.5})
         assert list(st.terms.values()) == [pytest.approx(1.0)]
-
-    def test_superpose(self):
-        a = one_photon("a")
-        b = one_photon("b")
-        s = a.superpose(b, 1 / math.sqrt(2), 1j / math.sqrt(2))
-        assert s.norm_squared() == pytest.approx(1.0)
