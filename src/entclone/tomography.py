@@ -4,6 +4,13 @@
 count statistics, maximum-likelihood reconstruction by diluted fixed-point
 iteration, and Monte Carlo error bars from Poisson resampling.
 
+A reconstruction stops on a certificate, not on a small step: the
+log-likelihood is concave in the state, so its gradient G at the iterate rho
+bounds how far the maximum lies above it, by the gap
+lambda_max(G) - Tr(G rho) (Glancy, Knill & Girard, NJP 14, 095017 (2012)).
+The iteration stops at the first iterate whose gap is below ``CERT_TOL`` and
+reports the gap of the state it returns as ``certified_gap``.
+
 Every stochastic operation takes an explicit integer seed; Monte Carlo
 resamples draw their streams from ``numpy.random.SeedSequence.spawn``, and
 are reconstructed together in one batched pass with the bits of one-at-a-time
@@ -41,11 +48,22 @@ SETTINGS: tuple[tuple[str, str], ...] = tuple(
 )
 
 MAX_ITERATIONS = 100_000
-LOGLIK_TOL = 1e-10
+# the certified log-likelihood gap at which a reconstruction stops; a 1 sigma
+# likelihood-ratio interval spans a log-likelihood drop of 0.5
+CERT_TOL = 0.1
 # the largest mean count sample_counts draws: numpy's Poisson sampler refuses
 # means above about 9.2e18, and with every Born probability at most 1 the
 # mean counts stay under n_per_setting * exposure
 MAX_MEAN_COUNT = 1e18
+
+
+def _shown(value) -> str:
+    """``value`` for an error message: an int too long to print, as Python
+    refuses to for more than 4300 digits, by its size instead."""
+    if isinstance(value, int) and value.bit_length() > 1000:
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} int of {value.bit_length()} bits"
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -67,8 +85,8 @@ class CountRecord:
         except OverflowError:  # an int too large for a float
             valid = False
         if not valid:
-            raise ValueError(
-                f"count must be a non-negative integer, got {self.count}")
+            raise ValueError("count must be a non-negative integer, got "
+                             f"{_shown(self.count)}")
         if not (math.isfinite(self.exposure) and self.exposure > 0):
             raise ValueError(
                 f"exposure must be finite and positive, got {self.exposure}")
@@ -81,10 +99,14 @@ class TomographyRecord:
     log_likelihood: float
     converged: bool
     log_likelihood_history: list[float] = field(default_factory=list)
-    # accepted RrhoR steps, and the dilution of the last step tried (None
-    # when none was); diagnostics only, no report prints them
+    # accepted RrhoR steps, the dilution of the last step tried (None when
+    # none was) and the certified gap of the returned state, an upper bound
+    # on how far its log-likelihood is below the maximum (a record built
+    # without a reconstruction certifies nothing); diagnostics only, no
+    # report prints them
     iterations: int = 0
     final_eps: float | None = None
+    certified_gap: float = math.inf
 
 
 def setting_projector(setting_a: str, setting_b: str) -> np.ndarray:
@@ -201,21 +223,51 @@ def _finish(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _rrr_loop(counts, expected, total, rho, p, ll, budget, final_eps=None,
-              history=None):
+def _gaps(r_op, rho, total, h_op):
+    """The certified gap of each iterate of an (n, 4, 4) stack ``rho``,
+    from its R operator ``r_op``, its count total and ``h_op``, the sum of
+    the projectors weighted by their expected counts.
+
+    The log-likelihood's gradient at rho is G = total * r_op - h_op, and
+    the log-likelihood is concave, so no state's log-likelihood exceeds
+    rho's by more than lambda_max(G) - Tr(G rho), at any exposures. Each gap has the bits of
+    the same iterate alone, so a batched row stops where its lone
+    reconstruction does.
+    """
+    g = total * r_op - h_op
+    return (np.linalg.eigvalsh(g)[:, -1]
+            - np.einsum("nab,nba->n", g, rho).real)
+
+
+def _rrr_loop(counts, expected, h_op, total, rho, p, ll, budget,
+              final_eps=None, gain=math.inf, history=None):
     """At most ``budget`` diluted RrhoR steps of one reconstruction, resumed
     from the iterate ``rho``, its probabilities ``p`` and log-likelihood
-    ``ll``.
+    ``ll``, reached by a step that gained ``gain``.
+
+    The loop stops at the first iterate whose certified gap is below
+    ``CERT_TOL``, or when no diluted step raises the log-likelihood. A gap
+    is computed only once the last accepted step gained less than
+    ``CERT_TOL``; skipping it earlier costs no correctness, as the loop
+    never stops on the certificate without computing it. After ``budget``
+    steps the last iterate converged if its gap is below ``CERT_TOL``.
 
     Each accepted log-likelihood is appended to ``history`` when one is
     given. Returns the finished state, its log-likelihood, whether the loop
-    converged, the number of steps it accepted and the dilution of the last
-    step it tried (``final_eps`` when it tried none).
+    converged, the number of steps it accepted, the dilution of the last
+    step it tried (``final_eps`` when it tried none) and the certified gap
+    of the last iterate.
     """
     converged = False
     accepted = 0
+    gap = None
     for _ in range(budget):
         r_op = np.einsum("j,jab->ab", counts / p, _MLE_PROJECTORS) / total
+        if gain < CERT_TOL:
+            gap = float(_gaps(r_op[None], rho[None], total, h_op[None])[0])
+            if gap < CERT_TOL:
+                converged = True
+                break
         # the undiluted step first
         step = _IDENTITY + r_op
         cand = step @ rho @ step.conj().T
@@ -233,14 +285,17 @@ def _rrr_loop(counts, expected, total, rho, p, ll, budget, final_eps=None,
             break
         gain = cand_ll - ll
         # the accepted candidate's probabilities feed the next R operator
-        rho, p, ll = cand, cand_p, cand_ll
+        rho, p, ll, gap = cand, cand_p, cand_ll, None
         accepted += 1
         if history is not None:
             history.append(ll)
-        if gain < LOGLIK_TOL:
-            converged = True
-            break
-    return _finish(rho), ll, converged, accepted, final_eps
+    if gap is None:
+        # the loop stopped on no gain after a large one, or ran out of budget
+        # on an iterate that the certificate may still accept
+        r_op = np.einsum("j,jab->ab", counts / p, _MLE_PROJECTORS) / total
+        gap = float(_gaps(r_op[None], rho[None], total, h_op[None])[0])
+        converged = converged or gap < CERT_TOL
+    return _finish(rho), ll, converged, accepted, final_eps, gap
 
 
 def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
@@ -255,21 +310,35 @@ def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
     full step is tried first and geometrically damped until the
     log-likelihood improves, which keeps iterates PSD with unit trace and the
     likelihood monotone.
+
+    The iteration stops at the first iterate whose certified gap, an upper
+    bound on how far its log-likelihood lies below the maximum, is below
+    ``CERT_TOL``; it also stops, as converged, when no diluted step raises
+    the log-likelihood, and after ``MAX_ITERATIONS`` steps, converged only
+    if the last gap is below ``CERT_TOL``. The gap of the returned state is
+    its ``certified_gap``, whichever stop it took; it can exceed
+    ``CERT_TOL`` on the no-improving-step stop, when the log-likelihood is
+    too large for its float to resolve smaller steps or the exposures
+    differ between settings.
     """
     counts, exposures = _mle_arrays(records)
     n_hat = 4.0 * float(np.mean(counts / exposures))
     # loop invariants, hoisted with the same operands and operation order
     expected = n_hat * exposures
+    # the constant part of the log-likelihood's gradient, for the gap
+    h_op = np.einsum("j,jab->ab", expected, _MLE_PROJECTORS)
     total = max(counts.sum(), 1.0)
     rho = _IDENTITY / 4.0
     p = _probs(rho)
     ll = float(_loglik(counts, expected, p))
     history = [ll]
-    rho, ll, converged, iterations, final_eps = _rrr_loop(
-        counts, expected, total, rho, p, ll, MAX_ITERATIONS, history=history)
+    rho, ll, converged, iterations, final_eps, gap = _rrr_loop(
+        counts, expected, h_op, total, rho, p, ll, MAX_ITERATIONS,
+        history=history)
     return TomographyRecord(list(records),
                             DensityMatrix(rho, ("a", "b")),
-                            ll, converged, history, iterations, final_eps)
+                            ll, converged, history, iterations, final_eps,
+                            gap)
 
 
 def _candidates(step, rho, counts, expected):
@@ -331,12 +400,15 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
 
     The columns are in the MLE's setting order (sorted ``SETTINGS``), and
     ``exposures`` broadcasts against ``counts``. The rows run as one
-    (B, 4, 4) stack; each row keeps its own dilution, stopping test and
+    (B, 4, 4) stack; each row keeps its own dilution, certificate stop and
     ``MAX_ITERATIONS`` budget, and does the floating-point operations of
-    `mle_reconstruct`, so its result has the same bits. A row leaves the
-    stack when it stops, and the last row left finishes in the one-set
-    loop, which is faster for a single state. Returns per row what
-    `_rrr_loop` returns, with the steps accepted counted from the start.
+    `mle_reconstruct`, so its result has the same bits, certified gap
+    included. A row whose certified gap is below ``CERT_TOL`` leaves the
+    stack before its next candidate is built, and a row that no diluted
+    step improves leaves it on its last iterate; the last row left finishes
+    in the one-set loop, which is faster for a single state. Returns per
+    row what `_rrr_loop` returns, with the steps accepted counted from the
+    start.
     """
     counts = np.ascontiguousarray(counts, dtype=float)
     exposures = np.ascontiguousarray(
@@ -345,59 +417,79 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     budget = MAX_ITERATIONS
     n_hat = 4.0 * np.mean(counts / exposures, axis=1)
     expected = n_hat[:, None] * exposures
+    h_op = np.einsum("nj,jab->nab", expected, _MLE_PROJECTORS)
     total = np.maximum(counts.sum(axis=1), 1.0)[:, None, None]
     rho = np.repeat((_IDENTITY / 4.0)[None], n_rows, axis=0)
     p = np.repeat(_probs(_IDENTITY / 4.0)[None], n_rows, axis=0)
     ll = _loglik(counts, expected, p)
     final_eps = np.empty(n_rows)
+    # each row's gain on its last accepted step, infinite before the first
+    gain = np.full(n_rows, math.inf)
     # positions in the caller's array of the rows still in the stack
     rows = np.arange(n_rows)
     results = [None] * n_rows
     steps = 0
+
+    def leave(stops, gaps, accepted):
+        """Record the rows at positions ``stops`` as converged on their
+        current iterates, and take them out of the stack."""
+        nonlocal rows, counts, expected, h_op, total, final_eps, gain, \
+            rho, p, ll, r_op
+        for i, gap in zip(stops, gaps):
+            results[rows[i]] = (_finish(rho[i]), float(ll[i]), True,
+                                accepted, float(final_eps[i]), float(gap))
+        keep = np.ones(len(rows), dtype=bool)
+        keep[stops] = False
+        rows, counts, expected, h_op, total, final_eps, gain, rho, p, ll, \
+            r_op = (a[keep] for a in (rows, counts, expected, h_op, total,
+                                      final_eps, gain, rho, p, ll, r_op))
+
     while len(rows) > 1 and steps < budget:
         r_op = np.einsum("nj,jab->nab", counts / p, _MLE_PROJECTORS) / total
+        checked = np.flatnonzero(gain < CERT_TOL)
+        if len(checked):
+            gaps = _gaps(r_op[checked], rho[checked], total[checked],
+                         h_op[checked])
+            certified = gaps < CERT_TOL
+            if certified.any():
+                leave(checked[certified], gaps[certified], steps)
+                if len(rows) < 2:
+                    break
         # the undiluted step first
         cand, cand_p, cand_ll = _candidates(_IDENTITY + r_op, rho, counts,
                                             expected)
         final_eps.fill(1.0)
         steps += 1
-        # a row goes on while its gain is at least the tolerance, which is
-        # positive: a row that goes on has improved
-        keep = cand_ll - ll >= LOGLIK_TOL
-        if not keep.all():
+        improved = cand_ll > ll
+        if not improved.all():
+            # the rows without a gain search the diluted steps
+            searching = np.flatnonzero(~improved)
+            found = _dilute(r_op[searching], rho[searching],
+                            counts[searching], expected[searching],
+                            ll[searching])
+            for a, b in zip((cand, cand_p, cand_ll, final_eps), found):
+                a[searching] = b
             improved = cand_ll > ll
             if not improved.all():
-                # the rows without a gain search the diluted steps
-                searching = np.flatnonzero(~improved)
-                found = _dilute(r_op[searching], rho[searching],
-                                counts[searching], expected[searching],
-                                ll[searching])
-                for a, b in zip((cand, cand_p, cand_ll, final_eps), found):
-                    a[searching] = b
-                improved = cand_ll > ll
-                keep = cand_ll - ll >= LOGLIK_TOL
-            # an improved row with a gain below the tolerance has converged
-            # on its new iterate, a row without a gain on its last one
-            for i in np.flatnonzero(~keep):
-                last, last_ll = (cand[i], cand_ll[i]) if improved[i] \
-                    else (rho[i], ll[i])
-                results[rows[i]] = (_finish(last), float(last_ll), True,
-                                    steps - (not improved[i]),
-                                    float(final_eps[i]))
-            rows, counts, expected, total, final_eps = (
-                a[keep] for a in (rows, counts, expected, total, final_eps))
-            cand, cand_p, cand_ll = cand[keep], cand_p[keep], cand_ll[keep]
+                # no diluted step improves these rows' last iterates
+                stops = np.flatnonzero(~improved)
+                cand, cand_p, cand_ll = (cand[improved], cand_p[improved],
+                                         cand_ll[improved])
+                leave(stops, _gaps(r_op[stops], rho[stops], total[stops],
+                                   h_op[stops]), steps - 1)
         # the accepted candidates' probabilities feed the next R operators
+        gain = cand_ll - ll
         rho, p, ll = cand, cand_p, cand_ll
     for i, row in enumerate(rows):
         last_eps = None if steps == 0 else float(final_eps[i])
         # the one-set loop takes a lone row faster than a stack of one, and
-        # with no budget left it only finishes the iterate
+        # with no budget left it only finishes the iterate and its gap
         left = budget - steps if len(rows) == 1 else 0
-        rho_i, ll_i, converged, accepted, last_eps = _rrr_loop(
-            counts[i], expected[i], total[i, 0, 0], rho[i], p[i],
-            float(ll[i]), left, last_eps)
-        results[row] = (rho_i, ll_i, converged, steps + accepted, last_eps)
+        rho_i, ll_i, converged, accepted, last_eps, gap = _rrr_loop(
+            counts[i], expected[i], h_op[i], total[i, 0, 0], rho[i], p[i],
+            float(ll[i]), left, last_eps, float(gain[i]))
+        results[row] = (rho_i, ll_i, converged, steps + accepted, last_eps,
+                        gap)
     return results
 
 
@@ -455,7 +547,7 @@ def monte_carlo_statistics(point: TomographyRecord, n_resamples: int,
     exposures = np.array([records[k].exposure for k in order], dtype=float)
     values = np.empty((len(_STATISTICS), n_resamples))
     nonconverged = 0
-    for k, (rho, _, converged, _, _) in enumerate(
+    for k, (rho, _, converged, *_) in enumerate(
             _mle_batch(counts, exposures)):
         rho_hat = DensityMatrix(rho, ("a", "b"))
         values[:, k] = [fn(rho_hat, point.rho_hat)
@@ -477,7 +569,10 @@ def counts_to_csv(records: list[CountRecord], path) -> None:
         w = csv.writer(f)
         w.writerow(CSV_HEADER)
         for r in records:
-            w.writerow([r.setting_a, r.setting_b, r.count, repr(r.exposure)])
+            # CountRecord holds an integral float count as given, and the
+            # reader takes integer literals only
+            w.writerow([r.setting_a, r.setting_b, int(r.count),
+                        repr(r.exposure)])
 
 
 def counts_from_csv(path) -> list[CountRecord]:
@@ -494,9 +589,14 @@ def counts_from_csv(path) -> list[CountRecord]:
                 raise ValueError(
                     f"counts CSV line {reader.line_num} does not have the "
                     f"{len(CSV_HEADER)} fields {CSV_HEADER}")
+            try:
+                count = int(row["count"])
+            except ValueError:
+                raise ValueError(
+                    f"counts CSV line {reader.line_num}: count must be a "
+                    f"non-negative integer, got {row['count']!r}") from None
             records.append(CountRecord(row["setting_a"], row["setting_b"],
-                                       int(row["count"]),
-                                       float(row["exposure"])))
+                                       count, float(row["exposure"])))
         return records
 
 
