@@ -154,6 +154,10 @@ def cmd_tomo(args) -> int:
     rho_true, state_name = _named_density(args.state)
     records = tomography.sample_counts(rho_true, args.n, seed=args.seed)
     rec = tomography.mle_reconstruct(records)
+    if not rec.converged:
+        print("entclone: warning: the reconstruction did not converge: its "
+              f"certified log-likelihood gap is {rec.certified_gap:.3g}, "
+              f"above {tomography.CERT_TOL:g}", file=sys.stderr)
     report = {
         "state": state_name,
         "n_per_setting": args.n,

@@ -1,8 +1,16 @@
 """Simulated two-photon state tomography.
 
 36 polarization settings (all pairs drawn from H, V, D, A, L, R), Poisson
-count statistics, maximum-likelihood reconstruction by diluted fixed-point
-iteration, and Monte Carlo error bars from Poisson resampling.
+count statistics, maximum-likelihood reconstruction by RrhoR iteration with
+a line search over the step size, and Monte Carlo error bars from Poisson
+resampling.
+
+Each iteration tries the steps S_t = I + t (R - I) for t = 1/2, 1, 2 and 4
+(t = 1 is Hradil's RrhoR; Rehacek, Hradil, Knill & Lvovsky, PRA 75, 042108
+(2007) dilute it towards t = 0) as one stacked evaluation and takes the
+candidate S_t rho S_t^H / Tr that gains the most log-likelihood; only when
+none gains does it search the diluted steps I + eps R, t = eps / (1 + eps).
+Any real t gives a PSD candidate, as the step is a congruence.
 
 A reconstruction stops on a certificate, not on a small step: the
 log-likelihood is concave in the state, so its gradient G at the iterate rho
@@ -87,9 +95,13 @@ class CountRecord:
         if not valid:
             raise ValueError("count must be a non-negative integer, got "
                              f"{_shown(self.count)}")
-        if not (math.isfinite(self.exposure) and self.exposure > 0):
-            raise ValueError(
-                f"exposure must be finite and positive, got {self.exposure}")
+        try:
+            valid = math.isfinite(self.exposure) and self.exposure > 0
+        except OverflowError:  # an int too large for a float
+            valid = False
+        if not valid:
+            raise ValueError("exposure must be finite and positive, got "
+                             f"{_shown(self.exposure)}")
 
 
 @dataclass
@@ -99,11 +111,11 @@ class TomographyRecord:
     log_likelihood: float
     converged: bool
     log_likelihood_history: list[float] = field(default_factory=list)
-    # accepted RrhoR steps, the dilution of the last step tried (None when
-    # none was) and the certified gap of the returned state, an upper bound
-    # on how far its log-likelihood is below the maximum (a record built
-    # without a reconstruction certifies nothing); diagnostics only, no
-    # report prints them
+    # accepted RrhoR steps, the step size t of the last step tried (None
+    # when none was) and the certified gap of the returned state, an upper
+    # bound on how far its log-likelihood is below the maximum (a record
+    # built without a reconstruction certifies nothing); diagnostics only,
+    # no report prints them
     iterations: int = 0
     final_eps: float | None = None
     certified_gap: float = math.inf
@@ -239,26 +251,128 @@ def _gaps(r_op, rho, total, h_op):
             - np.einsum("nab,nba->n", g, rho).real)
 
 
+def _candidates(step, rho, p, counts, expected):
+    """Each candidate step @ rho @ step^H at unit trace, with its
+    probabilities and its log-likelihood gain over the iterate whose
+    probabilities are ``p``, over the leading axes of a stack of steps;
+    ``rho``, ``p``, ``counts`` and ``expected`` broadcast against them."""
+    cand = step @ rho @ step.conj().swapaxes(-1, -2)
+    cand /= cand.trace(axis1=-2, axis2=-1).real[..., None, None]
+    cand_p = _probs_stack(cand.reshape(-1, 4, 4)).reshape(
+        *cand.shape[:-2], 36)
+    return cand, cand_p, _gains(counts, expected, p, cand_p)
+
+
+def _gains(counts, expected, p, cand_p):
+    """The log-likelihood of probabilities ``cand_p`` less that of ``p``,
+    over the last axis, summed from the differences: a difference of two
+    log-likelihoods of about N log N each loses every gain below their
+    float spacing, and this sum does not."""
+    d = cand_p - p
+    return (counts * np.log1p(d / p) - expected * d).sum(axis=-1)
+
+
+# the step sizes t of the steps S_t = I + t (R - I) that every iteration
+# tries as one stack: t = 1/2 is the step I + R, up to scale, and t = 1
+# Hradil's RrhoR; any real t keeps the candidate S_t rho S_t^H PSD
+_STEPS = np.array([0.5, 1.0, 2.0, 4.0])
+# the dilutions eps of the steps I + eps R tried when no step of _STEPS
+# raises the likelihood: eps = 2^-1, ..., 2^-46, the last power of 2 above
+# 1e-14, each the step t = eps / (1 + eps). A row tries 1/2 alone, then up
+# to 8 at a time as one stack; the cap bounds the stack's memory, as most
+# rows that search try all 46
+_DILUTIONS = np.array([0.5 ** k for k in range(1, 47)])
+_LADDER = [_DILUTIONS[:1]] + [_DILUTIONS[k:k + 8] for k in range(1, 46, 8)]
+
+
+def _dilute(r_op, rho, p, counts, expected, ll):
+    """The step search of the rows of an (n, 4, 4) stack that no step of
+    ``_STEPS`` improves: each row takes the first dilution of `_DILUTIONS`
+    whose gain exceeds 36 float spacings of its log-likelihood ``ll``, the
+    rounding a sum of 36 terms of that size can carry, or the last one when
+    none does. Smaller gains move the state only by rounding, and at
+    unequal exposures steps that gain about one spacing each can go on for
+    the whole ``MAX_ITERATIONS`` budget.
+
+    Every candidate goes through `_candidates`, so each has the bits of the
+    same step tried alone. Returns each row's candidate, its probabilities,
+    its gain, whether the gain exceeds that floor, and its step size t.
+    """
+    least = 36.0 * np.spacing(np.abs(ll))
+    n = len(rho)
+    cand, cand_p = np.empty_like(rho), np.empty((n, 36))
+    gain, eps = np.empty(n), np.empty(n)
+    improved = np.zeros(n, dtype=bool)
+    # positions in the given stack of the rows still searching
+    rows = np.arange(n)
+    for chunk in _LADDER:
+        # (rows, dilutions) stacks: row i's candidate at chunk[j] is [i, j]
+        found = _candidates(
+            _IDENTITY + chunk[:, None, None] * r_op[rows, None],
+            rho[rows, None], p[rows, None], counts[rows, None],
+            expected[rows, None])
+        gains = found[2] > least[rows, None]
+        each = np.arange(len(rows))
+        first = gains.argmax(axis=1)
+        hit = gains[each, first]
+        pick = np.where(hit, first, len(chunk) - 1)
+        cand[rows], cand_p[rows], gain[rows] = (a[each, pick] for a in found)
+        eps[rows], improved[rows] = chunk[pick], hit
+        rows = rows[~hit]
+        if not len(rows):
+            break
+    return cand, cand_p, gain, improved, eps / (1 + eps)
+
+
+def _search(r_op, rho, p, counts, expected, ll):
+    """One iteration's step for each row of an (n, 4, 4) stack of iterates
+    ``rho`` of log-likelihoods ``ll``, from their R operators ``r_op``: the
+    candidate of ``_STEPS`` with the largest gain if it gains, or else the
+    diluted step of `_dilute`.
+
+    The n x 4 candidates of ``_STEPS`` are one stacked `_candidates` call,
+    so a row has the bits of the same search alone. Returns each row's
+    candidate, its probabilities, its gain, whether it improves the row,
+    and its step size t.
+    """
+    cand, cand_p, gains = _candidates(
+        _IDENTITY + _STEPS[:, None, None] * (r_op[:, None] - _IDENTITY),
+        rho[:, None], p[:, None], counts[:, None], expected[:, None])
+    each = np.arange(len(rho))
+    best = gains.argmax(axis=1)
+    cand, cand_p, gain = (a[each, best] for a in (cand, cand_p, gains))
+    t = _STEPS[best]
+    improved = gain > 0
+    searching = np.flatnonzero(~improved)
+    if len(searching):
+        found = _dilute(r_op[searching], rho[searching], p[searching],
+                        counts[searching], expected[searching],
+                        ll[searching])
+        for a, b in zip((cand, cand_p, gain, improved, t), found):
+            a[searching] = b
+    return cand, cand_p, gain, improved, t
+
+
 def _rrr_loop(counts, expected, h_op, total, rho, p, ll, budget,
               final_eps=None, gain=math.inf, history=None):
-    """At most ``budget`` diluted RrhoR steps of one reconstruction, resumed
-    from the iterate ``rho``, its probabilities ``p`` and log-likelihood
-    ``ll``, reached by a step that gained ``gain``.
+    """At most ``budget`` RrhoR steps of one reconstruction, resumed from
+    the iterate ``rho``, its probabilities ``p`` and log-likelihood ``ll``,
+    reached by a step that gained ``gain``; each step is `_search`'s.
 
     The loop stops at the first iterate whose certified gap is below
-    ``CERT_TOL``, or when no diluted step raises the log-likelihood. A gap
-    is computed only once the last accepted step gained less than
-    ``CERT_TOL``; skipping it earlier costs no correctness, as the loop
-    never stops on the certificate without computing it. After ``budget``
-    steps the last iterate converged if its gap is below ``CERT_TOL``.
+    ``CERT_TOL``, when no step raises the log-likelihood, or after
+    ``budget`` steps, and it has converged if the gap of its last iterate
+    is below ``CERT_TOL``. A gap is computed only once the last accepted
+    step gained less than ``CERT_TOL``; skipping it earlier costs no
+    correctness, as the loop never stops on the certificate without
+    computing it.
 
     Each accepted log-likelihood is appended to ``history`` when one is
     given. Returns the finished state, its log-likelihood, whether the loop
-    converged, the number of steps it accepted, the dilution of the last
+    converged, the number of steps it accepted, the step size t of the last
     step it tried (``final_eps`` when it tried none) and the certified gap
     of the last iterate.
     """
-    converged = False
     accepted = 0
     gap = None
     for _ in range(budget):
@@ -266,26 +380,16 @@ def _rrr_loop(counts, expected, h_op, total, rho, p, ll, budget,
         if gain < CERT_TOL:
             gap = float(_gaps(r_op[None], rho[None], total, h_op[None])[0])
             if gap < CERT_TOL:
-                converged = True
                 break
-        # the undiluted step first
-        step = _IDENTITY + r_op
-        cand = step @ rho @ step.conj().T
-        cand /= cand.trace().real
-        cand_p = _probs(cand)
-        cand_ll = float(_loglik(counts, expected, cand_p))
-        final_eps = 1.0
-        if not cand_ll > ll:
-            found = _dilute(r_op[None], rho[None], counts[None],
-                            expected[None], np.array([ll]))
-            cand, cand_p = found[0][0], found[1][0]
-            cand_ll, final_eps = float(found[2][0]), float(found[3][0])
-        if not cand_ll > ll:
-            converged = True  # no improving step exists at machine precision
-            break
-        gain = cand_ll - ll
+        cand, cand_p, step_gain, improved, t = (a[0] for a in _search(
+            r_op[None], rho[None], p[None], counts[None], expected[None],
+            np.array([ll])))
+        final_eps = float(t)
+        if not improved:
+            break  # no step improves the last iterate
         # the accepted candidate's probabilities feed the next R operator
-        rho, p, ll, gap = cand, cand_p, cand_ll, None
+        rho, p, gain, gap = cand, cand_p, float(step_gain), None
+        ll += gain
         accepted += 1
         if history is not None:
             history.append(ll)
@@ -294,8 +398,7 @@ def _rrr_loop(counts, expected, h_op, total, rho, p, ll, budget,
         # on an iterate that the certificate may still accept
         r_op = np.einsum("j,jab->ab", counts / p, _MLE_PROJECTORS) / total
         gap = float(_gaps(r_op[None], rho[None], total, h_op[None])[0])
-        converged = converged or gap < CERT_TOL
-    return _finish(rho), ll, converged, accepted, final_eps, gap
+    return _finish(rho), ll, gap < CERT_TOL, accepted, final_eps, gap
 
 
 def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
@@ -306,20 +409,26 @@ def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
     so the mean success probability per setting is 1/4). That rate is only
     right for the full set, so the records must hold each of the 36
     ``SETTINGS`` exactly once; any other set raises ValueError. The
-    maximizer is found by RrhoR fixed-point iteration with step dilution: a
-    full step is tried first and geometrically damped until the
-    log-likelihood improves, which keeps iterates PSD with unit trace and the
-    likelihood monotone.
+    maximizer is found by RrhoR iteration with a line search: each iteration
+    tries the steps S_t = I + t (R - I) for t in ``_STEPS`` and takes the
+    one that raises the log-likelihood most; when none does, it takes the
+    first diluted step I + eps R (t = eps / (1 + eps)) that raises it by
+    more than its float rounding (`_dilute`). Every candidate
+    S_t rho S_t^H is PSD, so iterates stay physical with unit trace. A
+    step's gain is summed from the changes of the probabilities, which
+    resolves gains far below the float spacing of the log-likelihood, and
+    the log-likelihood reported is that of I/4 plus the gains of the
+    accepted steps, so its history rises with every step.
 
     The iteration stops at the first iterate whose certified gap, an upper
     bound on how far its log-likelihood lies below the maximum, is below
-    ``CERT_TOL``; it also stops, as converged, when no diluted step raises
-    the log-likelihood, and after ``MAX_ITERATIONS`` steps, converged only
-    if the last gap is below ``CERT_TOL``. The gap of the returned state is
-    its ``certified_gap``, whichever stop it took; it can exceed
-    ``CERT_TOL`` on the no-improving-step stop, when the log-likelihood is
-    too large for its float to resolve smaller steps or the exposures
-    differ between settings.
+    ``CERT_TOL``, when no step raises the log-likelihood, or after
+    ``MAX_ITERATIONS`` steps. It has converged exactly when the gap of the
+    returned state, its ``certified_gap``, is below ``CERT_TOL``, whichever
+    stop it took; the gap stays above it when the counts are so large that
+    the last steps gain less than a diluted step can resolve (sigma at 1e9
+    counts per setting), or when the exposures differ between settings.
+    ``final_eps`` is the step size t of the last step tried.
     """
     counts, exposures = _mle_arrays(records)
     n_hat = 4.0 * float(np.mean(counts / exposures))
@@ -341,73 +450,21 @@ def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
                             gap)
 
 
-def _candidates(step, rho, counts, expected):
-    """Each candidate step @ rho @ step^H at unit trace, with its
-    probabilities and log-likelihood, over the leading axes of a stack of
-    steps; ``rho``, ``counts`` and ``expected`` broadcast against them."""
-    cand = step @ rho @ step.conj().swapaxes(-1, -2)
-    cand /= cand.trace(axis1=-2, axis2=-1).real[..., None, None]
-    cand_p = _probs_stack(cand.reshape(-1, 4, 4)).reshape(
-        *cand.shape[:-2], 36)
-    return cand, cand_p, _loglik(counts, expected, cand_p)
-
-
-# the diluted steps tried when the full one does not raise the likelihood:
-# eps = 2^-1, ..., 2^-46, the last power of 2 above 1e-14. A row tries 1/2
-# alone, then up to 8 at a time as one stack; the cap bounds the stack's
-# memory, as most rows that search try all 46
-_DILUTIONS = np.array([0.5 ** k for k in range(1, 47)])
-_LADDER = [_DILUTIONS[:1]] + [_DILUTIONS[k:k + 8] for k in range(1, 46, 8)]
-
-
-def _dilute(r_op, rho, counts, expected, ll):
-    """The step search of the rows of an (n, 4, 4) stack whose full step
-    did not raise the log-likelihood ``ll``: each row takes the first
-    dilution of `_DILUTIONS` whose candidate raises it, or the last one
-    when none does.
-
-    Every candidate goes through `_candidates`, so each has the bits of the
-    same step tried alone. Returns each row's candidate, its probabilities,
-    its log-likelihood and its dilution.
-    """
-    n = len(rho)
-    cand, cand_p = np.empty_like(rho), np.empty((n, 36))
-    cand_ll, eps = np.empty(n), np.empty(n)
-    # positions in the given stack of the rows still searching
-    rows = np.arange(n)
-    for chunk in _LADDER:
-        # (rows, dilutions) stacks: row i's candidate at chunk[j] is [i, j]
-        found = _candidates(
-            _IDENTITY + chunk[:, None, None] * r_op[rows, None],
-            rho[rows, None], counts[rows, None], expected[rows, None])
-        gains = found[2] > ll[rows, None]
-        each = np.arange(len(rows))
-        first = gains.argmax(axis=1)
-        hit = gains[each, first]
-        pick = np.where(hit, first, len(chunk) - 1)
-        cand[rows], cand_p[rows], cand_ll[rows] = (a[each, pick]
-                                                   for a in found)
-        eps[rows] = chunk[pick]
-        rows = rows[~hit]
-        if not len(rows):
-            break
-    return cand, cand_p, cand_ll, eps
-
-
 def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     """`mle_reconstruct`'s iteration on every row of a (B, 36) count array
     at once.
 
     The columns are in the MLE's setting order (sorted ``SETTINGS``), and
     ``exposures`` broadcasts against ``counts``. The rows run as one
-    (B, 4, 4) stack; each row keeps its own dilution, certificate stop and
+    (B, 4, 4) stack, whose B x 4 candidates of an iteration are one
+    stacked evaluation; each row keeps its own step, certificate stop and
     ``MAX_ITERATIONS`` budget, and does the floating-point operations of
     `mle_reconstruct`, so its result has the same bits, certified gap
     included. A row whose certified gap is below ``CERT_TOL`` leaves the
-    stack before its next candidate is built, and a row that no diluted
-    step improves leaves it on its last iterate; the last row left finishes
-    in the one-set loop, which is faster for a single state. Returns per
-    row what `_rrr_loop` returns, with the steps accepted counted from the
+    stack before its next candidates are built, and a row that no step
+    improves leaves it on its last iterate; the last row left finishes in
+    the one-set loop, which is faster for a single state. Returns per row
+    what `_rrr_loop` returns, with the steps accepted counted from the
     start.
     """
     counts = np.ascontiguousarray(counts, dtype=float)
@@ -431,13 +488,15 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     steps = 0
 
     def leave(stops, gaps, accepted):
-        """Record the rows at positions ``stops`` as converged on their
-        current iterates, and take them out of the stack."""
+        """Record the rows at positions ``stops`` as stopped on their
+        current iterates, with certified gaps ``gaps``, and take them out
+        of the stack."""
         nonlocal rows, counts, expected, h_op, total, final_eps, gain, \
             rho, p, ll, r_op
         for i, gap in zip(stops, gaps):
-            results[rows[i]] = (_finish(rho[i]), float(ll[i]), True,
-                                accepted, float(final_eps[i]), float(gap))
+            results[rows[i]] = (_finish(rho[i]), float(ll[i]),
+                                bool(gap < CERT_TOL), accepted,
+                                float(final_eps[i]), float(gap))
         keep = np.ones(len(rows), dtype=bool)
         keep[stops] = False
         rows, counts, expected, h_op, total, final_eps, gain, rho, p, ll, \
@@ -455,31 +514,17 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
                 leave(checked[certified], gaps[certified], steps)
                 if len(rows) < 2:
                     break
-        # the undiluted step first
-        cand, cand_p, cand_ll = _candidates(_IDENTITY + r_op, rho, counts,
-                                            expected)
-        final_eps.fill(1.0)
+        cand, cand_p, gain, improved, final_eps = _search(
+            r_op, rho, p, counts, expected, ll)
         steps += 1
-        improved = cand_ll > ll
         if not improved.all():
-            # the rows without a gain search the diluted steps
-            searching = np.flatnonzero(~improved)
-            found = _dilute(r_op[searching], rho[searching],
-                            counts[searching], expected[searching],
-                            ll[searching])
-            for a, b in zip((cand, cand_p, cand_ll, final_eps), found):
-                a[searching] = b
-            improved = cand_ll > ll
-            if not improved.all():
-                # no diluted step improves these rows' last iterates
-                stops = np.flatnonzero(~improved)
-                cand, cand_p, cand_ll = (cand[improved], cand_p[improved],
-                                         cand_ll[improved])
-                leave(stops, _gaps(r_op[stops], rho[stops], total[stops],
-                                   h_op[stops]), steps - 1)
+            # no step improves these rows' last iterates
+            stops = np.flatnonzero(~improved)
+            cand, cand_p = cand[improved], cand_p[improved]
+            leave(stops, _gaps(r_op[stops], rho[stops], total[stops],
+                               h_op[stops]), steps - 1)
         # the accepted candidates' probabilities feed the next R operators
-        gain = cand_ll - ll
-        rho, p, ll = cand, cand_p, cand_ll
+        rho, p, ll = cand, cand_p, ll + gain
     for i, row in enumerate(rows):
         last_eps = None if steps == 0 else float(final_eps[i])
         # the one-set loop takes a lone row faster than a stack of one, and

@@ -280,6 +280,19 @@ class TestTomo:
         assert "4 of 4 resample reconstructions did not converge" in out.err
         assert "monte_carlo" in json.loads(out.out)
 
+    # counts too large for the last steps to reach the certified gap: the
+    # report says so instead of printing a plausible state as converged
+    @pytest.mark.parametrize("state, n, gap", [("sigma", "1e9", "0.206"),
+                                               ("phi+", "1e12", "3.15")])
+    def test_unconverged_point_estimate_warned(self, capsys, state, n, gap):
+        code, out = run_cli("--seed", "7", "--format", "json", "tomo",
+                            "--state", state, "--n", n, capsys=capsys)
+        assert code == 0
+        assert json.loads(out.out)["converged"] is False
+        assert out.err == ("entclone: warning: the reconstruction did not "
+                           "converge: its certified log-likelihood gap is "
+                           f"{gap}, above 0.1\n")
+
     @pytest.mark.parametrize("resamples", ["1", "-1"])
     def test_resamples_without_error_bars_rejected(self, capsys, resamples):
         # one resample has no spread; the report must not silently drop

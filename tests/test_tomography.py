@@ -20,8 +20,8 @@ SIGMA = ideal_clone_sigma()
 # each stopped by its certified gap
 MLE_GOLDEN_CASES = (("sigma", 2000.0, 21), ("phi+", 1e6, 22),
                     ("mixed", 3e4, 23), ("schmidt:0.4", 30.0, 23))
-# written by `mle_golden_text()` when the certified gap became the stopping
-# rule; any change to the floating-point work shows here
+# written by `mle_golden_text()` through tests/data/regenerate.py; any
+# change to the floating-point work shows here
 MLE_GOLDEN = Path(__file__).parent / "data" / "mle_golden.json"
 
 
@@ -161,25 +161,38 @@ class TestMleReconstruct:
         assert all(a > b for a, b in zip(medians, medians[1:]))
 
     def test_iterations_and_final_eps_reported(self, monkeypatch):
-        # sigma stops on its certified gap after a full step; at 1e6 counts
-        # the log-likelihood, about 1e8, resolves no gain below ~1e-8, and
-        # sigma stops when the most diluted step, eps = 2^-46, does not
-        # improve
+        # sigma stops on its certified gap after a step of t = 1; at 1e9
+        # counts the most diluted step, eps = 2^-46 (t = eps / (1 + eps)),
+        # does not improve before the gap reaches CERT_TOL
         records = tg.sample_counts(SIGMA, 2000, seed=8)
         rec = tg.mle_reconstruct(records)
         assert rec.converged
         assert rec.iterations == len(rec.log_likelihood_history) - 1 > 1
         assert rec.final_eps == 1.0
         assert 0 < rec.certified_gap < tg.CERT_TOL
-        large = tg.mle_reconstruct(tg.sample_counts(SIGMA, 1e6, seed=7))
-        assert large.converged
+        large = tg.mle_reconstruct(tg.sample_counts(SIGMA, 1e9, seed=7))
+        assert not large.converged
         assert large.iterations == len(large.log_likelihood_history) - 1 > 1
-        assert large.final_eps == 2.0 ** -46
-        assert large.certified_gap > 0
+        assert large.final_eps == 2.0 ** -46 / (1 + 2.0 ** -46)
+        assert large.certified_gap > tg.CERT_TOL
         monkeypatch.setattr(tg, "MAX_ITERATIONS", 1)
         one = tg.mle_reconstruct(records)
-        assert (one.converged, one.iterations, one.final_eps) == (False, 1, 1.0)
+        assert (one.converged, one.iterations, one.final_eps) == \
+            (False, 1, 4.0)
         assert one.certified_gap > tg.CERT_TOL
+
+    # at large counts the float log-likelihood cannot tell the last steps'
+    # gains apart, but their gains summed from the probability differences
+    # can; a run is converged only when its certified gap says so
+    @pytest.mark.parametrize("state, n, converged", [
+        ("sigma", 1e6, True), ("mixed", 1e9, True), ("sigma", 1e9, False),
+        ("phi+", 1e12, False)])
+    def test_large_counts_converged_only_when_certified(self, state, n,
+                                                        converged):
+        rho, _ = _named_density(state)
+        rec = tg.mle_reconstruct(tg.sample_counts(rho, n, seed=7))
+        assert rec.converged == converged
+        assert (rec.certified_gap < tg.CERT_TOL) == converged
 
     def test_all_zero_counts_raises(self):
         records = [tg.CountRecord(a, b, 0) for a, b in tg.SETTINGS]
@@ -232,6 +245,79 @@ class TestMleProperties:
         assert shuffled.converged == rec.converged
 
 
+class TestIterationCount:
+    """The number of steps a reconstruction takes, pinned: a change to the
+    step rule that keeps every test of the bits can still cost iterations."""
+
+    def test_sigma_at_4000_counts(self):
+        iterations = [tg.mle_reconstruct(
+            tg.sample_counts(SIGMA, 4000, seed=seed)).iterations
+            for seed in range(20)]
+        assert iterations == [23, 22, 22, 24, 27, 24, 25, 24, 25, 20,
+                              22, 24, 24, 23, 24, 20, 22, 23, 23, 25]
+        assert sum(iterations) == 466
+
+    def test_phi_plus_at_1e5_counts(self):
+        # the data of paper criterion 9
+        rec = tg.mle_reconstruct(tg.sample_counts(PHI_DM, 1e5, seed=3))
+        assert (rec.iterations, rec.converged) == (15, True)
+
+
+class TestLineSearch:
+    """Each step `mle_reconstruct` takes, against its candidates evaluated
+    one at a time."""
+
+    @settings(max_examples=25)
+    @given(counts=st.lists(_SPARSE_COUNT, min_size=36, max_size=36)
+           .filter(any),
+           exposures=st.one_of(
+               st.just([1.0] * 36),
+               st.lists(st.floats(1e-3, 1e3), min_size=36, max_size=36)))
+    def test_each_step_is_the_best_and_raises_the_likelihood(self, counts,
+                                                             exposures):
+        searches = []
+        search = tg._search
+
+        def recording(r_op, rho, p, counts, expected, ll):
+            found = search(r_op, rho, p, counts, expected, ll)
+            searches.append(((r_op, rho, p, counts, expected), found))
+            return found
+
+        records = [tg.CountRecord(a, b, c, e) for (a, b), c, e
+                   in zip(tg.SETTINGS, counts, exposures)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tg, "_search", recording)
+            rec = tg.mle_reconstruct(records)
+        # one search per accepted step, and one more unless the budget or
+        # the certificate stopped the run
+        assert rec.iterations <= len(searches) <= rec.iterations + 1
+        for inputs, found in searches:
+            r_op, rho, p, n, expected = (a[0] for a in inputs)
+            cand, cand_p, gain, improved, t = (a[0] for a in found)
+            gains = []
+            for step_t in tg._STEPS:
+                step = tg._IDENTITY + step_t * (r_op - tg._IDENTITY)
+                one = step @ rho @ step.conj().T
+                one /= one.trace().real
+                gains.append(tg._gains(n, expected, p, tg._probs(one)))
+            if max(gains) > 0:
+                # the best of the stacked steps, with the bits it has alone
+                assert (gain, t) == (max(gains), tg._STEPS[np.argmax(gains)])
+                assert improved
+            else:
+                # no step of the set gains, and the diluted search ran
+                assert t not in tg._STEPS
+            if improved:
+                assert gain > 0
+                # the gain is the rise of the log-likelihood, up to the
+                # rounding of the two sums
+                rise = tg._loglik(n, expected, cand_p) - tg._loglik(
+                    n, expected, p)
+                scale = np.abs(n * np.log(expected * p)).sum() + expected.sum()
+                assert abs(rise - gain) <= 1e-13 * scale
+        assert np.all(np.diff(rec.log_likelihood_history) >= 0)
+
+
 class TestCertificate:
     """The certified gap bounds how far a reconstruction's log-likelihood is
     below the maximum."""
@@ -255,7 +341,7 @@ class TestCertificate:
     @pytest.mark.xfail(strict=True, reason=(
         "the RrhoR operator is the likelihood's gradient only when the "
         "exposure-weighted projectors sum to a multiple of I; at unequal "
-        "exposures the loop stops as converged with a gap of ~2e4"))
+        "exposures the loop stops, not converged, with a gap of ~2e4"))
     def test_unequal_exposures_certified(self):
         rng = np.random.default_rng(12)
         for _ in range(3):
@@ -430,10 +516,10 @@ class TestMleBatch:
 
     @pytest.mark.parametrize("budget", [0, 1, 5, 110, 180])
     def test_small_iteration_budget(self, monkeypatch, budget):
-        # these sigma rows certify after 101 to 128 steps: at 110 steps some
-        # have and some have not, and at 180 all have
+        # these schmidt:0.4 rows certify after 77 to 151 steps: at 110 steps
+        # some have and some have not, and at 180 all have
         monkeypatch.setattr(tg, "MAX_ITERATIONS", budget)
-        rows = _resampled_rows("sigma", 2000.0, 1, 10)
+        rows = _resampled_rows("schmidt:0.4", 5000.0, 2, 10)
         results = assert_rows_match_one_set(rows, np.ones(36))
         converged = sum(r[2] for r in results)
         assert all((r[5] < tg.CERT_TOL) == r[2] for r in results)
@@ -455,18 +541,22 @@ class TestMleBatch:
 
 
 def reference_mle(counts, exposures, gain_tol=None):
-    """Test-only copy of the RrhoR loop as it ran before its dilutions were
-    stacked: one candidate at a time, the step halved until the
-    log-likelihood rises or the dilution falls to 1e-14.
+    """Test-only copy of the RrhoR loop with one candidate at a time: the
+    steps I + t (R - I) for t = 1/2, 1, 2 and 4 in turn, the one with the
+    largest gain taken if it gains; else the steps I + eps R with eps halved
+    from 1/2 until one gains more than 36 float spacings of the
+    log-likelihood or eps reaches 2^-46. A gain is the change of
+    the log-likelihood summed from the probability differences, and the
+    log-likelihood is the start value plus the gains.
 
     It stops as the library does: at the first iterate reached by a gain
-    below ``tg.CERT_TOL`` whose certified gap is below it, or when no
-    dilution improves. Given ``gain_tol``, it stops instead on the rule the
-    certificate replaced, after the first step that gains less than
-    ``gain_tol``. Takes one row of counts and exposures in the MLE's setting
-    order and returns the state, log-likelihood, history, converged flag,
-    accepted steps, last dilution tried, certified gap of the last iterate
-    and the dilution of each accepted step.
+    below ``tg.CERT_TOL`` whose certified gap is below it, or when no step
+    gains. Given ``gain_tol``, it stops instead on the rule the certificate
+    replaced, after the first step that gains less than ``gain_tol``. Takes
+    one row of counts and exposures in the MLE's setting order and returns
+    the state, log-likelihood, history, converged flag, accepted steps, the
+    step size t of the last step tried, certified gap of the last iterate
+    and the step size t of each accepted step.
     """
     counts = np.asarray(counts, dtype=float)
     exposures = np.asarray(exposures, dtype=float)
@@ -477,45 +567,48 @@ def reference_mle(counts, exposures, gain_tol=None):
     rho = tg._IDENTITY / 4.0
     p = tg._probs(rho)
     ll = float(tg._loglik(counts, expected, p))
-    history, accepted_eps = [ll], []
-    converged, final_eps, gain = False, None, np.inf
+    history, accepted_t = [ll], []
+    final_t, gain = None, np.inf
 
     def gap_and_r_op():
         r_op = np.einsum("j,jab->ab", counts / p, tg._MLE_PROJECTORS) / total
         return float(tg._gaps(r_op[None], rho[None], total,
                               h_op[None])[0]), r_op
 
+    def candidate(step):
+        cand = step @ rho @ step.conj().T
+        cand /= cand.trace().real
+        cand_p = tg._probs(cand)
+        d = cand_p - p
+        return cand, cand_p, float(np.sum(counts * np.log1p(d / p)
+                                          - expected * d))
+
     for _ in range(tg.MAX_ITERATIONS):
         gap, r_op = gap_and_r_op()
         if gain_tol is None and gain < tg.CERT_TOL and gap < tg.CERT_TOL:
-            converged = True
             break
-        step, eps = tg._IDENTITY + r_op, 1.0
-        while True:
-            cand = step @ rho @ step.conj().T
-            cand /= cand.trace().real
-            cand_p = tg._probs(cand)
-            cand_ll = float(tg._loglik(counts, expected, cand_p))
-            final_eps = eps
-            eps *= 0.5
-            if cand_ll > ll or eps <= 1e-14:
-                break
-            step = tg._IDENTITY + eps * r_op
-        if not cand_ll > ll:
-            converged = True
+        best = None
+        for t in (0.5, 1.0, 2.0, 4.0):
+            found = candidate(tg._IDENTITY + t * (r_op - tg._IDENTITY))
+            if best is None or found[2] > best[2]:
+                best, final_t = found, t
+        # a diluted step must gain more than 36 float spacings of ll
+        least, eps = (0.0 if best[2] > 0 else
+                      36.0 * float(np.spacing(abs(ll)))), 0.5
+        while not best[2] > least and eps >= 2.0 ** -46:
+            best = candidate(tg._IDENTITY + eps * r_op)
+            final_t, eps = eps / (1 + eps), eps * 0.5
+        cand, cand_p, gain = best
+        if not gain > least:
             break
-        gain = cand_ll - ll
-        rho, p, ll = cand, cand_p, cand_ll
+        rho, p, ll = cand, cand_p, ll + gain
         history.append(ll)
-        accepted_eps.append(final_eps)
+        accepted_t.append(final_t)
         if gain_tol is not None and gain < gain_tol:
-            converged = True
             break
     gap = gap_and_r_op()[0]
-    # a budget that runs out on a certified iterate has converged
-    converged = converged or gap < tg.CERT_TOL
-    return (tg._finish(rho), ll, history, converged, len(history) - 1,
-            final_eps, gap, accepted_eps)
+    return (tg._finish(rho), ll, history, gap < tg.CERT_TOL, len(history) - 1,
+            final_t, gap, accepted_t)
 
 
 def assert_match_reference(counts, exposures):
@@ -545,38 +638,60 @@ def _point_rows(cases):
         for state, n, seed in cases])
 
 
+def _unequal_exposure_rows(cases):
+    """Counts and exposures of each (state, counts per setting, seed) data
+    set taken at exposures drawn from [0.3, 3], in the MLE's setting
+    order."""
+    order = tg._mle_order([tg.CountRecord(a, b, 0) for a, b in tg.SETTINGS])
+    counts, exposures = [], []
+    for state, n, seed in cases:
+        rho, _ = _named_density(state)
+        rng = np.random.default_rng(seed)
+        e = rng.uniform(0.3, 3.0, 36)
+        counts.append([rng.poisson(n * x * tg.born_probability(rho, a, b))
+                       for (a, b), x in zip(tg.SETTINGS, e)])
+        exposures.append(e)
+    return (np.array(counts, dtype=float)[:, order],
+            np.array(exposures)[:, order])
+
+
 class TestDilutionLadder:
     """The stacked step search against the one-candidate-at-a-time loop."""
 
     def test_ladder_runs_out(self):
         # no dilution down to 2^-46 raises the likelihood of the last
-        # iterate: at 1e6 counts per setting the log-likelihood, about 1e8,
-        # resolves no smaller gain
-        rows = _point_rows([("sigma", 1e6, 7)] * 2)
+        # iterate by more than its rounding: at 1e9 counts per setting the
+        # log-likelihood, about 7e11, resolves no gain below ~4e-3, and the
+        # gap stays above CERT_TOL
+        rows = _point_rows([("sigma", 1e9, 7)] * 2)
         for ref in assert_match_reference(rows, np.ones(36)):
-            assert ref[3] and ref[5] == 2.0 ** -46
+            assert not ref[3] and ref[5] == 2.0 ** -46 / (1 + 2.0 ** -46)
+            assert ref[6] > tg.CERT_TOL
 
     # the first, a middle and the last dilution of the second stacked chunk;
-    # the certificate stops equal-exposure runs before such steps, except
-    # at counts too large for the log-likelihood to resolve its tolerance
+    # at equal exposures a step of tg._STEPS gains whenever any step does,
+    # so these hits come from data taken at unequal exposures
     @pytest.mark.parametrize("case, eps", [
-        (("mixed", 1e7, 32), 2.0 ** -10), (("sigma", 2e6, 32), 2.0 ** -16),
-        (("sigma", 1e9, 37), 2.0 ** -17)])
+        (("sigma", 1e3, 6), 2.0 ** -10), (("sigma", 1e5, 17), 2.0 ** -16),
+        (("schmidt:0.4", 1e5, 3), 2.0 ** -17)])
     def test_hit_in_second_chunk(self, case, eps):
         # twin rows stay in the stack to the end, so the hit is in the batch
-        rows = _point_rows([case, case, ("phi+", 1e6, 22)])
-        ref = assert_match_reference(rows, np.ones(36))[0]
-        assert eps in ref[7]
+        rows, exposures = _unequal_exposure_rows([case, case,
+                                                  ("phi+", 1e3, 11)])
+        ref = assert_match_reference(rows, exposures)[0]
+        assert eps / (1 + eps) in ref[7]
 
     def test_rows_stopping_in_one_iteration(self):
         # uniform counts give I/4 back, which no step improves: these rows
-        # run the whole ladder together in the first iteration and stop
+        # run the whole ladder together in the first iteration and stop,
+        # certified at the maximum
         uniform = np.array([[1.0], [100.0], [12345.0]]) * np.ones(36)
         rows = np.concatenate(
             [uniform, _point_rows([("sigma", 2000.0, 21)] * 2)])
         refs = assert_match_reference(rows, np.ones(36))
         assert [ref[4] for ref in refs[:3]] == [0, 0, 0]
-        assert all(ref[3] and ref[5] == 2.0 ** -46 for ref in refs[:3])
+        assert all(ref[3] and ref[5] == 2.0 ** -46 / (1 + 2.0 ** -46)
+                   for ref in refs[:3])
 
     @settings(max_examples=25)
     @given(rows=st.lists(st.lists(_SPARSE_COUNT, min_size=36, max_size=36)
@@ -657,7 +772,10 @@ class TestCountRecord:
         with pytest.raises(ValueError):
             tg.CountRecord("H", "H", 5, exposure=0.0)
 
-    @pytest.mark.parametrize("exposure", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("exposure", [
+        float("nan"), float("inf"),
+        # too large for a float: math.isfinite raised OverflowError
+        pytest.param(10**400, id="10**400")])
     def test_non_finite_exposure_rejected(self, exposure):
         # a NaN exposure would reach the MLE and come back as a converged
         # reconstruction of plausible fidelity
