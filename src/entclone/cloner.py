@@ -72,7 +72,15 @@ class InputSpec:
         if name in table:
             return InputSpec(table[name])
         if name.startswith("schmidt:"):
-            return InputSpec("schmidt", theta=float(name.split(":", 1)[1]))
+            angle = name.split(":", 1)[1]
+            try:
+                theta = float(angle)
+            except ValueError:
+                theta = math.nan
+            if not math.isfinite(theta):
+                raise ValueError("schmidt angle must be a finite number of "
+                                 f"radians, got {angle!r}")
+            return InputSpec("schmidt", theta=theta)
         raise ValueError(f"unknown input state {name!r}")
 
 

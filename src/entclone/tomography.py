@@ -19,10 +19,13 @@ lambda_max(G) - Tr(G rho) (Glancy, Knill & Girard, NJP 14, 095017 (2012)).
 The iteration stops at the first iterate whose gap is below ``CERT_TOL`` and
 reports the gap of the state it returns as ``certified_gap``.
 
-Every stochastic operation takes an explicit integer seed; Monte Carlo
-resamples draw their streams from ``numpy.random.SeedSequence.spawn``, and
-are reconstructed together in one batched pass with the bits of one-at-a-time
-reconstruction, so the results are reproducible for a seed.
+One loop, `_mle_batch`, runs every reconstruction on a stack of data sets:
+a point estimate is a stack of one, and the Monte Carlo resamples are
+reconstructed together as one stack. A row's results have the same bits in
+any stack. Every stochastic operation takes an explicit integer seed, and
+Monte Carlo resamples draw their streams from
+``numpy.random.SeedSequence.spawn``, so the results are reproducible for a
+seed.
 """
 
 from __future__ import annotations
@@ -235,18 +238,17 @@ def _finish(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _gaps(r_op, rho, total, h_op):
+def _gaps(g, rho):
     """The certified gap of each iterate of an (n, 4, 4) stack ``rho``,
-    from its R operator ``r_op``, its count total and ``h_op``, the sum of
-    the projectors weighted by their expected counts.
+    from the log-likelihood's gradient ``g`` at it.
 
-    The log-likelihood's gradient at rho is G = total * r_op - h_op, and
-    the log-likelihood is concave, so no state's log-likelihood exceeds
-    rho's by more than lambda_max(G) - Tr(G rho), at any exposures. Each gap has the bits of
-    the same iterate alone, so a batched row stops where its lone
-    reconstruction does.
+    The gradient at rho is G = total * R - H, from the count total, the
+    R operator and H, the sum of the projectors weighted by their expected
+    counts. The log-likelihood is concave, so no state's log-likelihood
+    exceeds rho's by more than lambda_max(G) - Tr(G rho), at any exposures.
+    Each gap has the bits of the same iterate in any other stack, so a row
+    stops where it would alone.
     """
-    g = total * r_op - h_op
     return (np.linalg.eigvalsh(g)[:, -1]
             - np.einsum("nab,nba->n", g, rho).real)
 
@@ -343,7 +345,7 @@ def _search(r_op, rho, p, counts, expected, ll):
     cand, cand_p, gain = (a[each, best] for a in (cand, cand_p, gains))
     t = _STEPS[best]
     improved = gain > 0
-    searching = np.flatnonzero(~improved)
+    searching = (~improved).nonzero()[0]
     if len(searching):
         found = _dilute(r_op[searching], rho[searching], p[searching],
                         counts[searching], expected[searching],
@@ -351,54 +353,6 @@ def _search(r_op, rho, p, counts, expected, ll):
         for a, b in zip((cand, cand_p, gain, improved, t), found):
             a[searching] = b
     return cand, cand_p, gain, improved, t
-
-
-def _rrr_loop(counts, expected, h_op, total, rho, p, ll, budget,
-              final_eps=None, gain=math.inf, history=None):
-    """At most ``budget`` RrhoR steps of one reconstruction, resumed from
-    the iterate ``rho``, its probabilities ``p`` and log-likelihood ``ll``,
-    reached by a step that gained ``gain``; each step is `_search`'s.
-
-    The loop stops at the first iterate whose certified gap is below
-    ``CERT_TOL``, when no step raises the log-likelihood, or after
-    ``budget`` steps, and it has converged if the gap of its last iterate
-    is below ``CERT_TOL``. A gap is computed only once the last accepted
-    step gained less than ``CERT_TOL``; skipping it earlier costs no
-    correctness, as the loop never stops on the certificate without
-    computing it.
-
-    Each accepted log-likelihood is appended to ``history`` when one is
-    given. Returns the finished state, its log-likelihood, whether the loop
-    converged, the number of steps it accepted, the step size t of the last
-    step it tried (``final_eps`` when it tried none) and the certified gap
-    of the last iterate.
-    """
-    accepted = 0
-    gap = None
-    for _ in range(budget):
-        r_op = np.einsum("j,jab->ab", counts / p, _MLE_PROJECTORS) / total
-        if gain < CERT_TOL:
-            gap = float(_gaps(r_op[None], rho[None], total, h_op[None])[0])
-            if gap < CERT_TOL:
-                break
-        cand, cand_p, step_gain, improved, t = (a[0] for a in _search(
-            r_op[None], rho[None], p[None], counts[None], expected[None],
-            np.array([ll])))
-        final_eps = float(t)
-        if not improved:
-            break  # no step improves the last iterate
-        # the accepted candidate's probabilities feed the next R operator
-        rho, p, gain, gap = cand, cand_p, float(step_gain), None
-        ll += gain
-        accepted += 1
-        if history is not None:
-            history.append(ll)
-    if gap is None:
-        # the loop stopped on no gain after a large one, or ran out of budget
-        # on an iterate that the certificate may still accept
-        r_op = np.einsum("j,jab->ab", counts / p, _MLE_PROJECTORS) / total
-        gap = float(_gaps(r_op[None], rho[None], total, h_op[None])[0])
-    return _finish(rho), ll, gap < CERT_TOL, accepted, final_eps, gap
 
 
 def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
@@ -428,22 +382,12 @@ def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
     stop it took; the gap stays above it when the counts are so large that
     the last steps gain less than a diluted step can resolve (sigma at 1e9
     counts per setting), or when the exposures differ between settings.
-    ``final_eps`` is the step size t of the last step tried.
+    ``final_eps`` is the step size t of the last step tried. The iteration
+    is `_mle_batch`'s, on a stack of this one data set.
     """
     counts, exposures = _mle_arrays(records)
-    n_hat = 4.0 * float(np.mean(counts / exposures))
-    # loop invariants, hoisted with the same operands and operation order
-    expected = n_hat * exposures
-    # the constant part of the log-likelihood's gradient, for the gap
-    h_op = np.einsum("j,jab->ab", expected, _MLE_PROJECTORS)
-    total = max(counts.sum(), 1.0)
-    rho = _IDENTITY / 4.0
-    p = _probs(rho)
-    ll = float(_loglik(counts, expected, p))
-    history = [ll]
-    rho, ll, converged, iterations, final_eps, gap = _rrr_loop(
-        counts, expected, h_op, total, rho, p, ll, MAX_ITERATIONS,
-        history=history)
+    rho, ll, converged, iterations, final_eps, gap, history = _mle_batch(
+        counts[None], exposures)[0]
     return TomographyRecord(list(records),
                             DensityMatrix(rho, ("a", "b")),
                             ll, converged, history, iterations, final_eps,
@@ -451,21 +395,28 @@ def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
 
 
 def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
-    """`mle_reconstruct`'s iteration on every row of a (B, 36) count array
-    at once.
+    """The iteration of `mle_reconstruct` on every row of a (B, 36) count
+    array at once: the only MLE loop, which a single data set runs as a
+    stack of one row.
 
     The columns are in the MLE's setting order (sorted ``SETTINGS``), and
     ``exposures`` broadcasts against ``counts``. The rows run as one
     (B, 4, 4) stack, whose B x 4 candidates of an iteration are one
-    stacked evaluation; each row keeps its own step, certificate stop and
-    ``MAX_ITERATIONS`` budget, and does the floating-point operations of
-    `mle_reconstruct`, so its result has the same bits, certified gap
-    included. A row whose certified gap is below ``CERT_TOL`` leaves the
-    stack before its next candidates are built, and a row that no step
-    improves leaves it on its last iterate; the last row left finishes in
-    the one-set loop, which is faster for a single state. Returns per row
-    what `_rrr_loop` returns, with the steps accepted counted from the
-    start.
+    stacked evaluation (`_search`); each row keeps its own step,
+    certificate stop and ``MAX_ITERATIONS`` budget, and a row's results
+    have the same bits in any stack. A gap is computed only once a row's
+    last accepted step gained less than ``CERT_TOL``; skipping it earlier
+    costs no correctness, as no row stops on the certificate without
+    computing it. A row leaves the stack on the first iterate whose
+    certified gap is below ``CERT_TOL``, on the last iterate when no step
+    improves it, and on the iterate it reached when the budget runs out;
+    it has converged if the gap of that iterate is below ``CERT_TOL``.
+
+    Returns per row the finished state, its log-likelihood, whether it
+    converged, the number of steps it accepted, the step size t of the last
+    step it tried (None when it tried none), the certified gap of its last
+    iterate and its log-likelihood history: that of I/4, then that of each
+    accepted step.
     """
     counts = np.ascontiguousarray(counts, dtype=float)
     exposures = np.ascontiguousarray(
@@ -474,12 +425,15 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     budget = MAX_ITERATIONS
     n_hat = 4.0 * np.mean(counts / exposures, axis=1)
     expected = n_hat[:, None] * exposures
+    # the constant part of the log-likelihood's gradient, for the gap
     h_op = np.einsum("nj,jab->nab", expected, _MLE_PROJECTORS)
     total = np.maximum(counts.sum(axis=1), 1.0)[:, None, None]
     rho = np.repeat((_IDENTITY / 4.0)[None], n_rows, axis=0)
     p = np.repeat(_probs(_IDENTITY / 4.0)[None], n_rows, axis=0)
     ll = _loglik(counts, expected, p)
-    final_eps = np.empty(n_rows)
+    history = [[value] for value in ll.tolist()]
+    # each row's step size t of its last search, NaN before the first
+    final_eps = np.full(n_rows, math.nan)
     # each row's gain on its last accepted step, infinite before the first
     gain = np.full(n_rows, math.inf)
     # positions in the caller's array of the rows still in the stack
@@ -492,49 +446,47 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
         current iterates, with certified gaps ``gaps``, and take them out
         of the stack."""
         nonlocal rows, counts, expected, h_op, total, final_eps, gain, \
-            rho, p, ll, r_op
+            rho, p, ll, r_op, g
         for i, gap in zip(stops, gaps):
+            t = float(final_eps[i])
             results[rows[i]] = (_finish(rho[i]), float(ll[i]),
                                 bool(gap < CERT_TOL), accepted,
-                                float(final_eps[i]), float(gap))
+                                None if math.isnan(t) else t, float(gap),
+                                history[rows[i]])
         keep = np.ones(len(rows), dtype=bool)
         keep[stops] = False
         rows, counts, expected, h_op, total, final_eps, gain, rho, p, ll, \
-            r_op = (a[keep] for a in (rows, counts, expected, h_op, total,
-                                      final_eps, gain, rho, p, ll, r_op))
+            r_op, g = (a[keep] for a in (rows, counts, expected, h_op, total,
+                                         final_eps, gain, rho, p, ll, r_op, g))
 
-    while len(rows) > 1 and steps < budget:
+    while len(rows):
         r_op = np.einsum("nj,jab->nab", counts / p, _MLE_PROJECTORS) / total
-        checked = np.flatnonzero(gain < CERT_TOL)
+        # the log-likelihood's gradient at each iterate, for the gaps
+        g = total * r_op - h_op
+        if steps == budget:
+            # out of budget: every row left stops on its last iterate
+            leave(np.arange(len(rows)), _gaps(g, rho), steps)
+            break
+        checked = (gain < CERT_TOL).nonzero()[0]
         if len(checked):
-            gaps = _gaps(r_op[checked], rho[checked], total[checked],
-                         h_op[checked])
-            certified = gaps < CERT_TOL
-            if certified.any():
+            gaps = _gaps(g[checked], rho[checked])
+            certified = (gaps < CERT_TOL).nonzero()[0]
+            if len(certified):
                 leave(checked[certified], gaps[certified], steps)
-                if len(rows) < 2:
+                if not len(rows):
                     break
         cand, cand_p, gain, improved, final_eps = _search(
             r_op, rho, p, counts, expected, ll)
         steps += 1
-        if not improved.all():
-            # no step improves these rows' last iterates
-            stops = np.flatnonzero(~improved)
+        # the rows whose last iterates no step improves
+        stops = (~improved).nonzero()[0]
+        if len(stops):
             cand, cand_p = cand[improved], cand_p[improved]
-            leave(stops, _gaps(r_op[stops], rho[stops], total[stops],
-                               h_op[stops]), steps - 1)
+            leave(stops, _gaps(g[stops], rho[stops]), steps - 1)
         # the accepted candidates' probabilities feed the next R operators
         rho, p, ll = cand, cand_p, ll + gain
-    for i, row in enumerate(rows):
-        last_eps = None if steps == 0 else float(final_eps[i])
-        # the one-set loop takes a lone row faster than a stack of one, and
-        # with no budget left it only finishes the iterate and its gap
-        left = budget - steps if len(rows) == 1 else 0
-        rho_i, ll_i, converged, accepted, last_eps, gap = _rrr_loop(
-            counts[i], expected[i], h_op[i], total[i, 0, 0], rho[i], p[i],
-            float(ll[i]), left, last_eps, float(gain[i]))
-        results[row] = (rho_i, ll_i, converged, steps + accepted, last_eps,
-                        gap)
+        for row, value in zip(rows.tolist(), ll.tolist()):
+            history[row].append(value)
     return results
 
 
@@ -640,8 +592,14 @@ def counts_from_csv(path) -> list[CountRecord]:
                 raise ValueError(
                     f"counts CSV line {reader.line_num}: count must be a "
                     f"non-negative integer, got {row['count']!r}") from None
+            try:
+                exposure = float(row["exposure"])
+            except ValueError:
+                raise ValueError(
+                    f"counts CSV line {reader.line_num}: exposure must be a "
+                    f"number, got {row['exposure']!r}") from None
             records.append(CountRecord(row["setting_a"], row["setting_b"],
-                                       count, float(row["exposure"])))
+                                       count, exposure))
         return records
 
 
@@ -657,13 +615,18 @@ def matrix_from_json_dict(d: dict) -> DensityMatrix:
     if not isinstance(d, dict):
         raise ValueError("matrix JSON must be an object with 'labels' and "
                          f"'matrix', got {type(d).__name__}")
+    labels = d.get("labels")
+    if not (isinstance(labels, list)
+            and all(isinstance(label, str) for label in labels)):
+        raise ValueError(
+            f"matrix JSON labels must be a list of strings, got {labels!r}")
     try:
-        mat = np.array([[complex(re, im) for re, im in row]
-                        for row in d["matrix"]])
-    except TypeError:
+        # unpacking an entry of another length raises ValueError
+        entries = [[complex(re, im) for re, im in row] for row in d["matrix"]]
+    except (TypeError, ValueError):
         raise ValueError(
             "matrix JSON entries must be [re, im] pairs of numbers") from None
-    return DensityMatrix(mat, tuple(d["labels"]))
+    return DensityMatrix(np.array(entries), tuple(labels))
 
 
 def matrix_to_json(rho: DensityMatrix, path) -> None:

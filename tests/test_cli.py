@@ -214,6 +214,10 @@ class TestTomo:
         ({"labels": ["a", "b"], "matrix": np.eye(4).tolist()},
          "entries must be [re, im] pairs"),
         ([[1, 0], [0, 0]], "must be an object"),
+        ({"labels": 5, "matrix": [[[1, 0]]]},
+         "labels must be a list of strings"),
+        ({"labels": ["a", "b"], "matrix": [[[0.25]] * 4] * 4},
+         "entries must be [re, im] pairs"),
     ])
     def test_bad_matrix_file_rejected(self, tmp_path, capsys, payload,
                                       problem):
@@ -250,8 +254,8 @@ class TestTomo:
         assert json.loads(out.out)["state"] == "mixed"
 
     def test_one_reconstruction_per_resample(self, capsys, monkeypatch):
-        # the point estimate alone, then the resamples as the rows of one
-        # batch: 1 + B reconstructions of 36 settings each
+        # the point estimate as a batch of one row, then the resamples as
+        # the rows of one batch: 1 + B reconstructions of 36 settings each
         points, batches = [], []
         real, real_batch = tg.mle_reconstruct, tg._mle_batch
 
@@ -269,7 +273,7 @@ class TestTomo:
                           "mixed", "--n", "500", "--resamples", "5",
                           capsys=capsys)
         assert code == 0
-        assert points == [36] and batches == [(5, 36)]
+        assert points == [36] and batches == [(1, 36), (5, 36)]
 
     def test_nonconverged_resamples_reported(self, capsys, monkeypatch):
         monkeypatch.setattr(tg, "MAX_ITERATIONS", 1)

@@ -368,6 +368,14 @@ class TestInputSpec:
         with pytest.raises(ValueError):
             InputSpec.from_name("werner")
 
+    # inf failed on math.cos as "math domain error", nan on the norm check
+    # as "non-finite amplitude" and an empty angle in float()
+    @pytest.mark.parametrize("angle", ["inf", "-inf", "nan", "", "x"])
+    def test_schmidt_angle_not_finite_raises(self, angle):
+        with pytest.raises(ValueError, match="schmidt angle must be a finite "
+                           f"number of radians, got '{angle}'"):
+            InputSpec.from_name(f"schmidt:{angle}")
+
     def test_custom_must_be_normalized(self):
         with pytest.raises(ValueError):
             InputSpec("custom", amplitudes=(1, 1, 0, 0)).state()

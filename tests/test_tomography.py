@@ -463,13 +463,13 @@ def _resampled_rows(state, n, seed, size):
 
 def assert_rows_match_one_set(counts, exposures):
     """Every row of `_mle_batch` has the bits of its own `mle_reconstruct`:
-    state, log-likelihood, converged flag, iterations, last dilution and
-    certified gap."""
+    state, log-likelihood, converged flag, iterations, last dilution,
+    certified gap and log-likelihood history."""
     results = tg._mle_batch(counts, exposures)
     assert len(results) == len(counts)
     exposures = np.broadcast_to(exposures, np.shape(counts))
     for row, row_exposures, result in zip(counts, exposures, results):
-        rho, ll, converged, iterations, final_eps, gap = result
+        rho, ll, converged, iterations, final_eps, gap, history = result
         one = tg.mle_reconstruct([
             tg.CountRecord(a, b, int(c), float(e)) for (a, b), c, e
             in zip(sorted(tg.SETTINGS), row, row_exposures)])
@@ -479,6 +479,7 @@ def assert_rows_match_one_set(counts, exposures):
         assert iterations == one.iterations
         assert final_eps == one.final_eps
         assert gap == one.certified_gap
+        assert history == one.log_likelihood_history
     return results
 
 
@@ -572,8 +573,8 @@ def reference_mle(counts, exposures, gain_tol=None):
 
     def gap_and_r_op():
         r_op = np.einsum("j,jab->ab", counts / p, tg._MLE_PROJECTORS) / total
-        return float(tg._gaps(r_op[None], rho[None], total,
-                              h_op[None])[0]), r_op
+        return float(tg._gaps((total * r_op - h_op)[None],
+                              rho[None])[0]), r_op
 
     def candidate(step):
         cand = step @ rho @ step.conj().T
@@ -626,7 +627,7 @@ def assert_match_reference(counts, exposures):
                 one.certified_gap) == ref[1:7]
     for (rho, *fields), ref in zip(tg._mle_batch(counts, exposures), refs):
         assert np.array_equal(rho, ref[0])
-        assert tuple(fields) == (ref[1], *ref[3:7])
+        assert tuple(fields) == (ref[1], *ref[3:7], ref[2])
     return refs
 
 
@@ -727,6 +728,16 @@ class TestInterchange:
                         f"H,H,3,1.0\nH,V,{count},1.0\n")
         with pytest.raises(ValueError, match="line 3: count must be a "
                            "non-negative integer"):
+            tg.counts_from_csv(path)
+
+    # float() raised its own error, naming no line
+    @pytest.mark.parametrize("exposure", ["abc", ""])
+    def test_csv_exposure_not_a_number_rejected(self, tmp_path, exposure):
+        path = tmp_path / "bad.csv"
+        path.write_text("setting_a,setting_b,count,exposure\n"
+                        f"H,H,3,1.0\nH,V,5,{exposure}\n")
+        with pytest.raises(ValueError, match="line 3: exposure must be a "
+                           "number"):
             tg.counts_from_csv(path)
 
     def test_csv_header_checked(self, tmp_path):
