@@ -52,8 +52,15 @@ def _named_density(name: str) -> tuple[DensityMatrix, str]:
         spec = InputSpec.from_name(name)
     except ValueError:
         if os.path.exists(name):
-            return tomography.matrix_from_json(name), name
-        raise CliError(f"unknown state {name!r} and no such file")
+            rho = tomography.matrix_from_json(name)
+            if rho.num_qubits != 2:
+                raise CliError(f"matrix JSON {name!r} holds a "
+                               f"{rho.num_qubits}-qubit state, not a "
+                               "two-qubit one") from None
+            return rho, name
+        if name.strip().startswith("schmidt:"):
+            raise  # names the bad angle
+        raise CliError(f"unknown state {name!r} and no such file") from None
     return spec.state(("a", "b")).to_density(), name
 
 

@@ -6,11 +6,10 @@ a line search over the step size, and Monte Carlo error bars from Poisson
 resampling.
 
 Each iteration tries the steps S_t = I + t (R - I) for t = 1/2, 1, 2 and 4
-(t = 1 is Hradil's RrhoR; Rehacek, Hradil, Knill & Lvovsky, PRA 75, 042108
-(2007) dilute it towards t = 0) as one stacked evaluation and takes the
-candidate S_t rho S_t^H / Tr that gains the most log-likelihood; only when
-none gains does it search the diluted steps I + eps R, t = eps / (1 + eps).
-Any real t gives a PSD candidate, as the step is a congruence.
+(t = 1 is Hradil's RrhoR) as one stacked evaluation and takes the candidate
+S_t rho S_t^H / Tr that gains the most log-likelihood; when none gains, the
+reconstruction stops on its current iterate. Any real t gives a PSD
+candidate, as the step is a congruence.
 
 A reconstruction stops on a certificate, not on a small step: the
 log-likelihood is concave in the state, so its gradient G at the iterate rho
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .qmath import DensityMatrix
+from .qmath import EIG_CLAMP, DensityMatrix
 
 PROJECTOR_LETTERS = ("H", "V", "D", "A", "L", "R")
 
@@ -114,11 +113,11 @@ class TomographyRecord:
     log_likelihood: float
     converged: bool
     log_likelihood_history: list[float] = field(default_factory=list)
-    # accepted RrhoR steps, the step size t of the last step tried (None
-    # when none was) and the certified gap of the returned state, an upper
-    # bound on how far its log-likelihood is below the maximum (a record
-    # built without a reconstruction certifies nothing); diagnostics only,
-    # no report prints them
+    # accepted RrhoR steps, the step size t of the last step tried (1/2, 1,
+    # 2 or 4; None when none was) and the certified gap of the returned
+    # state, an upper bound on how far its log-likelihood is below the
+    # maximum (a record built without a reconstruction certifies nothing);
+    # diagnostics only, no report prints them
     iterations: int = 0
     final_eps: float | None = None
     certified_gap: float = math.inf
@@ -210,11 +209,8 @@ def _probs(rho: np.ndarray) -> np.ndarray:
 
 def _probs_stack(stack: np.ndarray) -> np.ndarray:
     """`_probs` of each state of an (n, 4, 4) stack, as a C-ordered (n, 36)
-    array with the bits `_probs` gives each state alone."""
-    if len(stack) <= 2:
-        # one state needs the 2-D form for its bits, and two take 14 us that
-        # way against 27 us in the stacked einsum (numpy 2.4)
-        return np.array([_probs(rho) for rho in stack])
+    array with the bits `_probs` gives each state alone when n >= 2 (a
+    stack of one sums in another order; `_search` passes 4 or more)."""
     # this operand layout sums each probability in the order of `_probs`;
     # the einsum writes a Fortran-ordered result, and a row sum over a
     # Fortran-ordered array would add the terms in another order
@@ -276,83 +272,44 @@ def _gains(counts, expected, p, cand_p):
 
 # the step sizes t of the steps S_t = I + t (R - I) that every iteration
 # tries as one stack: t = 1/2 is the step I + R, up to scale, and t = 1
-# Hradil's RrhoR; any real t keeps the candidate S_t rho S_t^H PSD
+# Hradil's RrhoR; in exact arithmetic any real t keeps the candidate
+# S_t rho S_t^H PSD
 _STEPS = np.array([0.5, 1.0, 2.0, 4.0])
-# the dilutions eps of the steps I + eps R tried when no step of _STEPS
-# raises the likelihood: eps = 2^-1, ..., 2^-46, the last power of 2 above
-# 1e-14, each the step t = eps / (1 + eps). A row tries 1/2 alone, then up
-# to 8 at a time as one stack; the cap bounds the stack's memory, as most
-# rows that search try all 46
-_DILUTIONS = np.array([0.5 ** k for k in range(1, 47)])
-_LADDER = [_DILUTIONS[:1]] + [_DILUTIONS[k:k + 8] for k in range(1, 46, 8)]
 
 
-def _dilute(r_op, rho, p, counts, expected, ll):
-    """The step search of the rows of an (n, 4, 4) stack that no step of
-    ``_STEPS`` improves: each row takes the first dilution of `_DILUTIONS`
-    whose gain exceeds 36 float spacings of its log-likelihood ``ll``, the
-    rounding a sum of 36 terms of that size can carry, or the last one when
-    none does. Smaller gains move the state only by rounding, and at
-    unequal exposures steps that gain about one spacing each can go on for
-    the whole ``MAX_ITERATIONS`` budget.
-
-    Every candidate goes through `_candidates`, so each has the bits of the
-    same step tried alone. Returns each row's candidate, its probabilities,
-    its gain, whether the gain exceeds that floor, and its step size t.
-    """
-    least = 36.0 * np.spacing(np.abs(ll))
-    n = len(rho)
-    cand, cand_p = np.empty_like(rho), np.empty((n, 36))
-    gain, eps = np.empty(n), np.empty(n)
-    improved = np.zeros(n, dtype=bool)
-    # positions in the given stack of the rows still searching
-    rows = np.arange(n)
-    for chunk in _LADDER:
-        # (rows, dilutions) stacks: row i's candidate at chunk[j] is [i, j]
-        found = _candidates(
-            _IDENTITY + chunk[:, None, None] * r_op[rows, None],
-            rho[rows, None], p[rows, None], counts[rows, None],
-            expected[rows, None])
-        gains = found[2] > least[rows, None]
-        each = np.arange(len(rows))
-        first = gains.argmax(axis=1)
-        hit = gains[each, first]
-        pick = np.where(hit, first, len(chunk) - 1)
-        cand[rows], cand_p[rows], gain[rows] = (a[each, pick] for a in found)
-        eps[rows], improved[rows] = chunk[pick], hit
-        rows = rows[~hit]
-        if not len(rows):
-            break
-    return cand, cand_p, gain, improved, eps / (1 + eps)
-
-
-def _search(r_op, rho, p, counts, expected, ll):
+def _search(r_op, rho, p, counts, expected):
     """One iteration's step for each row of an (n, 4, 4) stack of iterates
-    ``rho`` of log-likelihoods ``ll``, from their R operators ``r_op``: the
-    candidate of ``_STEPS`` with the largest gain if it gains, or else the
-    diluted step of `_dilute`.
+    ``rho``, from their R operators ``r_op``: the candidate of ``_STEPS``
+    with the largest gain, which improves the row if it gains at all; a
+    candidate of t = 4 only if it is a state.
 
-    The n x 4 candidates of ``_STEPS`` are one stacked `_candidates` call,
-    so a row has the bits of the same search alone. Returns each row's
-    candidate, its probabilities, its gain, whether it improves the row,
-    and its step size t.
+    Tr(R rho) = 1, so Tr(S_t rho) = 1 and the trace that normalizes a
+    candidate is at least 1. A negative eigenvalue of the iterate, ~-1e-17
+    from rounding where the maximizer lies on the boundary, therefore grows
+    by at most (1 - t)^2 on a direction met only by settings without
+    counts, where R is 0: not at all for t <= 2, but 9-fold for t = 4, and
+    the likelihood rewards it, as it lowers those settings' probabilities.
+    Unchecked, it reached -6.6e-5 in 25 steps on counts in five settings.
+    A row whose t = 4 candidate is best but has an eigenvalue below
+    ``-EIG_CLAMP`` takes the best of the other steps.
+
+    The n x 4 candidates are one stacked `_candidates` call, so a row has
+    the bits of the same search alone. Returns each row's candidate, its
+    probabilities, its gain, whether it improves the row, and its step
+    size t.
     """
     cand, cand_p, gains = _candidates(
         _IDENTITY + _STEPS[:, None, None] * (r_op[:, None] - _IDENTITY),
         rho[:, None], p[:, None], counts[:, None], expected[:, None])
     each = np.arange(len(rho))
     best = gains.argmax(axis=1)
+    # the rows whose best step is t = 4, the last of _STEPS
+    wide = (best == 3).nonzero()[0]
+    if len(wide):
+        wide = wide[np.linalg.eigvalsh(cand[wide, 3])[:, 0] < -EIG_CLAMP]
+        best[wide] = gains[wide, :3].argmax(axis=1)
     cand, cand_p, gain = (a[each, best] for a in (cand, cand_p, gains))
-    t = _STEPS[best]
-    improved = gain > 0
-    searching = (~improved).nonzero()[0]
-    if len(searching):
-        found = _dilute(r_op[searching], rho[searching], p[searching],
-                        counts[searching], expected[searching],
-                        ll[searching])
-        for a, b in zip((cand, cand_p, gain, improved, t), found):
-            a[searching] = b
-    return cand, cand_p, gain, improved, t
+    return cand, cand_p, gain, gain > 0, _STEPS[best]
 
 
 def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
@@ -365,25 +322,24 @@ def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
     ``SETTINGS`` exactly once; any other set raises ValueError. The
     maximizer is found by RrhoR iteration with a line search: each iteration
     tries the steps S_t = I + t (R - I) for t in ``_STEPS`` and takes the
-    one that raises the log-likelihood most; when none does, it takes the
-    first diluted step I + eps R (t = eps / (1 + eps)) that raises it by
-    more than its float rounding (`_dilute`). Every candidate
-    S_t rho S_t^H is PSD, so iterates stay physical with unit trace. A
-    step's gain is summed from the changes of the probabilities, which
-    resolves gains far below the float spacing of the log-likelihood, and
-    the log-likelihood reported is that of I/4 plus the gains of the
-    accepted steps, so its history rises with every step.
+    one that raises the log-likelihood most. Every candidate S_t rho S_t^H
+    is PSD, so iterates stay physical with unit trace. A step's gain is
+    summed from the changes of the probabilities, which resolves gains far
+    below the float spacing of the log-likelihood, and the log-likelihood
+    reported is that of I/4 plus the gains of the accepted steps, so its
+    history rises with every step.
 
     The iteration stops at the first iterate whose certified gap, an upper
     bound on how far its log-likelihood lies below the maximum, is below
-    ``CERT_TOL``, when no step raises the log-likelihood, or after
-    ``MAX_ITERATIONS`` steps. It has converged exactly when the gap of the
-    returned state, its ``certified_gap``, is below ``CERT_TOL``, whichever
-    stop it took; the gap stays above it when the counts are so large that
-    the last steps gain less than a diluted step can resolve (sigma at 1e9
-    counts per setting), or when the exposures differ between settings.
-    ``final_eps`` is the step size t of the last step tried. The iteration
-    is `_mle_batch`'s, on a stack of this one data set.
+    ``CERT_TOL``, when no step of ``_STEPS`` raises the log-likelihood, or
+    after ``MAX_ITERATIONS`` steps. It has converged exactly when the gap of
+    the returned state, its ``certified_gap``, is below ``CERT_TOL``,
+    whichever stop it took; the gap stays above it when the counts are so
+    large that no step gains any more before the gap gets there (sigma at
+    1e9 counts per setting), or when the exposures differ between
+    settings. ``final_eps`` is the step size t of the last step tried, one
+    of ``_STEPS``. The iteration is `_mle_batch`'s, on a stack of this one
+    data set.
     """
     counts, exposures = _mle_arrays(records)
     rho, ll, converged, iterations, final_eps, gap, history = _mle_batch(
@@ -476,7 +432,7 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
                 if not len(rows):
                     break
         cand, cand_p, gain, improved, final_eps = _search(
-            r_op, rho, p, counts, expected, ll)
+            r_op, rho, p, counts, expected)
         steps += 1
         # the rows whose last iterates no step improves
         stops = (~improved).nonzero()[0]
@@ -620,12 +576,17 @@ def matrix_from_json_dict(d: dict) -> DensityMatrix:
             and all(isinstance(label, str) for label in labels)):
         raise ValueError(
             f"matrix JSON labels must be a list of strings, got {labels!r}")
+    if "matrix" not in d:
+        raise ValueError("matrix JSON has no 'matrix'")
     try:
         # unpacking an entry of another length raises ValueError
         entries = [[complex(re, im) for re, im in row] for row in d["matrix"]]
     except (TypeError, ValueError):
         raise ValueError(
             "matrix JSON entries must be [re, im] pairs of numbers") from None
+    if any(len(row) != len(entries) for row in entries):
+        raise ValueError("matrix JSON must hold a square matrix, got rows "
+                         f"of lengths {[len(row) for row in entries]}")
     return DensityMatrix(np.array(entries), tuple(labels))
 
 

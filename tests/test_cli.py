@@ -218,6 +218,13 @@ class TestTomo:
          "labels must be a list of strings"),
         ({"labels": ["a", "b"], "matrix": [[[0.25]] * 4] * 4},
          "entries must be [re, im] pairs"),
+        # a bare KeyError, numpy's "inhomogeneous shape" and
+        # born_probability's message before
+        ({"labels": ["a", "b"]}, "has no 'matrix'"),
+        ({"labels": ["a", "b"], "matrix": [[[1, 0]] * 4] * 3 + [[[0, 0]]]},
+         "must hold a square matrix, got rows of lengths [4, 4, 4, 1]"),
+        ({"labels": ["a"], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+         "holds a 1-qubit state, not a two-qubit one"),
     ])
     def test_bad_matrix_file_rejected(self, tmp_path, capsys, payload,
                                       problem):
@@ -229,6 +236,22 @@ class TestTomo:
         assert out.out == ""
         assert out.err.startswith("entclone: error: matrix JSON")
         assert problem in out.err
+
+    # a bad schmidt angle is named as clone names it, and not taken for a
+    # file name ("unknown state 'schmidt:inf' and no such file" before)
+    @pytest.mark.parametrize("state, problem", [
+        ("schmidt:inf", "schmidt angle must be a finite number of radians, "
+                        "got 'inf'"),
+        ("schmidt:", "schmidt angle must be a finite number of radians, "
+                     "got ''"),
+        ("werner", "unknown state 'werner' and no such file"),
+    ])
+    def test_bad_state_name_rejected(self, capsys, state, problem):
+        code, out = run_cli("tomo", "--state", state, "--n", "500",
+                            capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err == f"entclone: error: {problem}\n"
 
     def test_csv_format_rejected(self, capsys):
         code, _ = run_cli("--format", "csv", "tomo", "--state", "sigma",

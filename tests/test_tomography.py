@@ -9,7 +9,7 @@ from conftest import random_density
 from entclone import metrics, tomography as tg
 from entclone.cli import _named_density
 from entclone.cloner import ideal_clone_sigma
-from entclone.qmath import DensityMatrix, bell_state
+from entclone.qmath import EIG_CLAMP, DensityMatrix, bell_state
 
 PHI_DM = bell_state("phi+").to_density()
 SIGMA = ideal_clone_sigma()
@@ -162,8 +162,8 @@ class TestMleReconstruct:
 
     def test_iterations_and_final_eps_reported(self, monkeypatch):
         # sigma stops on its certified gap after a step of t = 1; at 1e9
-        # counts the most diluted step, eps = 2^-46 (t = eps / (1 + eps)),
-        # does not improve before the gap reaches CERT_TOL
+        # counts no step of tg._STEPS improves before the gap reaches
+        # CERT_TOL
         records = tg.sample_counts(SIGMA, 2000, seed=8)
         rec = tg.mle_reconstruct(records)
         assert rec.converged
@@ -173,7 +173,7 @@ class TestMleReconstruct:
         large = tg.mle_reconstruct(tg.sample_counts(SIGMA, 1e9, seed=7))
         assert not large.converged
         assert large.iterations == len(large.log_likelihood_history) - 1 > 1
-        assert large.final_eps == 2.0 ** -46 / (1 + 2.0 ** -46)
+        assert large.final_eps in tg._STEPS
         assert large.certified_gap > tg.CERT_TOL
         monkeypatch.setattr(tg, "MAX_ITERATIONS", 1)
         one = tg.mle_reconstruct(records)
@@ -193,6 +193,18 @@ class TestMleReconstruct:
         rec = tg.mle_reconstruct(tg.sample_counts(rho, n, seed=7))
         assert rec.converged == converged
         assert (rec.certified_gap < tg.CERT_TOL) == converged
+
+    # counts in a few settings only put the maximizer on the boundary; steps
+    # of t = 4 taken without the state check grew the iterate's rounding
+    # eigenvalue to -6.6e-5 and -2.4e-7, and mle_reconstruct raised
+    # "min eigenvalue ... below -1e-9" (found by TestLineSearch)
+    @pytest.mark.parametrize("nonzero", [
+        {31: 5, 32: 5, 33: 1282, 34: 168175, 35: 194939},
+        {8: 470987, 19: 506, 23: 72, 33: 255540}])
+    def test_boundary_iterates_stay_states(self, nonzero):
+        rec = tg.mle_reconstruct([tg.CountRecord(a, b, nonzero.get(k, 0))
+                                  for k, (a, b) in enumerate(tg.SETTINGS)])
+        assert rec.converged and rec.certified_gap < tg.CERT_TOL
 
     def test_all_zero_counts_raises(self):
         records = [tg.CountRecord(a, b, 0) for a, b in tg.SETTINGS]
@@ -263,6 +275,48 @@ class TestIterationCount:
         assert (rec.iterations, rec.converged) == (15, True)
 
 
+def _searched(records):
+    """`mle_reconstruct` of ``records``, and the inputs and results of each
+    `tg._search` call it made."""
+    searches = []
+    search = tg._search
+
+    def recording(*inputs):
+        found = search(*inputs)
+        searches.append((inputs, found))
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tg, "_search", recording)
+        return tg.mle_reconstruct(records), searches
+
+
+def _one_candidate(step, rho, p, counts, expected):
+    """The candidate step @ rho @ step^H of one iterate at unit trace, its
+    probabilities and its gain, evaluated alone."""
+    cand = step @ rho @ step.conj().T
+    cand /= cand.trace().real
+    cand_p = tg._probs(cand)
+    d = cand_p - p
+    return cand, cand_p, float(np.sum(counts * np.log1p(d / p)
+                                      - expected * d))
+
+
+def _best_step(r_op, rho, p, counts, expected):
+    """The step `tg._search` takes from one iterate, its candidates
+    evaluated one at a time: the candidate of tg._STEPS with the largest
+    gain, or the best of the others when that is t = 4 and has an
+    eigenvalue below -EIG_CLAMP. Returns the candidate, its probabilities,
+    its gain and its step size t."""
+    found = [_one_candidate(tg._IDENTITY + t * (r_op - tg._IDENTITY), rho,
+                            p, counts, expected) for t in tg._STEPS]
+    gains = [gain for *_, gain in found]
+    k = int(np.argmax(gains))
+    if k == 3 and np.linalg.eigvalsh(found[k][0])[0] < -EIG_CLAMP:
+        k = int(np.argmax(gains[:3]))
+    return (*found[k], tg._STEPS[k])
+
+
 class TestLineSearch:
     """Each step `mle_reconstruct` takes, against its candidates evaluated
     one at a time."""
@@ -275,40 +329,20 @@ class TestLineSearch:
                st.lists(st.floats(1e-3, 1e3), min_size=36, max_size=36)))
     def test_each_step_is_the_best_and_raises_the_likelihood(self, counts,
                                                              exposures):
-        searches = []
-        search = tg._search
-
-        def recording(r_op, rho, p, counts, expected, ll):
-            found = search(r_op, rho, p, counts, expected, ll)
-            searches.append(((r_op, rho, p, counts, expected), found))
-            return found
-
-        records = [tg.CountRecord(a, b, c, e) for (a, b), c, e
-                   in zip(tg.SETTINGS, counts, exposures)]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tg, "_search", recording)
-            rec = tg.mle_reconstruct(records)
+        rec, searches = _searched([
+            tg.CountRecord(a, b, c, e) for (a, b), c, e
+            in zip(tg.SETTINGS, counts, exposures)])
         # one search per accepted step, and one more unless the budget or
         # the certificate stopped the run
         assert rec.iterations <= len(searches) <= rec.iterations + 1
         for inputs, found in searches:
             r_op, rho, p, n, expected = (a[0] for a in inputs)
             cand, cand_p, gain, improved, t = (a[0] for a in found)
-            gains = []
-            for step_t in tg._STEPS:
-                step = tg._IDENTITY + step_t * (r_op - tg._IDENTITY)
-                one = step @ rho @ step.conj().T
-                one /= one.trace().real
-                gains.append(tg._gains(n, expected, p, tg._probs(one)))
-            if max(gains) > 0:
-                # the best of the stacked steps, with the bits it has alone
-                assert (gain, t) == (max(gains), tg._STEPS[np.argmax(gains)])
-                assert improved
-            else:
-                # no step of the set gains, and the diluted search ran
-                assert t not in tg._STEPS
+            # the best of the stacked steps, with the bits it has alone,
+            # which improves the iterate exactly when it gains
+            assert (gain, t) == _best_step(r_op, rho, p, n, expected)[2:]
+            assert improved == (gain > 0)
             if improved:
-                assert gain > 0
                 # the gain is the rise of the log-likelihood, up to the
                 # rounding of the two sums
                 rise = tg._loglik(n, expected, cand_p) - tg._loglik(
@@ -544,11 +578,10 @@ class TestMleBatch:
 def reference_mle(counts, exposures, gain_tol=None):
     """Test-only copy of the RrhoR loop with one candidate at a time: the
     steps I + t (R - I) for t = 1/2, 1, 2 and 4 in turn, the one with the
-    largest gain taken if it gains; else the steps I + eps R with eps halved
-    from 1/2 until one gains more than 36 float spacings of the
-    log-likelihood or eps reaches 2^-46. A gain is the change of
-    the log-likelihood summed from the probability differences, and the
-    log-likelihood is the start value plus the gains.
+    largest gain among those that are states taken if it gains
+    (`_best_step`). A gain is the change of the log-likelihood summed from
+    the probability differences, and the log-likelihood is the start value
+    plus the gains.
 
     It stops as the library does: at the first iterate reached by a gain
     below ``tg.CERT_TOL`` whose certified gap is below it, or when no step
@@ -556,8 +589,8 @@ def reference_mle(counts, exposures, gain_tol=None):
     replaced, after the first step that gains less than ``gain_tol``. Takes
     one row of counts and exposures in the MLE's setting order and returns
     the state, log-likelihood, history, converged flag, accepted steps, the
-    step size t of the last step tried, certified gap of the last iterate
-    and the step size t of each accepted step.
+    step size t of the last step tried and the certified gap of the last
+    iterate.
     """
     counts = np.asarray(counts, dtype=float)
     exposures = np.asarray(exposures, dtype=float)
@@ -568,7 +601,7 @@ def reference_mle(counts, exposures, gain_tol=None):
     rho = tg._IDENTITY / 4.0
     p = tg._probs(rho)
     ll = float(tg._loglik(counts, expected, p))
-    history, accepted_t = [ll], []
+    history = [ll]
     final_t, gain = None, np.inf
 
     def gap_and_r_op():
@@ -576,40 +609,21 @@ def reference_mle(counts, exposures, gain_tol=None):
         return float(tg._gaps((total * r_op - h_op)[None],
                               rho[None])[0]), r_op
 
-    def candidate(step):
-        cand = step @ rho @ step.conj().T
-        cand /= cand.trace().real
-        cand_p = tg._probs(cand)
-        d = cand_p - p
-        return cand, cand_p, float(np.sum(counts * np.log1p(d / p)
-                                          - expected * d))
-
     for _ in range(tg.MAX_ITERATIONS):
         gap, r_op = gap_and_r_op()
         if gain_tol is None and gain < tg.CERT_TOL and gap < tg.CERT_TOL:
             break
-        best = None
-        for t in (0.5, 1.0, 2.0, 4.0):
-            found = candidate(tg._IDENTITY + t * (r_op - tg._IDENTITY))
-            if best is None or found[2] > best[2]:
-                best, final_t = found, t
-        # a diluted step must gain more than 36 float spacings of ll
-        least, eps = (0.0 if best[2] > 0 else
-                      36.0 * float(np.spacing(abs(ll)))), 0.5
-        while not best[2] > least and eps >= 2.0 ** -46:
-            best = candidate(tg._IDENTITY + eps * r_op)
-            final_t, eps = eps / (1 + eps), eps * 0.5
-        cand, cand_p, gain = best
-        if not gain > least:
+        cand, cand_p, gain, final_t = _best_step(r_op, rho, p, counts,
+                                                 expected)
+        if not gain > 0:
             break
         rho, p, ll = cand, cand_p, ll + gain
         history.append(ll)
-        accepted_t.append(final_t)
         if gain_tol is not None and gain < gain_tol:
             break
     gap = gap_and_r_op()[0]
     return (tg._finish(rho), ll, history, gap < tg.CERT_TOL, len(history) - 1,
-            final_t, gap, accepted_t)
+            final_t, gap)
 
 
 def assert_match_reference(counts, exposures):
@@ -624,10 +638,10 @@ def assert_match_reference(counts, exposures):
         assert np.array_equal(one.rho_hat.matrix, ref[0])
         assert (one.log_likelihood, one.log_likelihood_history,
                 one.converged, one.iterations, one.final_eps,
-                one.certified_gap) == ref[1:7]
+                one.certified_gap) == ref[1:]
     for (rho, *fields), ref in zip(tg._mle_batch(counts, exposures), refs):
         assert np.array_equal(rho, ref[0])
-        assert tuple(fields) == (ref[1], *ref[3:7], ref[2])
+        assert tuple(fields) == (ref[1], *ref[3:], ref[2])
     return refs
 
 
@@ -639,60 +653,51 @@ def _point_rows(cases):
         for state, n, seed in cases])
 
 
-def _unequal_exposure_rows(cases):
-    """Counts and exposures of each (state, counts per setting, seed) data
-    set taken at exposures drawn from [0.3, 3], in the MLE's setting
-    order."""
-    order = tg._mle_order([tg.CountRecord(a, b, 0) for a, b in tg.SETTINGS])
-    counts, exposures = [], []
-    for state, n, seed in cases:
-        rho, _ = _named_density(state)
-        rng = np.random.default_rng(seed)
-        e = rng.uniform(0.3, 3.0, 36)
-        counts.append([rng.poisson(n * x * tg.born_probability(rho, a, b))
-                       for (a, b), x in zip(tg.SETTINGS, e)])
-        exposures.append(e)
-    return (np.array(counts, dtype=float)[:, order],
-            np.array(exposures)[:, order])
+# counts that give I/4 back, which no step improves
+UNIFORM_ROWS = np.array([[1.0], [100.0], [12345.0]]) * np.ones(36)
 
 
 class TestDilutionLadder:
-    """The stacked step search against the one-candidate-at-a-time loop."""
+    """The stop where no step gains, against the one-candidate-at-a-time
+    loop and against the diluted steps I + eps R of the rule of Rehacek,
+    Hradil, Knill & Lvovsky (PRA 75, 042108 (2007))."""
 
     def test_ladder_runs_out(self):
-        # no dilution down to 2^-46 raises the likelihood of the last
-        # iterate by more than its rounding: at 1e9 counts per setting the
-        # log-likelihood, about 7e11, resolves no gain below ~4e-3, and the
-        # gap stays above CERT_TOL
+        # no step of tg._STEPS raises the likelihood of the last iterate: at
+        # 1e9 counts per setting the gap stays above CERT_TOL
         rows = _point_rows([("sigma", 1e9, 7)] * 2)
         for ref in assert_match_reference(rows, np.ones(36)):
-            assert not ref[3] and ref[5] == 2.0 ** -46 / (1 + 2.0 ** -46)
+            assert not ref[3] and ref[5] in tg._STEPS
             assert ref[6] > tg.CERT_TOL
 
-    # the first, a middle and the last dilution of the second stacked chunk;
-    # at equal exposures a step of tg._STEPS gains whenever any step does,
-    # so these hits come from data taken at unequal exposures
-    @pytest.mark.parametrize("case, eps", [
-        (("sigma", 1e3, 6), 2.0 ** -10), (("sigma", 1e5, 17), 2.0 ** -16),
-        (("schmidt:0.4", 1e5, 3), 2.0 ** -17)])
-    def test_hit_in_second_chunk(self, case, eps):
-        # twin rows stay in the stack to the end, so the hit is in the batch
-        rows, exposures = _unequal_exposure_rows([case, case,
-                                                  ("phi+", 1e3, 11)])
-        ref = assert_match_reference(rows, exposures)[0]
-        assert eps / (1 + eps) in ref[7]
-
     def test_rows_stopping_in_one_iteration(self):
-        # uniform counts give I/4 back, which no step improves: these rows
-        # run the whole ladder together in the first iteration and stop,
-        # certified at the maximum
-        uniform = np.array([[1.0], [100.0], [12345.0]]) * np.ones(36)
+        # the uniform rows stop together in the first iteration, certified
+        # at the maximum
         rows = np.concatenate(
-            [uniform, _point_rows([("sigma", 2000.0, 21)] * 2)])
+            [UNIFORM_ROWS, _point_rows([("sigma", 2000.0, 21)] * 2)])
         refs = assert_match_reference(rows, np.ones(36))
         assert [ref[4] for ref in refs[:3]] == [0, 0, 0]
-        assert all(ref[3] and ref[5] == 2.0 ** -46 / (1 + 2.0 ** -46)
-                   for ref in refs[:3])
+        assert all(ref[3] and ref[5] in tg._STEPS for ref in refs[:3])
+
+    def test_no_diluted_step_gains_at_the_stop(self):
+        # where no step of tg._STEPS gains, none of the steps I + eps R,
+        # eps = 2^-1 ... 2^-46, gains more than 36 float spacings of the
+        # log-likelihood, the rounding a sum of 36 terms of its size
+        # carries, so the reconstruction stops where they would have
+        rows = np.concatenate(
+            [_point_rows([("sigma", 1e9, 7), ("phi+", 1e12, 7)]),
+             UNIFORM_ROWS])
+        for row in rows:
+            rec, searches = _searched([tg.CountRecord(a, b, int(c)) for
+                                       (a, b), c in zip(sorted(tg.SETTINGS),
+                                                        row)])
+            inputs, found = searches[-1]
+            assert not found[3][0]
+            r_op, rho, p, n, expected = (a[0] for a in inputs)
+            least = 36.0 * np.spacing(abs(rec.log_likelihood))
+            for k in range(1, 47):
+                assert _one_candidate(tg._IDENTITY + 0.5 ** k * r_op,
+                                      rho, p, n, expected)[2] <= least
 
     @settings(max_examples=25)
     @given(rows=st.lists(st.lists(_SPARSE_COUNT, min_size=36, max_size=36)
