@@ -155,8 +155,7 @@ def run_ideal(config: NetworkConfig) -> CloneOutcome:
     if weight == 0.0:
         raise ConsistencyError("post-selection kept no weight")
     rho = np.outer(vec, np.conj(vec)) / weight
-    labels = ("1'", "2'", "3'", "4", "5'", "6")
-    full = DensityMatrix(rho, labels)
+    full = DensityMatrix(rho, _ALL_OUTPUT_ARMS)
     return CloneOutcome(full.partial_trace(LOCAL_PAIR),
                         full.partial_trace(DISTANT_PAIR),
                         weight)
@@ -293,8 +292,7 @@ def fidelity_sweep(input_spec: InputSpec, r_grid, overlap_sq: float,
     Returns a list of (R, F_local, F_distant, success_weight), fidelities
     measured against the pure input state. The input state and its
     distinguishability branches are built once; the points run serially.
-    ``workers`` must be at least 1 but starts no process: a point costs a
-    few milliseconds, and a process pool measured slower than this loop.
+    ``workers`` must be at least 1 but starts no process.
     """
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")

@@ -33,7 +33,7 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,15 +112,14 @@ class TomographyRecord:
     rho_hat: DensityMatrix
     log_likelihood: float
     converged: bool
-    log_likelihood_history: list[float] = field(default_factory=list)
+    log_likelihood_history: list[float]
     # accepted RrhoR steps, the step size t of the last step tried (1/2, 1,
     # 2 or 4; None when none was) and the certified gap of the returned
     # state, an upper bound on how far its log-likelihood is below the
-    # maximum (a record built without a reconstruction certifies nothing);
-    # diagnostics only, no report prints them
-    iterations: int = 0
-    final_eps: float | None = None
-    certified_gap: float = math.inf
+    # maximum; diagnostics only, no report prints them
+    iterations: int
+    final_eps: float | None
+    certified_gap: float
 
 
 def setting_projector(setting_a: str, setting_b: str) -> np.ndarray:
@@ -151,7 +150,8 @@ def born_probability(rho, setting_a: str, setting_b: str) -> float:
 
 def sample_counts(rho, n_per_setting: float, seed: int,
                   exposure: float = 1.0) -> list[CountRecord]:
-    """Poisson counts for all 36 settings; deterministic given the seed."""
+    """Poisson counts for all 36 settings, drawn in one call in ``SETTINGS``
+    order; deterministic given the seed."""
     if not (math.isfinite(n_per_setting) and n_per_setting > 0):
         raise ValueError(
             f"n_per_setting must be finite and positive, got {n_per_setting}")
@@ -162,12 +162,11 @@ def sample_counts(rho, n_per_setting: float, seed: int,
         raise ValueError(
             f"n_per_setting * exposure must be at most {MAX_MEAN_COUNT:g}, "
             f"got {n_per_setting} * {exposure}")
-    rng = np.random.default_rng(seed)
-    records = []
-    for a, b in SETTINGS:
-        mu = n_per_setting * exposure * born_probability(rho, a, b)
-        records.append(CountRecord(a, b, int(rng.poisson(mu)), exposure))
-    return records
+    mus = [n_per_setting * exposure * born_probability(rho, a, b)
+           for a, b in SETTINGS]
+    drawn = np.random.default_rng(seed).poisson(mus).tolist()
+    return [CountRecord(a, b, n, exposure)
+            for (a, b), n in zip(SETTINGS, drawn)]
 
 
 def _require_each_setting_once(records: list[CountRecord]) -> None:
@@ -342,12 +341,11 @@ def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
     data set.
     """
     counts, exposures = _mle_arrays(records)
-    rho, ll, converged, iterations, final_eps, gap, history = _mle_batch(
+    rho, history, converged, final_eps, gap = _mle_batch(
         counts[None], exposures)[0]
-    return TomographyRecord(list(records),
-                            DensityMatrix(rho, ("a", "b")),
-                            ll, converged, history, iterations, final_eps,
-                            gap)
+    return TomographyRecord(list(records), DensityMatrix(rho, ("a", "b")),
+                            history[-1], converged, history,
+                            len(history) - 1, final_eps, gap)
 
 
 def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
@@ -368,11 +366,11 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     improves it, and on the iterate it reached when the budget runs out;
     it has converged if the gap of that iterate is below ``CERT_TOL``.
 
-    Returns per row the finished state, its log-likelihood, whether it
-    converged, the number of steps it accepted, the step size t of the last
-    step it tried (None when it tried none), the certified gap of its last
-    iterate and its log-likelihood history: that of I/4, then that of each
-    accepted step.
+    Returns per row the finished state, its log-likelihood history (that
+    of I/4, then that of each accepted step, so the last entry is the
+    state's), whether it converged, the step size t of the last step it
+    tried (None when it tried none) and the certified gap of its last
+    iterate.
     """
     counts = np.ascontiguousarray(counts, dtype=float)
     exposures = np.ascontiguousarray(
@@ -397,7 +395,7 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     results = [None] * n_rows
     steps = 0
 
-    def leave(stops, gaps, accepted):
+    def leave(stops, gaps):
         """Record the rows at positions ``stops`` as stopped on their
         current iterates, with certified gaps ``gaps``, and take them out
         of the stack."""
@@ -405,10 +403,9 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
             rho, p, ll, r_op, g
         for i, gap in zip(stops, gaps):
             t = float(final_eps[i])
-            results[rows[i]] = (_finish(rho[i]), float(ll[i]),
-                                bool(gap < CERT_TOL), accepted,
-                                None if math.isnan(t) else t, float(gap),
-                                history[rows[i]])
+            results[rows[i]] = (_finish(rho[i]), history[rows[i]],
+                                bool(gap < CERT_TOL),
+                                None if math.isnan(t) else t, float(gap))
         keep = np.ones(len(rows), dtype=bool)
         keep[stops] = False
         rows, counts, expected, h_op, total, final_eps, gain, rho, p, ll, \
@@ -421,14 +418,14 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
         g = total * r_op - h_op
         if steps == budget:
             # out of budget: every row left stops on its last iterate
-            leave(np.arange(len(rows)), _gaps(g, rho), steps)
+            leave(np.arange(len(rows)), _gaps(g, rho))
             break
         checked = (gain < CERT_TOL).nonzero()[0]
         if len(checked):
             gaps = _gaps(g[checked], rho[checked])
             certified = (gaps < CERT_TOL).nonzero()[0]
             if len(certified):
-                leave(checked[certified], gaps[certified], steps)
+                leave(checked[certified], gaps[certified])
                 if not len(rows):
                     break
         cand, cand_p, gain, improved, final_eps = _search(
@@ -438,7 +435,7 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
         stops = (~improved).nonzero()[0]
         if len(stops):
             cand, cand_p = cand[improved], cand_p[improved]
-            leave(stops, _gaps(g[stops], rho[stops]), steps - 1)
+            leave(stops, _gaps(g[stops], rho[stops]))
         # the accepted candidates' probabilities feed the next R operators
         rho, p, ll = cand, cand_p, ll + gain
         for row, value in zip(rows.tolist(), ll.tolist()):
@@ -477,26 +474,25 @@ def monte_carlo_statistics(point: TomographyRecord, n_resamples: int,
     reconstruct each resample once, and summarize every statistic of
     `_STATISTICS` over the resamples, in its key order.
 
-    Resample k draws from child k of
-    ``SeedSequence(seed).spawn(n_resamples)``, and all resamples are
-    reconstructed in one batched pass whose every reconstruction has the
-    bits `mle_reconstruct` gives it, so the result is deterministic given
-    the seed. 'trace_distance' and 'uhlmann_fidelity' compare each resample
-    with ``point.rho_hat``.
+    Resample k draws its 36 counts in one call, in record order, from
+    child k of ``SeedSequence(seed).spawn(n_resamples)``, and all resamples
+    are reconstructed in one batched pass whose every reconstruction has
+    the bits `mle_reconstruct` gives it, so the result is deterministic
+    given the seed. 'trace_distance' and 'uhlmann_fidelity' compare each
+    resample with ``point.rho_hat``.
     """
     if n_resamples < 2:
         raise ValueError("need at least 2 resamples")
     # mle_reconstruct has checked that these hold each setting once
     records = point.records
-    resamples = []
-    for child in np.random.SeedSequence(seed).spawn(n_resamples):
-        rng = np.random.default_rng(child)
-        drawn = [int(rng.poisson(r.count)) for r in records]
-        if not any(drawn):
-            raise ValueError("degenerate data: all counts are zero")
-        resamples.append(drawn)
+    observed = np.array([r.count for r in records], dtype=float)
+    drawn = np.array([
+        np.random.default_rng(child).poisson(observed)
+        for child in np.random.SeedSequence(seed).spawn(n_resamples)])
+    if not drawn.any(axis=1).all():
+        raise ValueError("degenerate data: all counts are zero")
     order = _mle_order(records)
-    counts = np.array(resamples, dtype=float)[:, order]
+    counts = drawn[:, order].astype(float)
     exposures = np.array([records[k].exposure for k in order], dtype=float)
     values = np.empty((len(_STATISTICS), n_resamples))
     nonconverged = 0
@@ -587,6 +583,10 @@ def matrix_from_json_dict(d: dict) -> DensityMatrix:
     if any(len(row) != len(entries) for row in entries):
         raise ValueError("matrix JSON must hold a square matrix, got rows "
                          f"of lengths {[len(row) for row in entries]}")
+    dim = 2 ** len(labels)
+    if len(entries) != dim:
+        raise ValueError(f"matrix JSON labels {labels!r} need a {dim}x{dim} "
+                         f"matrix, got {len(entries)}x{len(entries)}")
     return DensityMatrix(np.array(entries), tuple(labels))
 
 

@@ -225,6 +225,14 @@ class TestTomo:
          "must hold a square matrix, got rows of lengths [4, 4, 4, 1]"),
         ({"labels": ["a"], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
          "holds a 1-qubit state, not a two-qubit one"),
+        # DensityMatrix's "expected 4x4 matrix, got (2, 2)" and "expected
+        # 2x2 matrix, got (4, 4)" before
+        ({"labels": ["a", "b"],
+          "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+         "labels ['a', 'b'] need a 4x4 matrix, got 2x2"),
+        ({"labels": ["a"], "matrix": tg.matrix_to_json_dict(
+            ideal_clone_sigma())["matrix"]},
+         "labels ['a'] need a 2x2 matrix, got 4x4"),
     ])
     def test_bad_matrix_file_rejected(self, tmp_path, capsys, payload,
                                       problem):

@@ -81,6 +81,24 @@ class TestSampleCounts:
             p = tg.born_probability(SIGMA, rec.setting_a, rec.setting_b)
             assert rec.count / n == pytest.approx(p, abs=0.005)
 
+    @pytest.mark.parametrize("state", ["sigma", "phi+", "mixed"])
+    def test_matches_one_setting_at_a_time(self, state):
+        # the one draw over all 36 means, against a copy of the loop that
+        # drew one setting at a time
+        rho, _ = _named_density(state)
+        for n in (30, 1e3, 1e18):
+            for exposure in (1.0, 1.5):
+                if n * exposure > tg.MAX_MEAN_COUNT:
+                    continue
+                for seed in (0, 1, 7, 2024):
+                    rng = np.random.default_rng(seed)
+                    loop = [tg.CountRecord(a, b, int(rng.poisson(
+                        n * exposure * tg.born_probability(rho, a, b))),
+                        exposure) for a, b in tg.SETTINGS]
+                    drawn = tg.sample_counts(rho, n, seed, exposure)
+                    assert drawn == loop
+                    assert all(type(r.count) is int for r in drawn)
+
     def test_bad_n_raises(self):
         with pytest.raises(ValueError):
             tg.sample_counts(SIGMA, 0, seed=1)
@@ -497,20 +515,21 @@ def _resampled_rows(state, n, seed, size):
 
 def assert_rows_match_one_set(counts, exposures):
     """Every row of `_mle_batch` has the bits of its own `mle_reconstruct`:
-    state, log-likelihood, converged flag, iterations, last dilution,
-    certified gap and log-likelihood history."""
+    state, log-likelihood history (whose last entry is the log-likelihood
+    and whose length less one is the iteration count), converged flag, last
+    step size and certified gap."""
     results = tg._mle_batch(counts, exposures)
     assert len(results) == len(counts)
     exposures = np.broadcast_to(exposures, np.shape(counts))
     for row, row_exposures, result in zip(counts, exposures, results):
-        rho, ll, converged, iterations, final_eps, gap, history = result
+        rho, history, converged, final_eps, gap = result
         one = tg.mle_reconstruct([
             tg.CountRecord(a, b, int(c), float(e)) for (a, b), c, e
             in zip(sorted(tg.SETTINGS), row, row_exposures)])
         assert np.array_equal(rho, one.rho_hat.matrix)
-        assert ll == one.log_likelihood
+        assert history[-1] == one.log_likelihood
         assert converged == one.converged
-        assert iterations == one.iterations
+        assert len(history) - 1 == one.iterations
         assert final_eps == one.final_eps
         assert gap == one.certified_gap
         assert history == one.log_likelihood_history
@@ -533,7 +552,7 @@ class TestMleBatch:
         rows = _resampled_rows(state, n, seed, size)
         results = assert_rows_match_one_set(rows, np.ones(36))
         if state == "phi+":
-            assert all(r[2] and 0 < r[5] < tg.CERT_TOL for r in results)
+            assert all(r[2] and 0 < r[4] < tg.CERT_TOL for r in results)
 
     @pytest.mark.parametrize("size", [2, 3, 10, 11])
     def test_identical_rows(self, size):
@@ -541,7 +560,7 @@ class TestMleBatch:
         rows = _resampled_rows("mixed", 40.0, 5, 2)
         rows = rows[[0] * (size - size % 2) + [1] * (size % 2)]
         results = assert_rows_match_one_set(rows, np.ones(36))
-        assert len({r[3] for r in results}) == 1 + size % 2
+        assert len({len(r[1]) for r in results}) == 1 + size % 2
 
     def test_exposures_per_setting_and_per_row(self):
         rows = _resampled_rows("schmidt:0.4", 300.0, 6, 4)
@@ -557,7 +576,7 @@ class TestMleBatch:
         rows = _resampled_rows("schmidt:0.4", 5000.0, 2, 10)
         results = assert_rows_match_one_set(rows, np.ones(36))
         converged = sum(r[2] for r in results)
-        assert all((r[5] < tg.CERT_TOL) == r[2] for r in results)
+        assert all((r[4] < tg.CERT_TOL) == r[2] for r in results)
         assert converged == {110: 4, 180: 10}.get(budget, 0)
 
     def test_one_row_and_none(self):
@@ -641,7 +660,8 @@ def assert_match_reference(counts, exposures):
                 one.certified_gap) == ref[1:]
     for (rho, *fields), ref in zip(tg._mle_batch(counts, exposures), refs):
         assert np.array_equal(rho, ref[0])
-        assert tuple(fields) == (ref[1], *ref[3:], ref[2])
+        assert tuple(fields) == (ref[2], ref[3], *ref[5:])
+        assert (fields[0][-1], len(fields[0]) - 1) == (ref[1], ref[4])
     return refs
 
 
