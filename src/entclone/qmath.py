@@ -5,6 +5,11 @@ thin wrapper types that carry qubit labels: `PureState` and `DensityMatrix`.
 All subsystem operations are label-based rather than index-based, because
 the cloning network relabels modes (1 -> 1', 3 -> 3', ...) and raw-index
 bookkeeping is the easiest way to silently trace out the wrong qubit.
+
+`herm_eig`, `psd_sqrt`, `trace_norm` and `check_density` also take a
+``(..., d, d)`` stack of matrices and treat each matrix as they treat it
+alone, with the same bits, so a batch of states is checked and decomposed
+in one call.
 """
 
 from __future__ import annotations
@@ -39,44 +44,83 @@ def kron(*mats: np.ndarray) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m).T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conj(m).swapaxes(-1, -2)
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+    """Whether every matrix of ``m`` equals its conjugate transpose within
+    ``tol``, entry by entry."""
     return bool(np.max(np.abs(m - dagger(m))) <= tol)
+
+
+def _float_or_rows(values: np.ndarray):
+    """A per-matrix result: a Python float for a single matrix, the array
+    of per-matrix values for a stack."""
+    return float(values) if values.ndim == 0 else values
 
 
 def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns ``(vals, vecs)`` with ``m = vecs @ diag(vals) @ vecs.conj().T``
-    and ``vecs[:, k]`` the eigenvector for ``vals[k]``.
+    and ``vecs[:, k]`` the eigenvector for ``vals[k]``. A ``(..., d, d)``
+    stack gives ``(..., d)`` values and ``(..., d, d)`` vectors, each
+    matrix's with the bits it has alone; every matrix must be Hermitian.
     """
     m = np.asarray(m, dtype=complex)
     if not is_hermitian(m):
         raise ValueError("herm_eig requires a Hermitian matrix")
     vals, vecs = np.linalg.eigh(m)
-    order = np.argsort(vals)[::-1]
-    return vals[order].real, vecs[:, order]
+    # eigh returns the eigenvalues ascending; the reversed views are copied
+    # so that callers get contiguous arrays, as the old index gather did
+    return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Positive-semidefinite square root of a PSD Hermitian matrix.
+    """Positive-semidefinite square root of a PSD Hermitian matrix, or of
+    each matrix of a ``(..., d, d)`` stack.
 
     Eigenvalues in ``[-1e-9, 0)`` are clamped to zero; anything below
-    ``-1e-6`` raises, since that is no longer numerical noise.
+    ``-1e-6``, in any matrix, raises, since that is no longer numerical
+    noise.
     """
     vals, vecs = herm_eig(m)
     if vals.min() < -EIG_NEGATIVE_ERR:
         raise ValueError(f"matrix is not PSD: min eigenvalue {vals.min():.3e}")
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ dagger(vecs)
+    return (vecs * np.sqrt(vals)[..., None, :]) @ dagger(vecs)
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
+def trace_norm(m: np.ndarray):
+    """Sum of absolute eigenvalues of a Hermitian matrix: a float, or an
+    array of one per matrix of a ``(..., d, d)`` stack."""
     vals, _ = herm_eig(m)
-    return float(np.sum(np.abs(vals)))
+    return _float_or_rows(np.abs(vals).sum(axis=-1))
+
+
+def check_density(m: np.ndarray) -> None:
+    """Raise ValueError unless ``m``, a matrix or a ``(..., d, d)`` stack,
+    holds only density matrices: finite, Hermitian, of unit trace and
+    positive semidefinite, each within its tolerance.
+
+    The checks run in that order over the whole stack; a message quotes
+    the first matrix that fails.
+    """
+    if not np.isfinite(m).all():
+        raise ValueError("non-finite matrix entry")
+    if not is_hermitian(m):
+        raise ValueError("density matrix is not Hermitian")
+    tr = m.trace(axis1=-2, axis2=-1).real
+    off = abs(tr - 1.0) > TRACE_TOL
+    if off.any():
+        bad = float(np.ravel(tr)[np.ravel(off)][0])
+        raise ValueError(f"trace = {bad!r}, expected 1")
+    min_eig = np.linalg.eigvalsh((m + dagger(m)) / 2)[..., 0]
+    low = min_eig < -EIG_CLAMP
+    if low.any():
+        bad = np.ravel(min_eig)[np.ravel(low)][0]
+        raise ValueError(f"min eigenvalue {bad:.3e} below -1e-9")
 
 
 def _as_labels(labels: Iterable[str]) -> tuple[str, ...]:
@@ -136,16 +180,7 @@ class DensityMatrix:
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
         if self.validate:
-            if not np.all(np.isfinite(mat.view(float))):
-                raise ValueError("non-finite matrix entry")
-            if not is_hermitian(mat):
-                raise ValueError("density matrix is not Hermitian")
-            tr = float(np.trace(mat).real)
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise ValueError(f"trace = {tr!r}, expected 1")
-            min_eig = float(np.linalg.eigvalsh((mat + dagger(mat)) / 2).min())
-            if min_eig < -EIG_CLAMP:
-                raise ValueError(f"min eigenvalue {min_eig:.3e} below -1e-9")
+            check_density(mat)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "labels", labels)
 

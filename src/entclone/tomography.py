@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .qmath import EIG_CLAMP, DensityMatrix
+from .qmath import EIG_CLAMP, DensityMatrix, check_density
 
 PROJECTOR_LETTERS = ("H", "V", "D", "A", "L", "R")
 
@@ -135,23 +135,31 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 # built once: every probability and every MLE iteration reads these
 _PROJECTORS = {s: _frozen(setting_projector(*s)) for s in SETTINGS}
+# in SETTINGS order, the order in which sample_counts draws
+_SETTING_PROJECTORS = _frozen(np.stack([_PROJECTORS[s] for s in SETTINGS]))
 # in the (setting_a, setting_b) sort order in which the MLE takes its records
 _MLE_PROJECTORS = _frozen(np.stack([_PROJECTORS[s] for s in sorted(SETTINGS)]))
 _IDENTITY = _frozen(np.eye(4, dtype=complex))
 
 
-def born_probability(rho, setting_a: str, setting_b: str) -> float:
-    """Tr[rho (Pi_a x Pi_b)] for single-photon projectors a, b."""
+def _born(rho, projectors: np.ndarray) -> np.ndarray:
+    """Tr[rho Pi] for a projector, or for each of a stack of them."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     if m.shape != (4, 4):
         raise ValueError("born_probability requires a two-qubit state")
-    return float((m @ _PROJECTORS[setting_a, setting_b]).trace().real)
+    return (m @ projectors).trace(axis1=-2, axis2=-1).real
+
+
+def born_probability(rho, setting_a: str, setting_b: str) -> float:
+    """Tr[rho (Pi_a x Pi_b)] for single-photon projectors a, b."""
+    return float(_born(rho, _PROJECTORS[setting_a, setting_b]))
 
 
 def sample_counts(rho, n_per_setting: float, seed: int,
                   exposure: float = 1.0) -> list[CountRecord]:
     """Poisson counts for all 36 settings, drawn in one call in ``SETTINGS``
-    order; deterministic given the seed."""
+    order; deterministic given the seed. The 36 Born probabilities are one
+    stacked product, each with the bits `born_probability` gives it."""
     if not (math.isfinite(n_per_setting) and n_per_setting > 0):
         raise ValueError(
             f"n_per_setting must be finite and positive, got {n_per_setting}")
@@ -162,8 +170,7 @@ def sample_counts(rho, n_per_setting: float, seed: int,
         raise ValueError(
             f"n_per_setting * exposure must be at most {MAX_MEAN_COUNT:g}, "
             f"got {n_per_setting} * {exposure}")
-    mus = [n_per_setting * exposure * born_probability(rho, a, b)
-           for a, b in SETTINGS]
+    mus = n_per_setting * exposure * _born(rho, _SETTING_PROJECTORS)
     drawn = np.random.default_rng(seed).poisson(mus).tolist()
     return [CountRecord(a, b, n, exposure)
             for (a, b), n in zip(SETTINGS, drawn)]
@@ -443,9 +450,10 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     return results
 
 
-# each statistic of a resample's state rho, against the point estimate
-# point_rho where it compares the two; fidelity and witness are taken against
-# |Phi+>. Also the key order of the monte_carlo block of a tomo report
+# each statistic of the resamples' (B, 4, 4) state stack rho, one value per
+# resample, against the point estimate point_rho where it compares the two;
+# fidelity and witness are taken against |Phi+>. Also the key order of the
+# monte_carlo block of a tomo report
 _STATISTICS = {
     "fidelity":
         lambda rho, point_rho: metrics.fidelity_to_pure(rho, metrics.PHI_PLUS),
@@ -478,8 +486,11 @@ def monte_carlo_statistics(point: TomographyRecord, n_resamples: int,
     child k of ``SeedSequence(seed).spawn(n_resamples)``, and all resamples
     are reconstructed in one batched pass whose every reconstruction has
     the bits `mle_reconstruct` gives it, so the result is deterministic
-    given the seed. 'trace_distance' and 'uhlmann_fidelity' compare each
-    resample with ``point.rho_hat``.
+    given the seed. The resample states form one (B, 4, 4) stack, checked
+    with `qmath.check_density` as `DensityMatrix` checks one state, and
+    each statistic is one call on the whole stack, whose every row has the
+    bits the statistic gives that resample alone. 'trace_distance' and
+    'uhlmann_fidelity' compare each resample with ``point.rho_hat``.
     """
     if n_resamples < 2:
         raise ValueError("need at least 2 resamples")
@@ -494,14 +505,12 @@ def monte_carlo_statistics(point: TomographyRecord, n_resamples: int,
     order = _mle_order(records)
     counts = drawn[:, order].astype(float)
     exposures = np.array([records[k].exposure for k in order], dtype=float)
-    values = np.empty((len(_STATISTICS), n_resamples))
-    nonconverged = 0
-    for k, (rho, _, converged, *_) in enumerate(
-            _mle_batch(counts, exposures)):
-        rho_hat = DensityMatrix(rho, ("a", "b"))
-        values[:, k] = [fn(rho_hat, point.rho_hat)
-                        for fn in _STATISTICS.values()]
-        nonconverged += not converged
+    results = _mle_batch(counts, exposures)
+    rho = np.array([row[0] for row in results])
+    # each resample is checked as a DensityMatrix would check it
+    check_density(rho)
+    values = np.array([fn(rho, point.rho_hat) for fn in _STATISTICS.values()])
+    nonconverged = sum(not converged for _, _, converged, *_ in results)
     summary = {name: (float(v.mean()), float(v.std(ddof=1)))
                for name, v in zip(_STATISTICS, values)}
     return MonteCarloSummary(summary, nonconverged)
@@ -587,7 +596,10 @@ def matrix_from_json_dict(d: dict) -> DensityMatrix:
     if len(entries) != dim:
         raise ValueError(f"matrix JSON labels {labels!r} need a {dim}x{dim} "
                          f"matrix, got {len(entries)}x{len(entries)}")
-    return DensityMatrix(np.array(entries), tuple(labels))
+    try:
+        return DensityMatrix(np.array(entries), tuple(labels))
+    except ValueError as e:
+        raise ValueError(f"matrix JSON does not hold a state: {e}") from None
 
 
 def matrix_to_json(rho: DensityMatrix, path) -> None:

@@ -17,10 +17,21 @@ settings.register_profile("entclone-thorough", derandomize=False,
 settings.load_profile("entclone")
 
 
-def random_density(rng, n_qubits=2, labels=None):
-    """Ginibre-distributed random density matrix."""
+def tier1_examples(max_examples: int):
+    """A test's own cap on its examples under the tier-1 `entclone`
+    profile; under any other profile, such as entclone-thorough, the test
+    runs as many examples as that profile asks for."""
+    if settings.get_current_profile_name() == "entclone":
+        return settings(max_examples=max_examples)
+    return lambda test: test
+
+
+def random_density(rng, n_qubits=2, labels=None, rank=None):
+    """Ginibre-distributed random density matrix, of full rank or of rank
+    ``rank``."""
     dim = 2 ** n_qubits
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rank = dim if rank is None else rank
+    a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
     if labels is None:

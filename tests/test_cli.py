@@ -32,6 +32,12 @@ def run_cli(*argv, capsys=None):
     return code, out
 
 
+def _json_entries(m) -> list:
+    """The ``matrix`` field of a matrix JSON holding ``m``."""
+    return [[[float(z.real), float(z.imag)] for z in row]
+            for row in np.asarray(m, dtype=complex)]
+
+
 class TestClone:
     def test_symmetric_point_report(self, capsys):
         code, out = run_cli("--format", "json", "clone", "--input", "phi+",
@@ -233,6 +239,20 @@ class TestTomo:
         ({"labels": ["a"], "matrix": tg.matrix_to_json_dict(
             ideal_clone_sigma())["matrix"]},
          "labels ['a'] need a 2x2 matrix, got 4x4"),
+        # DensityMatrix's bare messages before
+        ({"labels": ["a", "b"], "matrix": _json_entries(np.eye(4) / 2)},
+         "does not hold a state: trace = 2.0, expected 1"),
+        ({"labels": ["a", "b"],
+          "matrix": _json_entries(np.eye(4) / 4 + np.eye(4, k=1) / 10)},
+         "does not hold a state: density matrix is not Hermitian"),
+        ({"labels": ["a", "b"],
+          "matrix": _json_entries(np.diag([1.5, -0.5, 0.0, 0.0]))},
+         "does not hold a state: min eigenvalue -5.000e-01 below -1e-9"),
+        ({"labels": ["a", "b"],
+          "matrix": _json_entries(np.diag([np.nan, 1.0, 0.0, 0.0]))},
+         "does not hold a state: non-finite matrix entry"),
+        ({"labels": ["a", "a"], "matrix": _json_entries(np.eye(4) / 4)},
+         "does not hold a state: duplicate qubit labels: ('a', 'a')"),
     ])
     def test_bad_matrix_file_rejected(self, tmp_path, capsys, payload,
                                       problem):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import random_density, random_unitary
-from entclone import metrics
+from entclone import metrics, qmath
 from entclone.cloner import ideal_clone_sigma
 from entclone.metrics import (concurrence, fidelity_to_pure, pauli_correlation,
                               ppt_min_eigenvalue, trace_distance,
@@ -183,3 +184,56 @@ class TestLocalUnitaryInvariance:
                        - trace_distance(rho, other)) < 1e-9
             assert abs(uhlmann_fidelity(rot, other_rot)
                        - uhlmann_fidelity(rho, other)) < 1e-9
+
+
+_RANKS = {"full rank": 4, "pure": 1, "rank 2": 2, "rank 3": 3}
+_KINDS = (*_RANKS, "maximally mixed")
+
+
+def _state_row(kind: str, rng) -> np.ndarray:
+    """A 4x4 density matrix of a kind in ``_KINDS``."""
+    if kind == "maximally mixed":
+        return np.eye(4, dtype=complex) / 4
+    return random_density(rng, rank=_RANKS[kind]).matrix
+
+
+# every stack-aware function, on a (..., 4, 4) stack and a single state
+# ``point``; the pairs compare each row with the point, as the Monte Carlo
+# statistics compare each resample with the point estimate
+_PER_ROW = {
+    "herm_eig values": lambda m, point: qmath.herm_eig(m)[0],
+    "herm_eig vectors": lambda m, point: qmath.herm_eig(m)[1],
+    "psd_sqrt": lambda m, point: qmath.psd_sqrt(m),
+    "trace_norm": lambda m, point: qmath.trace_norm(m - point),
+    "fidelity_to_pure": lambda m, point: fidelity_to_pure(m, metrics.PHI_PLUS),
+    "pauli_correlation": lambda m, point: pauli_correlation(m, "X", "Y"),
+    "witness_expectation": lambda m, point: witness_expectation(m),
+    "concurrence": lambda m, point: concurrence(m),
+    "von_neumann_entropy": lambda m, point: von_neumann_entropy(m),
+    "trace_distance": lambda m, point: trace_distance(m, point),
+    "trace_distance to the rows": lambda m, point: trace_distance(point, m),
+    "uhlmann_fidelity": lambda m, point: uhlmann_fidelity(m, point),
+    "uhlmann_fidelity to the rows":
+        lambda m, point: uhlmann_fidelity(point, m),
+    "ppt_min_eigenvalue": lambda m, point: ppt_min_eigenvalue(m),
+}
+
+
+class TestStackRows:
+    """A stack of states gives every row the bits the row gives alone."""
+
+    @given(kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=12),
+           point_kind=st.sampled_from(_KINDS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_row_has_its_bits_alone(self, kinds, point_kind, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.array([_state_row(kind, rng) for kind in kinds])
+        point = _state_row(point_kind, rng)
+        qmath.check_density(stack)
+        for name, fn in _PER_ROW.items():
+            rows = [fn(row, point) for row in stack]
+            if np.ndim(rows[0]) == 0:
+                assert all(type(v) is float for v in rows), name
+            whole = fn(stack, point)
+            assert whole.shape == np.shape(rows), name
+            assert whole.tobytes() == np.array(rows).tobytes(), name

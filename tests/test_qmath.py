@@ -180,6 +180,22 @@ class TestStateTypes:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]), ("q",))  # negative eigenvalue
 
+    @pytest.mark.parametrize("bad", [
+        np.eye(4) / 2,  # trace 2
+        np.eye(4) / 4 + np.eye(4, k=1) / 10,  # not Hermitian
+        np.diag([1.5, -0.5, 0.0, 0.0]),  # eigenvalue -0.5
+        np.diag([np.nan, 1.0, 0.0, 0.0]),  # NaN
+    ])
+    def test_stack_with_one_bad_row_rejected(self, rng, bad):
+        with pytest.raises(ValueError) as alone:
+            DensityMatrix(bad, ("a", "b"))
+        stack = np.array([random_density(rng).matrix for _ in range(5)])
+        qmath.check_density(stack)
+        stack[3] = bad
+        with pytest.raises(ValueError) as stacked:
+            qmath.check_density(stack)
+        assert str(stacked.value) == str(alone.value)
+
     def test_tensor_order(self):
         a = PureState(np.array([1, 0], dtype=complex), ("x",))
         b = PureState(np.array([0, 1], dtype=complex), ("y",))

@@ -3,9 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from conftest import random_density
+from conftest import random_density, tier1_examples
 from entclone import metrics, tomography as tg
 from entclone.cli import _named_density
 from entclone.cloner import ideal_clone_sigma
@@ -51,6 +51,16 @@ class TestBornProbability:
     def test_sigma_hh(self):
         assert tg.born_probability(SIGMA, "H", "H") == \
             pytest.approx(13 / 36, abs=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+    def test_sample_counts_probabilities_have_single_setting_bits(self, seed,
+                                                                  rank):
+        # sample_counts' stacked product, against born_probability per
+        # setting: every Poisson mean keeps its bits
+        rho = random_density(np.random.default_rng(seed), rank=rank)
+        alone = [tg.born_probability(rho, a, b) for a, b in tg.SETTINGS]
+        assert tg._born(rho, tg._SETTING_PROJECTORS).tobytes() == \
+            np.array(alone).tobytes()
 
     def test_settings_form_scaled_povm(self):
         total = sum(tg.setting_projector(a, b) for a, b in tg.SETTINGS)
@@ -339,7 +349,7 @@ class TestLineSearch:
     """Each step `mle_reconstruct` takes, against its candidates evaluated
     one at a time."""
 
-    @settings(max_examples=25)
+    @tier1_examples(25)
     @given(counts=st.lists(_SPARSE_COUNT, min_size=36, max_size=36)
            .filter(any),
            exposures=st.one_of(
@@ -374,7 +384,7 @@ class TestCertificate:
     """The certified gap bounds how far a reconstruction's log-likelihood is
     below the maximum."""
 
-    @settings(max_examples=30)
+    @tier1_examples(30)
     @given(state=st.sampled_from(["phi+", "psi-", "sigma", "mixed",
                                   "schmidt:0.4"]),
            n=st.sampled_from([10.0, 30.0, 1e3, 1e4, 1e5]),
@@ -584,7 +594,7 @@ class TestMleBatch:
         assert_rows_match_one_set(rows, np.ones(36))
         assert tg._mle_batch(np.empty((0, 36)), np.ones(36)) == []
 
-    @settings(max_examples=25)
+    @tier1_examples(25)
     @given(rows=st.lists(st.lists(_SPARSE_COUNT, min_size=36, max_size=36)
                          .filter(any), min_size=1, max_size=5),
            exposures=st.lists(st.floats(1e-3, 1e3), min_size=36,
@@ -719,7 +729,7 @@ class TestDilutionLadder:
                 assert _one_candidate(tg._IDENTITY + 0.5 ** k * r_op,
                                       rho, p, n, expected)[2] <= least
 
-    @settings(max_examples=25)
+    @tier1_examples(25)
     @given(rows=st.lists(st.lists(_SPARSE_COUNT, min_size=36, max_size=36)
                          .filter(any), min_size=1, max_size=5),
            exposures=st.lists(st.floats(1e-3, 1e3), min_size=36,
