@@ -123,6 +123,10 @@ def cmd_clone(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    for flag, r in (("--r-min", args.r_min), ("--r-max", args.r_max)):
+        # NaN fails every comparison, so `0 <= r <= 1` rejects it too
+        if not 0.0 <= r <= 1.0:
+            raise CliError(f"{flag} must be in [0, 1], got {r}")
     if args.r_min > args.r_max:
         raise CliError("--r-min must not exceed --r-max")
     if args.steps < 1 or (args.steps < 2 and args.r_min != args.r_max):
@@ -160,7 +164,7 @@ def cmd_tomo(args) -> int:
                        f"got {args.n}")
     rho_true, state_name = _named_density(args.state)
     records = tomography.sample_counts(rho_true, args.n, seed=args.seed)
-    rec = tomography.mle_reconstruct(records)
+    rec = tomography.mle_reconstruct(records, args.resamples, seed=args.seed)
     if not rec.converged:
         print("entclone: warning: the reconstruction did not converge: its "
               f"certified log-likelihood gap is {rec.certified_gap:.3g}, "
@@ -182,13 +186,14 @@ def cmd_tomo(args) -> int:
         },
         "reconstruction": tomography.matrix_to_json_dict(rec.rho_hat),
     }
-    if args.resamples:
-        # one pass over the resamples yields every statistic
-        mc = tomography.monte_carlo_statistics(rec, args.resamples,
-                                               seed=args.seed)
+    mc = rec.monte_carlo
+    if mc is not None:
         if mc.nonconverged:
             print(f"entclone: warning: {mc.nonconverged} of {args.resamples} "
-                  "resample reconstructions did not converge", file=sys.stderr)
+                  "resample reconstructions did not converge: the largest "
+                  "certified log-likelihood gap is "
+                  f"{mc.max_certified_gap:.3g}, above "
+                  f"{tomography.CERT_TOL:g}", file=sys.stderr)
         report["monte_carlo"] = {
             "resamples": args.resamples,
             **{stat: {"mean": mean, "std": std}

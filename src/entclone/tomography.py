@@ -19,10 +19,11 @@ The iteration stops at the first iterate whose gap is below ``CERT_TOL`` and
 reports the gap of the state it returns as ``certified_gap``.
 
 One loop, `_mle_batch`, runs every reconstruction on a stack of data sets:
-a point estimate is a stack of one, and the Monte Carlo resamples are
-reconstructed together as one stack. A row's results have the same bits in
-any stack. Every stochastic operation takes an explicit integer seed, and
-Monte Carlo resamples draw their streams from
+`mle_reconstruct` stacks the observed counts as row 0 and their Monte Carlo
+resamples, if any, as the rows after it, and runs them as one stack. A row's
+results have the same bits in any stack, so the point estimate does not
+depend on the resamples. Every stochastic operation takes an explicit
+integer seed, and Monte Carlo resamples draw their streams from
 ``numpy.random.SeedSequence.spawn``, so the results are reproducible for a
 seed.
 """
@@ -106,6 +107,17 @@ class CountRecord:
                              f"{_shown(self.exposure)}")
 
 
+@dataclass(frozen=True)
+class MonteCarloSummary:
+    """Sample (mean, std) with ddof=1 of each statistic over the resamples,
+    how many resample reconstructions did not converge, and the largest
+    certified gap among them."""
+
+    statistics: dict[str, tuple[float, float]]
+    nonconverged: int
+    max_certified_gap: float
+
+
 @dataclass
 class TomographyRecord:
     records: list[CountRecord]
@@ -120,6 +132,8 @@ class TomographyRecord:
     iterations: int
     final_eps: float | None
     certified_gap: float
+    # the Monte Carlo error bars, None when no resamples were asked for
+    monte_carlo: MonteCarloSummary | None = None
 
 
 def setting_projector(setting_a: str, setting_b: str) -> np.ndarray:
@@ -318,8 +332,27 @@ def _search(r_op, rho, p, counts, expected):
     return cand, cand_p, gain, gain > 0, _STEPS[best]
 
 
-def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
-    """Maximum-likelihood density matrix from the 36 count records.
+# each statistic of the resamples' (B, 4, 4) state stack rho, one value per
+# resample, against the point estimate point_rho where it compares the two;
+# fidelity and witness are taken against |Phi+>. Also the key order of the
+# monte_carlo block of a tomo report
+_STATISTICS = {
+    "fidelity":
+        lambda rho, point_rho: metrics.fidelity_to_pure(rho, metrics.PHI_PLUS),
+    "witness": lambda rho, point_rho: metrics.witness_expectation(rho),
+    "concurrence": lambda rho, point_rho: metrics.concurrence(rho),
+    "entropy": lambda rho, point_rho: metrics.von_neumann_entropy(rho),
+    "trace_distance":
+        lambda rho, point_rho: metrics.trace_distance(rho, point_rho),
+    "uhlmann_fidelity":
+        lambda rho, point_rho: metrics.uhlmann_fidelity(rho, point_rho),
+}
+
+
+def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
+                    seed: int | None = None) -> TomographyRecord:
+    """Maximum-likelihood density matrix from the 36 count records, with
+    Monte Carlo error bars over ``n_resamples`` Poisson resamples.
 
     Independent Poisson likelihood per setting with the overall rate
     estimated as 4 x mean(count / exposure) (the 36 projectors sum to 9 I,
@@ -344,21 +377,61 @@ def mle_reconstruct(records: list[CountRecord]) -> TomographyRecord:
     large that no step gains any more before the gap gets there (sigma at
     1e9 counts per setting), or when the exposures differ between
     settings. ``final_eps`` is the step size t of the last step tried, one
-    of ``_STEPS``. The iteration is `_mle_batch`'s, on a stack of this one
-    data set.
+    of ``_STEPS``.
+
+    ``n_resamples`` is 0 (no error bars, ``monte_carlo`` is None) or at
+    least 2, and resampling needs an integer ``seed``. Resample k draws
+    its 36 counts in one call, in record order, from child k of
+    ``SeedSequence(seed).spawn(n_resamples)``. The observed counts and the
+    resamples are reconstructed as the rows of one `_mle_batch` stack, the
+    observed counts as row 0; a row has the same bits in any stack, so
+    every field but ``monte_carlo`` is the same with or without resamples.
+    The resample states form one (B, 4, 4) stack, checked with
+    `qmath.check_density` as `DensityMatrix` checks one state, and each
+    statistic of `_STATISTICS` is one call on that stack, whose every row
+    has the bits the statistic gives that resample alone; 'trace_distance'
+    and 'uhlmann_fidelity' compare each resample with the point estimate.
     """
+    if n_resamples == 1 or n_resamples < 0:
+        raise ValueError("n_resamples must be 0 (no error bars) or at least "
+                         f"2, got {n_resamples}")
+    if n_resamples and not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"resampling needs an integer seed, got {seed!r}")
     counts, exposures = _mle_arrays(records)
-    rho, history, converged, final_eps, gap = _mle_batch(
-        counts[None], exposures)[0]
-    return TomographyRecord(list(records), DensityMatrix(rho, ("a", "b")),
-                            history[-1], converged, history,
-                            len(history) - 1, final_eps, gap)
+    counts = counts[None]
+    if n_resamples:
+        observed = np.array([r.count for r in records], dtype=float)
+        drawn = np.array([
+            np.random.default_rng(child).poisson(observed)
+            for child in np.random.SeedSequence(seed).spawn(n_resamples)])
+        if not drawn.any(axis=1).all():
+            raise ValueError("degenerate data: all counts are zero")
+        counts = np.concatenate([counts, drawn[:, _mle_order(records)]])
+    results = _mle_batch(counts, exposures)
+    rho, history, converged, final_eps, gap = results[0]
+    rec = TomographyRecord(list(records), DensityMatrix(rho, ("a", "b")),
+                           history[-1], converged, history,
+                           len(history) - 1, final_eps, gap)
+    if not n_resamples:
+        return rec
+    resamples = results[1:]
+    states = np.array([row[0] for row in resamples])
+    # each resample is checked as a DensityMatrix would check it
+    check_density(states)
+    values = np.array([fn(states, rec.rho_hat)
+                       for fn in _STATISTICS.values()])
+    rec.monte_carlo = MonteCarloSummary(
+        {name: (float(v.mean()), float(v.std(ddof=1)))
+         for name, v in zip(_STATISTICS, values)},
+        sum(not converged for _, _, converged, *_ in resamples),
+        float(np.max([gap for *_, gap in resamples])))
+    return rec
 
 
 def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     """The iteration of `mle_reconstruct` on every row of a (B, 36) count
-    array at once: the only MLE loop, which a single data set runs as a
-    stack of one row.
+    array at once: the only MLE loop, which `mle_reconstruct` runs on the
+    observed counts and their resamples as one stack.
 
     The columns are in the MLE's setting order (sorted ``SETTINGS``), and
     ``exposures`` broadcasts against ``counts``. The rows run as one
@@ -448,72 +521,6 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
         for row, value in zip(rows.tolist(), ll.tolist()):
             history[row].append(value)
     return results
-
-
-# each statistic of the resamples' (B, 4, 4) state stack rho, one value per
-# resample, against the point estimate point_rho where it compares the two;
-# fidelity and witness are taken against |Phi+>. Also the key order of the
-# monte_carlo block of a tomo report
-_STATISTICS = {
-    "fidelity":
-        lambda rho, point_rho: metrics.fidelity_to_pure(rho, metrics.PHI_PLUS),
-    "witness": lambda rho, point_rho: metrics.witness_expectation(rho),
-    "concurrence": lambda rho, point_rho: metrics.concurrence(rho),
-    "entropy": lambda rho, point_rho: metrics.von_neumann_entropy(rho),
-    "trace_distance":
-        lambda rho, point_rho: metrics.trace_distance(rho, point_rho),
-    "uhlmann_fidelity":
-        lambda rho, point_rho: metrics.uhlmann_fidelity(rho, point_rho),
-}
-
-
-@dataclass(frozen=True)
-class MonteCarloSummary:
-    """Sample (mean, std) with ddof=1 of each statistic over the resamples,
-    and how many resample reconstructions did not converge."""
-
-    statistics: dict[str, tuple[float, float]]
-    nonconverged: int
-
-
-def monte_carlo_statistics(point: TomographyRecord, n_resamples: int,
-                           seed: int) -> MonteCarloSummary:
-    """Poisson-resample the counts of the point estimate ``point``,
-    reconstruct each resample once, and summarize every statistic of
-    `_STATISTICS` over the resamples, in its key order.
-
-    Resample k draws its 36 counts in one call, in record order, from
-    child k of ``SeedSequence(seed).spawn(n_resamples)``, and all resamples
-    are reconstructed in one batched pass whose every reconstruction has
-    the bits `mle_reconstruct` gives it, so the result is deterministic
-    given the seed. The resample states form one (B, 4, 4) stack, checked
-    with `qmath.check_density` as `DensityMatrix` checks one state, and
-    each statistic is one call on the whole stack, whose every row has the
-    bits the statistic gives that resample alone. 'trace_distance' and
-    'uhlmann_fidelity' compare each resample with ``point.rho_hat``.
-    """
-    if n_resamples < 2:
-        raise ValueError("need at least 2 resamples")
-    # mle_reconstruct has checked that these hold each setting once
-    records = point.records
-    observed = np.array([r.count for r in records], dtype=float)
-    drawn = np.array([
-        np.random.default_rng(child).poisson(observed)
-        for child in np.random.SeedSequence(seed).spawn(n_resamples)])
-    if not drawn.any(axis=1).all():
-        raise ValueError("degenerate data: all counts are zero")
-    order = _mle_order(records)
-    counts = drawn[:, order].astype(float)
-    exposures = np.array([records[k].exposure for k in order], dtype=float)
-    results = _mle_batch(counts, exposures)
-    rho = np.array([row[0] for row in results])
-    # each resample is checked as a DensityMatrix would check it
-    check_density(rho)
-    values = np.array([fn(rho, point.rho_hat) for fn in _STATISTICS.values()])
-    nonconverged = sum(not converged for _, _, converged, *_ in results)
-    summary = {name: (float(v.mean()), float(v.std(ddof=1)))
-               for name, v in zip(_STATISTICS, values)}
-    return MonteCarloSummary(summary, nonconverged)
 
 
 # ---------------------------------------------------------------------------

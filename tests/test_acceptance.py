@@ -116,9 +116,8 @@ def test_criterion_09_tomography_round_trip(monkeypatch):
 
 def test_criterion_10_monte_carlo_error_bars():
     records = tg.sample_counts(SIGMA, pc.MC_COUNTS, seed=29)
-    _, std = tg.monte_carlo_statistics(
-        tg.mle_reconstruct(records), pc.MC_RESAMPLES,
-        seed=31).statistics["concurrence"]
+    _, std = tg.mle_reconstruct(
+        records, pc.MC_RESAMPLES, seed=31).monte_carlo.statistics["concurrence"]
     reference, factor = pc.MC_STD_REFERENCE, pc.MC_STD_FACTOR
     assert reference / factor <= std <= reference * factor, std
     report(10, [], f"concurrence std {std:.4f} vs reference {reference} "

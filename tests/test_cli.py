@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,17 @@ class TestSweep:
         code, _ = run_cli("sweep", "--input", "phi+", "--r-min", "0.9",
                           "--r-max", "0.1", capsys=capsys)
         assert code != 0
+
+    @pytest.mark.parametrize("flag", ["--r-min", "--r-max"])
+    @pytest.mark.parametrize("value", ["nan", "-0.1", "1.5", "inf"])
+    def test_r_outside_unit_interval_fails(self, capsys, flag, value):
+        # a NaN --r-max used to pass the order check, as NaN compares false
+        code, out = run_cli("sweep", "--input", "phi+", flag, value,
+                            capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err == (f"entclone: error: {flag} must be in [0, 1], "
+                           f"got {float(value)}\n")
 
     def test_output_file_reproducible(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -305,14 +317,14 @@ class TestTomo:
         assert json.loads(out.out)["state"] == "mixed"
 
     def test_one_reconstruction_per_resample(self, capsys, monkeypatch):
-        # the point estimate as a batch of one row, then the resamples as
-        # the rows of one batch: 1 + B reconstructions of 36 settings each
+        # the point estimate and the resamples as the rows of one batch:
+        # 1 + B reconstructions of 36 settings each
         points, batches = [], []
         real, real_batch = tg.mle_reconstruct, tg._mle_batch
 
-        def counting(records):
+        def counting(records, *args, **kwargs):
             points.append(len(records))
-            return real(records)
+            return real(records, *args, **kwargs)
 
         def counting_batch(counts, exposures):
             batches.append(np.shape(counts))
@@ -324,7 +336,7 @@ class TestTomo:
                           "mixed", "--n", "500", "--resamples", "5",
                           capsys=capsys)
         assert code == 0
-        assert points == [36] and batches == [(1, 36), (5, 36)]
+        assert points == [36] and batches == [(6, 36)]
 
     def test_nonconverged_resamples_reported(self, capsys, monkeypatch):
         monkeypatch.setattr(tg, "MAX_ITERATIONS", 1)
@@ -333,7 +345,26 @@ class TestTomo:
                             "4", capsys=capsys)
         assert code == 0
         assert "4 of 4 resample reconstructions did not converge" in out.err
+        assert re.search(r"did not converge: the largest certified "
+                         r"log-likelihood gap is \S+, above 0\.1\n", out.err)
         assert "monte_carlo" in json.loads(out.out)
+
+    @pytest.mark.parametrize("state, n, resamples", [
+        ("sigma", "2000", "8"), ("schmidt:0.4", "30", "5"),
+        ("mixed", "500", "2")])
+    def test_resamples_leave_the_rest_of_the_report(self, tmp_path, capsys,
+                                                    state, n, resamples):
+        # the point estimate has the same bits with and without error bars
+        paths = {b: tmp_path / f"b{b}.json" for b in ("0", resamples)}
+        for b, path in paths.items():
+            code, _ = run_cli("--seed", "13", "--out", str(path), "tomo",
+                              "--state", state, "--n", n, "--resamples", b,
+                              capsys=capsys)
+            assert code == 0
+        report = json.loads(paths[resamples].read_text())
+        assert report.pop("monte_carlo")["resamples"] == int(resamples)
+        assert (json.dumps(report, indent=2) + "\n").encode() == \
+            paths["0"].read_bytes()
 
     # counts too large for the last steps to reach the certified gap: the
     # report says so instead of printing a plausible state as converged

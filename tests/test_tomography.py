@@ -416,9 +416,9 @@ class TestCertificate:
 
 class TestMonteCarlo:
     def test_deterministic(self):
-        point = tg.mle_reconstruct(tg.sample_counts(SIGMA, 4000, seed=8))
-        a = tg.monte_carlo_statistics(point, 25, seed=4)
-        b = tg.monte_carlo_statistics(point, 25, seed=4)
+        records = tg.sample_counts(SIGMA, 4000, seed=8)
+        a = tg.mle_reconstruct(records, 25, seed=4).monte_carlo
+        b = tg.mle_reconstruct(records, 25, seed=4).monte_carlo
         assert a == b
 
     def test_noiseless_large_n_tiny_std(self):
@@ -427,42 +427,73 @@ class TestMonteCarlo:
             tg.CountRecord(a, b, round(n * tg.born_probability(PHI_DM, a, b)))
             for a, b in tg.SETTINGS
         ]
-        _, std = tg.monte_carlo_statistics(
-            tg.mle_reconstruct(records), 20, seed=2).statistics["fidelity"]
+        _, std = tg.mle_reconstruct(
+            records, 20, seed=2).monte_carlo.statistics["fidelity"]
         assert std < 1e-3
 
     def test_reference_statistics(self):
-        point = tg.mle_reconstruct(tg.sample_counts(SIGMA, 4000, seed=8))
-        mean, std = tg.monte_carlo_statistics(
-            point, 10, seed=4).statistics["trace_distance"]
+        records = tg.sample_counts(SIGMA, 4000, seed=8)
+        mean, std = tg.mle_reconstruct(
+            records, 10, seed=4).monte_carlo.statistics["trace_distance"]
         assert mean >= 0
+
+    def test_no_resamples_no_summary(self):
+        records = tg.sample_counts(SIGMA, 1000, seed=8)
+        assert tg.mle_reconstruct(records).monte_carlo is None
+        assert tg.mle_reconstruct(records, 0, seed=3).monte_carlo is None
+
+    @pytest.mark.parametrize("n_resamples, seed, problem", [
+        (1, 4, "n_resamples must be 0"), (-1, 4, "n_resamples must be 0"),
+        (-5, None, "n_resamples must be 0"),
+        (3, None, "integer seed"), (3, 2.0, "integer seed"),
+        (3, "4", "integer seed")])
+    def test_bad_resampling_rejected(self, n_resamples, seed, problem):
+        records = tg.sample_counts(SIGMA, 1000, seed=8)
+        with pytest.raises(ValueError, match=problem):
+            tg.mle_reconstruct(records, n_resamples, seed=seed)
+
+
+def assert_same_point(rec, point):
+    """``rec`` has the bits of ``point`` in every field but
+    ``monte_carlo``."""
+    assert rec.records == point.records
+    assert np.array_equal(rec.rho_hat.matrix, point.rho_hat.matrix)
+    assert rec.rho_hat.labels == point.rho_hat.labels
+    for name in ("log_likelihood", "converged", "log_likelihood_history",
+                 "iterations", "final_eps", "certified_gap"):
+        assert getattr(rec, name) == getattr(point, name), name
 
 
 class TestMonteCarloStatistics:
     def test_single_pass_matches_per_statistic_runs(self):
         # each statistic of the one pass, against that statistic alone
-        # evaluated on each row of the batched reconstruction
-        point = tg.mle_reconstruct(tg.sample_counts(SIGMA, 2000, seed=8))
-        summary = tg.monte_carlo_statistics(point, 6, seed=4)
+        # evaluated on each resample row of the batched reconstruction
+        records = tg.sample_counts(SIGMA, 2000, seed=8)
+        point = tg.mle_reconstruct(records)
+        summary = tg.mle_reconstruct(records, 6, seed=4).monte_carlo
         assert tuple(summary.statistics) == tuple(tg._STATISTICS)
         assert summary.nonconverged == 0
         rngs = map(np.random.default_rng, np.random.SeedSequence(4).spawn(6))
-        counts = np.array([[rng.poisson(r.count) for r in point.records]
+        counts = np.array([[rng.poisson(r.count) for r in records]
                            for rng in rngs], dtype=float)
-        states = [DensityMatrix(rho, ("a", "b")) for rho, *_ in tg._mle_batch(
-            counts[:, tg._mle_order(point.records)], 1.0)]
+        results = tg._mle_batch(counts[:, tg._mle_order(records)], 1.0)
+        states = [DensityMatrix(rho, ("a", "b")) for rho, *_ in results]
         for name, value in summary.statistics.items():
             v = np.array([tg._STATISTICS[name](rho, point.rho_hat)
                           for rho in states])
             assert value == (float(v.mean()), float(v.std(ddof=1)))
+        assert summary.max_certified_gap == max(gap for *_, gap in results)
+        assert summary.max_certified_gap < tg.CERT_TOL
 
     def test_nonconverged_resamples_counted(self, monkeypatch):
-        point = tg.mle_reconstruct(tg.sample_counts(SIGMA, 2000, seed=8))
+        records = tg.sample_counts(SIGMA, 2000, seed=8)
         monkeypatch.setattr(tg, "MAX_ITERATIONS", 1)
-        summary = tg.monte_carlo_statistics(point, 5, seed=4)
-        assert summary.nonconverged == 5
+        rec = tg.mle_reconstruct(records, 5, seed=4)
+        assert rec.monte_carlo.nonconverged == 5
+        assert rec.monte_carlo.max_certified_gap >= tg.CERT_TOL
 
-    # every resample goes into one batched reconstruction in this process
+    # the point estimate and every resample go into one batched
+    # reconstruction in this process
     @pytest.mark.parametrize("resamples", [5, 6, 10])
     def test_one_chunk_per_worker(self, monkeypatch, resamples):
         rows = []
@@ -472,10 +503,10 @@ class TestMonteCarloStatistics:
             rows.append(len(counts))
             return batch(counts, exposures)
 
-        point = tg.mle_reconstruct(tg.sample_counts(SIGMA, 1000, seed=8))
+        records = tg.sample_counts(SIGMA, 1000, seed=8)
         monkeypatch.setattr(tg, "_mle_batch", recording_batch)
-        tg.monte_carlo_statistics(point, resamples, seed=2)
-        assert rows == [resamples]
+        tg.mle_reconstruct(records, resamples, seed=2)
+        assert rows == [resamples + 1]
 
     def test_resamples_match_one_at_a_time_reconstruction(self):
         # the summary of the batched pass, against the statistics of each
@@ -500,7 +531,7 @@ class TestMonteCarloStatistics:
                  "trace_distance", "uhlmann_fidelity")
         expected = {name: (float(v.mean()), float(v.std(ddof=1)))
                     for name, v in zip(names, np.array(values).T)}
-        summary = tg.monte_carlo_statistics(point, 5, seed=4)
+        summary = tg.mle_reconstruct(records, 5, seed=4).monte_carlo
         # in the key order of a tomo report's monte_carlo block
         assert list(summary.statistics.items()) == list(expected.items())
 
@@ -509,8 +540,29 @@ class TestMonteCarloStatistics:
         records[0] = tg.CountRecord("H", "H", 1)
         # some resample of a single count draws zero
         with pytest.raises(ValueError, match="degenerate data"):
-            tg.monte_carlo_statistics(tg.mle_reconstruct(records), 20,
-                                      seed=1)
+            tg.mle_reconstruct(records, 20, seed=1)
+
+    @tier1_examples(25)
+    @given(counts=st.lists(_SPARSE_COUNT, min_size=36, max_size=36)
+           .filter(any),
+           exposures=st.lists(st.floats(1e-3, 1e3), min_size=36,
+                              max_size=36),
+           resamples=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_point_estimate_independent_of_resamples(self, counts, exposures,
+                                                     resamples, seed):
+        # the point estimate is row 0 of the stack, with the bits it has
+        # alone, whatever the resamples beside it
+        records = [tg.CountRecord(a, b, c, e) for (a, b), c, e
+                   in zip(tg.SETTINGS, counts, exposures)]
+        point = tg.mle_reconstruct(records)
+        try:
+            rec = tg.mle_reconstruct(records, resamples, seed=seed)
+        except ValueError as e:
+            # a resample of these few counts drew none at all
+            assert "degenerate data" in str(e)
+            return
+        assert_same_point(rec, point)
+        assert rec.monte_carlo is not None
 
 
 def _resampled_rows(state, n, seed, size):
