@@ -20,9 +20,13 @@ reports the gap of the state it returns as ``certified_gap``.
 
 One loop, `_mle_batch`, runs every reconstruction on a stack of data sets:
 `mle_reconstruct` stacks the observed counts as row 0 and their Monte Carlo
-resamples, if any, as the rows after it, and runs them as one stack. A row's
-results have the same bits in any stack, so the point estimate does not
-depend on the resamples. Every stochastic operation takes an explicit
+resamples, if any, as the rows after it, and runs them as one stack. The
+loop's two contractions over the 36 settings, the Born probabilities of each
+state (`_probs_stack`) and the projector sums weighted by each row
+(`_projector_sums`), are numpy matmuls with one state per matrix, which
+numpy hands to BLAS a state at a time. A row's results therefore have the
+same bits in any stack, so the point estimate does not depend on the
+resamples. Every stochastic operation takes an explicit
 integer seed, and Monte Carlo resamples draw their streams from
 ``numpy.random.SeedSequence.spawn``, so the results are reproducible for a
 seed.
@@ -154,6 +158,14 @@ _SETTING_PROJECTORS = _frozen(np.stack([_PROJECTORS[s] for s in SETTINGS]))
 # in the (setting_a, setting_b) sort order in which the MLE takes its records
 _MLE_PROJECTORS = _frozen(np.stack([_PROJECTORS[s] for s in sorted(SETTINGS)]))
 _IDENTITY = _frozen(np.eye(4, dtype=complex))
+# the MLE's two contractions as matmul operands, one column or row per
+# setting: Tr(rho Pi) = sum_ab rho_ab Pi_ba = vec(rho) . vec(Pi^T), so the
+# 36 probabilities are vec(rho) times the (16, 36) table of vec(Pi_j^T), and
+# a row of 36 weights times the (36, 16) table of vec(Pi_j) is the weighted
+# projector sum
+_PROB_TABLE = _frozen(np.ascontiguousarray(
+    _MLE_PROJECTORS.transpose(0, 2, 1).reshape(36, 16).T))
+_SUM_TABLE = _frozen(_MLE_PROJECTORS.reshape(36, 16))
 
 
 def _born(rho, projectors: np.ndarray) -> np.ndarray:
@@ -220,23 +232,30 @@ def _mle_arrays(records: list[CountRecord]) -> tuple[np.ndarray, np.ndarray]:
     return counts, exposures
 
 
-def _probs(rho: np.ndarray) -> np.ndarray:
-    """The 36 Born probabilities of one state in the MLE's setting order,
-    floored at 1e-12."""
-    return np.maximum(
-        np.einsum("jab,ba->j", _MLE_PROJECTORS, rho).real, 1e-12)
-
-
 def _probs_stack(stack: np.ndarray) -> np.ndarray:
-    """`_probs` of each state of an (n, 4, 4) stack, as a C-ordered (n, 36)
-    array with the bits `_probs` gives each state alone when n >= 2 (a
-    stack of one sums in another order; `_search` passes 4 or more)."""
-    # this operand layout sums each probability in the order of `_probs`;
-    # the einsum writes a Fortran-ordered result, and a row sum over a
-    # Fortran-ordered array would add the terms in another order
-    p = np.einsum("jab,anb->nj", _MLE_PROJECTORS,
-                  np.ascontiguousarray(stack.transpose(2, 0, 1)))
-    return np.maximum(p.real, 1e-12, order="C")
+    """The 36 Born probabilities of each state of an (n, 4, 4) stack in the
+    MLE's setting order, floored at 1e-12, as an (n, 36) array.
+
+    The stack is one (n, 1, 16) @ (16, 36) matmul against `_PROB_TABLE`,
+    which numpy hands to BLAS one state at a time, so each row has the bits
+    its state has alone, in any stack. A 2-D (n, 16) @ (16, 36) product
+    would block the states together and give a row other bits."""
+    rows = np.ascontiguousarray(stack).reshape(-1, 1, 16)
+    return np.maximum((rows @ _PROB_TABLE)[:, 0].real, 1e-12)
+
+
+def _probs(rho: np.ndarray) -> np.ndarray:
+    """`_probs_stack` of one state."""
+    return _probs_stack(rho[None])[0]
+
+
+def _projector_sums(weights: np.ndarray) -> np.ndarray:
+    """The projectors summed with each row of an (n, 36) array of weights
+    in the MLE's setting order, as an (n, 4, 4) stack: one (n, 1, 36) @
+    (36, 16) matmul against `_SUM_TABLE`, a row at a time in BLAS as in
+    `_probs_stack`, so each sum has the bits of its row alone."""
+    rows = np.asarray(weights, dtype=complex)[:, None, :]
+    return (rows @ _SUM_TABLE).reshape(-1, 4, 4)
 
 
 def _loglik(counts: np.ndarray, expected: np.ndarray,
@@ -374,10 +393,11 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
     after ``MAX_ITERATIONS`` steps. It has converged exactly when the gap of
     the returned state, its ``certified_gap``, is below ``CERT_TOL``,
     whichever stop it took; the gap stays above it when the counts are so
-    large that no step gains any more before the gap gets there (sigma at
-    1e9 counts per setting), or when the exposures differ between
-    settings. ``final_eps`` is the step size t of the last step tried, one
-    of ``_STEPS``.
+    large that no step gains any more before the gap gets there (about half
+    the draws of sigma at 1e9 counts per setting; tests/data/frontier_scan.py
+    counts them), or when the exposures differ between settings.
+    ``final_eps`` is the step size t of the last step tried, one of
+    ``_STEPS``.
 
     ``n_resamples`` is 0 (no error bars, ``monte_carlo`` is None) or at
     least 2, and resampling needs an integer ``seed``. Resample k draws
@@ -404,8 +424,13 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
         drawn = np.array([
             np.random.default_rng(child).poisson(observed)
             for child in np.random.SeedSequence(seed).spawn(n_resamples)])
-        if not drawn.any(axis=1).all():
-            raise ValueError("degenerate data: all counts are zero")
+        empty = (~drawn.any(axis=1)).nonzero()[0]
+        if len(empty):
+            raise ValueError(
+                f"degenerate data: {len(empty)} of {n_resamples} Monte Carlo "
+                f"resamples drew no counts, the first resample {empty[0]} "
+                "(counting from 0); the observed counts total "
+                f"{int(observed.sum())}")
         counts = np.concatenate([counts, drawn[:, _mle_order(records)]])
     results = _mle_batch(counts, exposures)
     rho, history, converged, final_eps, gap = results[0]
@@ -460,7 +485,7 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     n_hat = 4.0 * np.mean(counts / exposures, axis=1)
     expected = n_hat[:, None] * exposures
     # the constant part of the log-likelihood's gradient, for the gap
-    h_op = np.einsum("nj,jab->nab", expected, _MLE_PROJECTORS)
+    h_op = _projector_sums(expected)
     total = np.maximum(counts.sum(axis=1), 1.0)[:, None, None]
     rho = np.repeat((_IDENTITY / 4.0)[None], n_rows, axis=0)
     p = np.repeat(_probs(_IDENTITY / 4.0)[None], n_rows, axis=0)
@@ -493,7 +518,7 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
                                          final_eps, gain, rho, p, ll, r_op, g))
 
     while len(rows):
-        r_op = np.einsum("nj,jab->nab", counts / p, _MLE_PROJECTORS) / total
+        r_op = _projector_sums(counts / p) / total
         # the log-likelihood's gradient at each iterate, for the gaps
         g = total * r_op - h_op
         if steps == budget:

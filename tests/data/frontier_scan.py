@@ -1,0 +1,64 @@
+"""Where the maximum-likelihood reconstruction stops certifying: sigma,
+mixed and phi+ at 3e8, 1e9 and 3e9 counts per setting, over seeds 100-139.
+
+    python tests/data/frontier_scan.py
+
+At these counts the last steps' gains approach the float spacing of the
+probabilities, and a run can stop, no step gaining, before its certified
+gap falls below ``CERT_TOL``. For each case this prints how many of the
+draws certified, the largest iteration count among them and the seeds that
+did not certify. A change to the MLE's floating-point work moves this
+frontier; run it before and after such a change.
+
+Each case's draws are reconstructed as one `_mle_batch` stack, whose rows
+have the bits of `mle_reconstruct` on each draw alone. pytest does not
+collect this file.
+"""
+
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path[:0] = [str(Path(__file__).resolve().parents[2] / "src")]
+
+from entclone import tomography as tg  # noqa: E402
+from entclone.cli import _named_density  # noqa: E402
+
+STATES = ("sigma", "mixed", "phi+")
+COUNTS = (3e8, 1e9, 3e9)
+SEEDS = range(100, 140)
+
+
+def scan_case(state: str, n: float, seeds: range) -> tuple[int, int, list]:
+    """The number of draws that certified, the largest iteration count and
+    the seeds that did not certify, for one state and count."""
+    rho, _ = _named_density(state)
+    rows = np.array([tg._mle_arrays(tg.sample_counts(rho, n, seed=seed))[0]
+                     for seed in seeds])
+    results = tg._mle_batch(rows, np.ones(36))
+    certified = [converged for _, _, converged, _, _ in results]
+    iterations = max(len(history) - 1 for _, history, *_ in results)
+    return (sum(certified), iterations,
+            [seed for seed, ok in zip(seeds, certified) if not ok])
+
+
+def main() -> None:
+    print(f"{'state':<8}{'n':>8}{'certified':>12}{'max it':>9}{'s':>8}  "
+          "not certified")
+    totals = dict.fromkeys(STATES, 0)
+    for state in STATES:
+        for n in COUNTS:
+            t0 = time.perf_counter()
+            certified, iterations, failed = scan_case(state, n, SEEDS)
+            totals[state] += certified
+            print(f"{state:<8}{n:>8.0e}{certified:>7}/{len(SEEDS):<4}"
+                  f"{iterations:>9}{time.perf_counter() - t0:>8.1f}  "
+                  f"{' '.join(map(str, failed))}", flush=True)
+    print("certified per state:",
+          ", ".join(f"{state} {totals[state]}" for state in STATES))
+
+
+if __name__ == "__main__":
+    main()

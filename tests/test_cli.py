@@ -368,16 +368,36 @@ class TestTomo:
 
     # counts too large for the last steps to reach the certified gap: the
     # report says so instead of printing a plausible state as converged
-    @pytest.mark.parametrize("state, n, gap", [("sigma", "1e9", "0.206"),
-                                               ("phi+", "1e12", "3.15")])
-    def test_unconverged_point_estimate_warned(self, capsys, state, n, gap):
-        code, out = run_cli("--seed", "7", "--format", "json", "tomo",
+    # sigma at seed 102 is a draw of tests/data/frontier_scan.py that does
+    # not certify
+    @pytest.mark.parametrize("state, n, seed, gap", [
+        pytest.param("sigma", "1e9", "102", "0.166", id="sigma-1e9-0.166"),
+        pytest.param("phi+", "1e12", "7", "3.15", id="phi+-1e12-3.15")])
+    def test_unconverged_point_estimate_warned(self, capsys, state, n, seed,
+                                               gap):
+        code, out = run_cli("--seed", seed, "--format", "json", "tomo",
                             "--state", state, "--n", n, capsys=capsys)
         assert code == 0
         assert json.loads(out.out)["converged"] is False
         assert out.err == ("entclone: warning: the reconstruction did not "
                            "converge: its certified log-likelihood gap is "
                            f"{gap}, above 0.1\n")
+
+    def test_resample_without_counts_named(self, capsys):
+        # the observed counts reconstruct, but half the resamples of their
+        # one count draw none; the error said "all counts are zero"
+        code, out = run_cli("--seed", "1", "tomo", "--state", "sigma",
+                            "--n", "0.2", capsys=capsys)
+        assert code == 0
+        assert json.loads(out.out)["reconstruction"]
+        code, out = run_cli("--seed", "1", "tomo", "--state", "sigma",
+                            "--n", "0.2", "--resamples", "10", capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err == ("entclone: error: degenerate data: 5 of 10 Monte "
+                           "Carlo resamples drew no counts, the first "
+                           "resample 2 (counting from 0); the observed "
+                           "counts total 1\n")
 
     @pytest.mark.parametrize("resamples", ["1", "-1"])
     def test_resamples_without_error_bars_rejected(self, capsys, resamples):
