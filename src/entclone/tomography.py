@@ -1,15 +1,13 @@
 """Simulated two-photon state tomography.
 
 36 polarization settings (all pairs drawn from H, V, D, A, L, R), Poisson
-count statistics, maximum-likelihood reconstruction by RrhoR iteration with
-a line search over the step size, and Monte Carlo error bars from Poisson
-resampling.
+count statistics, maximum-likelihood reconstruction by projected gradient
+ascent, and Monte Carlo error bars from Poisson resampling.
 
-Each iteration tries the steps S_t = I + t (R - I) for t = 1/2, 1, 2 and 4
-(t = 1 is Hradil's RrhoR) as one stacked evaluation and takes the candidate
-S_t rho S_t^H / Tr that gains the most log-likelihood; when none gains, the
-reconstruction stops on its current iterate. Any real t gives a PSD
-candidate, as the step is a congruence.
+Each step takes the iterate rho to z = Proj(rho + alpha G), along the
+log-likelihood's gradient G, with its eigenvalues projected onto the
+probability simplex (Shang, Zhang & Ng, PRA 95, 062336 (2017)): one rule
+for every exposure, and every iterate a state by construction (`_step`).
 
 A reconstruction stops on a certificate, not on a small step: the
 log-likelihood is concave in the state, so its gradient G at the iterate rho
@@ -24,12 +22,12 @@ resamples, if any, as the rows after it, and runs them as one stack. The
 loop's two contractions over the 36 settings, the Born probabilities of each
 state (`_probs_stack`) and the projector sums weighted by each row
 (`_projector_sums`), are numpy matmuls with one state per matrix, which
-numpy hands to BLAS a state at a time. A row's results therefore have the
-same bits in any stack, so the point estimate does not depend on the
-resamples. Every stochastic operation takes an explicit
-integer seed, and Monte Carlo resamples draw their streams from
-``numpy.random.SeedSequence.spawn``, so the results are reproducible for a
-seed.
+numpy hands to BLAS a state at a time, as `eigh` takes each matrix alone.
+A row's results therefore have the same bits in any stack, so the point
+estimate does not depend on the resamples. Every stochastic operation
+takes an explicit integer seed, and Monte Carlo resamples draw their
+streams from ``numpy.random.SeedSequence.spawn``, so the results are
+reproducible for a seed.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .qmath import EIG_CLAMP, DensityMatrix, check_density
+from .qmath import DensityMatrix, check_density
 
 PROJECTOR_LETTERS = ("H", "V", "D", "A", "L", "R")
 
@@ -129,12 +127,12 @@ class TomographyRecord:
     log_likelihood: float
     converged: bool
     log_likelihood_history: list[float]
-    # accepted RrhoR steps, the step size t of the last step tried (1/2, 1,
-    # 2 or 4; None when none was) and the certified gap of the returned
-    # state, an upper bound on how far its log-likelihood is below the
-    # maximum; diagnostics only, no report prints them
+    # accepted steps and the certified gap of the returned state, an upper
+    # bound on how far its log-likelihood is below the maximum, reported as
+    # computed: from about 1e15 counts per setting its rounding exceeds
+    # CERT_TOL, and it can come out below 0 (-0.56 for phi+ at 1e15, seed
+    # 7); diagnostics only, no report prints them
     iterations: int
-    final_eps: float | None
     certified_gap: float
     # the Monte Carlo error bars, None when no resamples were asked for
     monte_carlo: MonteCarloSummary | None = None
@@ -158,6 +156,8 @@ _SETTING_PROJECTORS = _frozen(np.stack([_PROJECTORS[s] for s in SETTINGS]))
 # in the (setting_a, setting_b) sort order in which the MLE takes its records
 _MLE_PROJECTORS = _frozen(np.stack([_PROJECTORS[s] for s in sorted(SETTINGS)]))
 _IDENTITY = _frozen(np.eye(4, dtype=complex))
+# k = 1 ... 4, the sizes of the leading sums of the simplex projection
+_RANKS = _frozen(np.arange(1.0, 5.0))
 # the MLE's two contractions as matmul operands, one column or row per
 # setting: Tr(rho Pi) = sum_ab rho_ab Pi_ba = vec(rho) . vec(Pi^T), so the
 # 36 probabilities are vec(rho) times the (16, 36) table of vec(Pi_j^T), and
@@ -273,31 +273,24 @@ def _finish(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
+def _inner(a, b):
+    """Tr(a b) of each pair of matrices of two (n, 4, 4) stacks, real part:
+    the Frobenius inner product of Hermitian matrices."""
+    return np.einsum("nab,nba->n", a, b).real
+
+
 def _gaps(g, rho):
     """The certified gap of each iterate of an (n, 4, 4) stack ``rho``,
     from the log-likelihood's gradient ``g`` at it.
 
-    The gradient at rho is G = total * R - H, from the count total, the
-    R operator and H, the sum of the projectors weighted by their expected
-    counts. The log-likelihood is concave, so no state's log-likelihood
-    exceeds rho's by more than lambda_max(G) - Tr(G rho), at any exposures.
-    Each gap has the bits of the same iterate in any other stack, so a row
-    stops where it would alone.
+    The gradient at rho is G = sum_j (n_j / p_j - e_j) Pi_j, from the
+    counts n_j, the probabilities p_j and the expected counts e_j at unit
+    probability. The log-likelihood is concave, so no state's
+    log-likelihood exceeds rho's by more than lambda_max(G) - Tr(G rho), at
+    any exposures. Each gap has the bits of the same iterate in any other
+    stack, so a row stops where it would alone.
     """
-    return (np.linalg.eigvalsh(g)[:, -1]
-            - np.einsum("nab,nba->n", g, rho).real)
-
-
-def _candidates(step, rho, p, counts, expected):
-    """Each candidate step @ rho @ step^H at unit trace, with its
-    probabilities and its log-likelihood gain over the iterate whose
-    probabilities are ``p``, over the leading axes of a stack of steps;
-    ``rho``, ``p``, ``counts`` and ``expected`` broadcast against them."""
-    cand = step @ rho @ step.conj().swapaxes(-1, -2)
-    cand /= cand.trace(axis1=-2, axis2=-1).real[..., None, None]
-    cand_p = _probs_stack(cand.reshape(-1, 4, 4)).reshape(
-        *cand.shape[:-2], 36)
-    return cand, cand_p, _gains(counts, expected, p, cand_p)
+    return np.linalg.eigvalsh(g)[:, -1] - _inner(g, rho)
 
 
 def _gains(counts, expected, p, cand_p):
@@ -309,46 +302,42 @@ def _gains(counts, expected, p, cand_p):
     return (counts * np.log1p(d / p) - expected * d).sum(axis=-1)
 
 
-# the step sizes t of the steps S_t = I + t (R - I) that every iteration
-# tries as one stack: t = 1/2 is the step I + R, up to scale, and t = 1
-# Hradil's RrhoR; in exact arithmetic any real t keeps the candidate
-# S_t rho S_t^H PSD
-_STEPS = np.array([0.5, 1.0, 2.0, 4.0])
+def _project(m):
+    """The state nearest to each Hermitian matrix of an (n, 4, 4) stack in
+    Frobenius norm (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)): each
+    eigenvalue lambda becomes max(lambda - theta, 0), on the same
+    eigenvectors. With s_k the sum of the k largest eigenvalues, theta is
+    the largest (s_k - 1) / k, as that sequence rises while the next
+    eigenvalue exceeds it and falls after; `eigh` returns them ascending,
+    so the sums need no sort."""
+    lam, vecs = np.linalg.eigh(m)
+    theta = ((np.cumsum(lam[:, ::-1], axis=1) - 1.0) / _RANKS).max(axis=1)
+    weights = np.maximum(lam - theta[:, None], 0.0)
+    return (vecs * weights[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _search(r_op, rho, p, counts, expected):
-    """One iteration's step for each row of an (n, 4, 4) stack of iterates
-    ``rho``, from their R operators ``r_op``: the candidate of ``_STEPS``
-    with the largest gain, which improves the row if it gains at all; a
-    candidate of t = 4 only if it is a state.
+def _step(g, rho, p, counts, expected, alpha):
+    """One projected-gradient step for each row of an (n, 4, 4) stack of
+    iterates ``rho``, from the gradients ``g`` at them and each row's step
+    size ``alpha``: the candidate z = Proj(rho + alpha G), its
+    probabilities, its gain, and whether it is accepted, which it is when
+    the gain is at least <G, z - rho> - ||z - rho||^2 / (2 alpha).
 
-    Tr(R rho) = 1, so Tr(S_t rho) = 1 and the trace that normalizes a
-    candidate is at least 1. A negative eigenvalue of the iterate, ~-1e-17
-    from rounding where the maximizer lies on the boundary, therefore grows
-    by at most (1 - t)^2 on a direction met only by settings without
-    counts, where R is 0: not at all for t <= 2, but 9-fold for t = 4, and
-    the likelihood rewards it, as it lowers those settings' probabilities.
-    Unchecked, it reached -6.6e-5 in 25 steps on counts in five settings.
-    A row whose t = 4 candidate is best but has an eigenvalue below
-    ``-EIG_CLAMP`` takes the best of the other steps.
-
-    The n x 4 candidates are one stacked `_candidates` call, so a row has
-    the bits of the same search alone. Returns each row's candidate, its
-    probabilities, its gain, whether it improves the row, and its step
-    size t.
+    With the probability changes d_j, <G, z - rho> is
+    sum_j (n_j / p_j - e_j) d_j, and the gain less it is
+    sum_j n_j (log1p(d_j / p_j) - d_j / p_j): the rule is tested in that
+    form, free of the rounding of |G| times the iterate's float spacing that
+    Tr(G (z - rho)) carries, 1e-4 at 1e12 counts per setting. In exact
+    arithmetic the bound is at least ||z - rho||^2 / (2 alpha), so an
+    accepted step that does not gain has reached the maximum.
     """
-    cand, cand_p, gains = _candidates(
-        _IDENTITY + _STEPS[:, None, None] * (r_op[:, None] - _IDENTITY),
-        rho[:, None], p[:, None], counts[:, None], expected[:, None])
-    each = np.arange(len(rho))
-    best = gains.argmax(axis=1)
-    # the rows whose best step is t = 4, the last of _STEPS
-    wide = (best == 3).nonzero()[0]
-    if len(wide):
-        wide = wide[np.linalg.eigvalsh(cand[wide, 3])[:, 0] < -EIG_CLAMP]
-        best[wide] = gains[wide, :3].argmax(axis=1)
-    cand, cand_p, gain = (a[each, best] for a in (cand, cand_p, gains))
-    return cand, cand_p, gain, gain > 0, _STEPS[best]
+    z = _project(rho + alpha[:, None, None] * g)
+    z_p = _probs_stack(z)
+    x = (z_p - p) / p
+    d = z - rho
+    accepted = ((counts * (np.log1p(x) - x)).sum(axis=-1)
+                >= -_inner(d, d) / (2.0 * alpha))
+    return z, z_p, _gains(counts, expected, p, z_p), accepted
 
 
 # each statistic of the resamples' (B, 4, 4) state stack rho, one value per
@@ -377,27 +366,27 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
     estimated as 4 x mean(count / exposure) (the 36 projectors sum to 9 I,
     so the mean success probability per setting is 1/4). That rate is only
     right for the full set, so the records must hold each of the 36
-    ``SETTINGS`` exactly once; any other set raises ValueError. The
-    maximizer is found by RrhoR iteration with a line search: each iteration
-    tries the steps S_t = I + t (R - I) for t in ``_STEPS`` and takes the
-    one that raises the log-likelihood most. Every candidate S_t rho S_t^H
-    is PSD, so iterates stay physical with unit trace. A step's gain is
-    summed from the changes of the probabilities, which resolves gains far
-    below the float spacing of the log-likelihood, and the log-likelihood
-    reported is that of I/4 plus the gains of the accepted steps, so its
-    history rises with every step.
+    ``SETTINGS`` exactly once; any other set raises ValueError. The rate
+    stays fixed at that estimate; it is not fitted with the state, and at
+    equal exposures the two give the same state.
+
+    The maximizer is found by projected gradient ascent (`_step`), at equal
+    and unequal exposures alike, so iterates stay physical with unit trace.
+    A step's gain is summed from the changes of the probabilities, which
+    resolves gains far below the float spacing of the log-likelihood, and
+    the log-likelihood reported is that of I/4 plus the gains of the
+    accepted steps, so its history rises with every step.
 
     The iteration stops at the first iterate whose certified gap, an upper
     bound on how far its log-likelihood lies below the maximum, is below
-    ``CERT_TOL``, when no step of ``_STEPS`` raises the log-likelihood, or
-    after ``MAX_ITERATIONS`` steps. It has converged exactly when the gap of
-    the returned state, its ``certified_gap``, is below ``CERT_TOL``,
-    whichever stop it took; the gap stays above it when the counts are so
-    large that no step gains any more before the gap gets there (about half
-    the draws of sigma at 1e9 counts per setting; tests/data/frontier_scan.py
-    counts them), or when the exposures differ between settings.
-    ``final_eps`` is the step size t of the last step tried, one of
-    ``_STEPS``.
+    ``CERT_TOL``, when an accepted step does not raise the log-likelihood,
+    or after ``MAX_ITERATIONS`` passes, accepted or not. It has converged
+    exactly when the gap of the returned state, its ``certified_gap``, is
+    below ``CERT_TOL``, whichever stop it took; the gap stays above it when
+    the counts are so large that no step gains any more before the gap gets
+    there (some draws of sigma and the mixed state at 1e9 counts per
+    setting; tests/data/frontier_scan.py counts them). ``iterations`` is
+    the number of accepted steps.
 
     ``n_resamples`` is 0 (no error bars, ``monte_carlo`` is None) or at
     least 2, and resampling needs an integer ``seed``. Resample k draws
@@ -433,10 +422,10 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
                 f"{int(observed.sum())}")
         counts = np.concatenate([counts, drawn[:, _mle_order(records)]])
     results = _mle_batch(counts, exposures)
-    rho, history, converged, final_eps, gap = results[0]
+    rho, history, converged, gap = results[0]
     rec = TomographyRecord(list(records), DensityMatrix(rho, ("a", "b")),
                            history[-1], converged, history,
-                           len(history) - 1, final_eps, gap)
+                           len(history) - 1, gap)
     if not n_resamples:
         return rec
     resamples = results[1:]
@@ -460,21 +449,21 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
 
     The columns are in the MLE's setting order (sorted ``SETTINGS``), and
     ``exposures`` broadcasts against ``counts``. The rows run as one
-    (B, 4, 4) stack, whose B x 4 candidates of an iteration are one
-    stacked evaluation (`_search`); each row keeps its own step,
-    certificate stop and ``MAX_ITERATIONS`` budget, and a row's results
-    have the same bits in any stack. A gap is computed only once a row's
-    last accepted step gained less than ``CERT_TOL``; skipping it earlier
+    (B, 4, 4) stack and take one `_step` each per pass; each row keeps its
+    own step size, from 1 / (its count total), its certificate stop and
+    its ``MAX_ITERATIONS`` budget of passes, and a row's results have the
+    same bits in any stack. A gap reuses the pass's gradient and costs one
+    `eigvalsh`; it is computed for the start and for each iterate that a
+    step gaining less than ``CERT_TOL`` reached, and skipping it elsewhere
     costs no correctness, as no row stops on the certificate without
     computing it. A row leaves the stack on the first iterate whose
-    certified gap is below ``CERT_TOL``, on the last iterate when no step
-    improves it, and on the iterate it reached when the budget runs out;
-    it has converged if the gap of that iterate is below ``CERT_TOL``.
+    certified gap is below ``CERT_TOL``, on its iterate when an accepted
+    step does not gain, and on the iterate it reached when the budget runs
+    out; it has converged if the gap of that iterate is below ``CERT_TOL``.
 
     Returns per row the finished state, its log-likelihood history (that
     of I/4, then that of each accepted step, so the last entry is the
-    state's), whether it converged, the step size t of the last step it
-    tried (None when it tried none) and the certified gap of its last
+    state's), whether it converged and the certified gap of its last
     iterate.
     """
     counts = np.ascontiguousarray(counts, dtype=float)
@@ -484,48 +473,43 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     budget = MAX_ITERATIONS
     n_hat = 4.0 * np.mean(counts / exposures, axis=1)
     expected = n_hat[:, None] * exposures
-    # the constant part of the log-likelihood's gradient, for the gap
+    # the constant part of the log-likelihood's gradient
     h_op = _projector_sums(expected)
-    total = np.maximum(counts.sum(axis=1), 1.0)[:, None, None]
     rho = np.repeat((_IDENTITY / 4.0)[None], n_rows, axis=0)
     p = np.repeat(_probs(_IDENTITY / 4.0)[None], n_rows, axis=0)
     ll = _loglik(counts, expected, p)
     history = [[value] for value in ll.tolist()]
-    # each row's step size t of its last search, NaN before the first
-    final_eps = np.full(n_rows, math.nan)
-    # each row's gain on its last accepted step, infinite before the first
-    gain = np.full(n_rows, math.inf)
+    alpha = 1.0 / np.maximum(counts.sum(axis=1), 1.0)
+    # the rows whose iterates need a gap check: the start, and an iterate
+    # reached by a step that gained less than CERT_TOL
+    check = np.ones(n_rows, dtype=bool)
     # positions in the caller's array of the rows still in the stack
     rows = np.arange(n_rows)
     results = [None] * n_rows
-    steps = 0
+    passes = 0
 
     def leave(stops, gaps):
         """Record the rows at positions ``stops`` as stopped on their
         current iterates, with certified gaps ``gaps``, and take them out
         of the stack."""
-        nonlocal rows, counts, expected, h_op, total, final_eps, gain, \
-            rho, p, ll, r_op, g
+        nonlocal rows, counts, expected, h_op, alpha, check, rho, p, ll, g
         for i, gap in zip(stops, gaps):
-            t = float(final_eps[i])
             results[rows[i]] = (_finish(rho[i]), history[rows[i]],
-                                bool(gap < CERT_TOL),
-                                None if math.isnan(t) else t, float(gap))
+                                bool(gap < CERT_TOL), float(gap))
         keep = np.ones(len(rows), dtype=bool)
         keep[stops] = False
-        rows, counts, expected, h_op, total, final_eps, gain, rho, p, ll, \
-            r_op, g = (a[keep] for a in (rows, counts, expected, h_op, total,
-                                         final_eps, gain, rho, p, ll, r_op, g))
+        rows, counts, expected, h_op, alpha, check, rho, p, ll, g = (
+            a[keep] for a in (rows, counts, expected, h_op, alpha, check,
+                              rho, p, ll, g))
 
     while len(rows):
-        r_op = _projector_sums(counts / p) / total
-        # the log-likelihood's gradient at each iterate, for the gaps
-        g = total * r_op - h_op
-        if steps == budget:
+        # the log-likelihood's gradient at each iterate
+        g = _projector_sums(counts / p) - h_op
+        if passes == budget:
             # out of budget: every row left stops on its last iterate
             leave(np.arange(len(rows)), _gaps(g, rho))
             break
-        checked = (gain < CERT_TOL).nonzero()[0]
+        checked = check.nonzero()[0]
         if len(checked):
             gaps = _gaps(g[checked], rho[checked])
             certified = (gaps < CERT_TOL).nonzero()[0]
@@ -533,18 +517,20 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
                 leave(checked[certified], gaps[certified])
                 if not len(rows):
                     break
-        cand, cand_p, gain, improved, final_eps = _search(
-            r_op, rho, p, counts, expected)
-        steps += 1
-        # the rows whose last iterates no step improves
-        stops = (~improved).nonzero()[0]
-        if len(stops):
-            cand, cand_p = cand[improved], cand_p[improved]
-            leave(stops, _gaps(g[stops], rho[stops]))
-        # the accepted candidates' probabilities feed the next R operators
-        rho, p, ll = cand, cand_p, ll + gain
-        for row, value in zip(rows.tolist(), ll.tolist()):
+        z, z_p, gain, accepted = _step(g, rho, p, counts, expected, alpha)
+        passes += 1
+        moved = accepted & (gain > 0)
+        rho = np.where(moved[:, None, None], z, rho)
+        p = np.where(moved[:, None], z_p, p)
+        ll = np.where(moved, ll + gain, ll)
+        alpha = np.where(accepted, 1.25 * alpha, 0.5 * alpha)
+        check = moved & (gain < CERT_TOL)
+        for row, value in zip(rows[moved].tolist(), ll[moved].tolist()):
             history[row].append(value)
+        # the rows whose accepted step does not gain stop on their iterates
+        stops = (accepted & ~moved).nonzero()[0]
+        if len(stops):
+            leave(stops, _gaps(g[stops], rho[stops]))
     return results
 
 
@@ -591,8 +577,12 @@ def counts_from_csv(path) -> list[CountRecord]:
                 raise ValueError(
                     f"counts CSV line {reader.line_num}: exposure must be a "
                     f"number, got {row['exposure']!r}") from None
-            records.append(CountRecord(row["setting_a"], row["setting_b"],
-                                       count, exposure))
+            try:
+                records.append(CountRecord(row["setting_a"], row["setting_b"],
+                                           count, exposure))
+            except ValueError as e:
+                raise ValueError(
+                    f"counts CSV line {reader.line_num}: {e}") from None
         return records
 
 

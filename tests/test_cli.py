@@ -368,11 +368,11 @@ class TestTomo:
 
     # counts too large for the last steps to reach the certified gap: the
     # report says so instead of printing a plausible state as converged
-    # sigma at seed 102 is a draw of tests/data/frontier_scan.py that does
-    # not certify
+    # sigma at seed 103 is the draw of tests/data/frontier_scan.py at 1e9
+    # counts per setting that does not certify
     @pytest.mark.parametrize("state, n, seed, gap", [
-        pytest.param("sigma", "1e9", "102", "0.166", id="sigma-1e9-0.166"),
-        pytest.param("phi+", "1e12", "7", "3.15", id="phi+-1e12-3.15")])
+        pytest.param("sigma", "1e9", "103", "0.128", id="sigma-1e9-0.128"),
+        pytest.param("phi+", "1e12", "7", "1.12", id="phi+-1e12-1.12")])
     def test_unconverged_point_estimate_warned(self, capsys, state, n, seed,
                                                gap):
         code, out = run_cli("--seed", seed, "--format", "json", "tomo",
