@@ -452,14 +452,20 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     (B, 4, 4) stack and take one `_step` each per pass; each row keeps its
     own step size, from 1 / (its count total), its certificate stop and
     its ``MAX_ITERATIONS`` budget of passes, and a row's results have the
-    same bits in any stack. A gap reuses the pass's gradient and costs one
-    `eigvalsh`; it is computed for the start and for each iterate that a
-    step gaining less than ``CERT_TOL`` reached, and skipping it elsewhere
-    costs no correctness, as no row stops on the certificate without
-    computing it. A row leaves the stack on the first iterate whose
-    certified gap is below ``CERT_TOL``, on its iterate when an accepted
-    step does not gain, and on the iterate it reached when the budget runs
-    out; it has converged if the gap of that iterate is below ``CERT_TOL``.
+    same bits in any stack.
+
+    Rows leave the stack in one place, at the top of a pass, once its
+    gradient is known: a row leaves on the first iterate whose certified
+    gap is below ``CERT_TOL``, on its iterate when the last pass's accepted
+    step did not gain (a stalled row), and on every iterate when the passes
+    reach ``MAX_ITERATIONS``; it has converged if the gap of that iterate
+    is below ``CERT_TOL``. A gap reuses the pass's gradient and costs one
+    `eigvalsh`. One `_gaps` call covers the stalled rows, the rows out of
+    budget, and the rows whose iterate is the start or was reached by a
+    step gaining less than ``CERT_TOL``; skipping it elsewhere costs no
+    correctness, as no row stops on the certificate without computing it.
+    A stalled row keeps its state and probabilities, so its gradient and
+    gap have the bits of those of the pass whose step stalled.
 
     Returns per row the finished state, its log-likelihood history (that
     of I/4, then that of each accepted step, so the last entry is the
@@ -470,7 +476,6 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     exposures = np.ascontiguousarray(
         np.broadcast_to(exposures, counts.shape), dtype=float)
     n_rows = len(counts)
-    budget = MAX_ITERATIONS
     n_hat = 4.0 * np.mean(counts / exposures, axis=1)
     expected = n_hat[:, None] * exposures
     # the constant part of the log-likelihood's gradient
@@ -483,40 +488,30 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     # the rows whose iterates need a gap check: the start, and an iterate
     # reached by a step that gained less than CERT_TOL
     check = np.ones(n_rows, dtype=bool)
+    # the rows whose last accepted step did not gain
+    stalled = np.zeros(n_rows, dtype=bool)
     # positions in the caller's array of the rows still in the stack
     rows = np.arange(n_rows)
     results = [None] * n_rows
     passes = 0
-
-    def leave(stops, gaps):
-        """Record the rows at positions ``stops`` as stopped on their
-        current iterates, with certified gaps ``gaps``, and take them out
-        of the stack."""
-        nonlocal rows, counts, expected, h_op, alpha, check, rho, p, ll, g
-        for i, gap in zip(stops, gaps):
-            results[rows[i]] = (_finish(rho[i]), history[rows[i]],
-                                bool(gap < CERT_TOL), float(gap))
-        keep = np.ones(len(rows), dtype=bool)
-        keep[stops] = False
-        rows, counts, expected, h_op, alpha, check, rho, p, ll, g = (
-            a[keep] for a in (rows, counts, expected, h_op, alpha, check,
-                              rho, p, ll, g))
-
     while len(rows):
         # the log-likelihood's gradient at each iterate
         g = _projector_sums(counts / p) - h_op
-        if passes == budget:
-            # out of budget: every row left stops on its last iterate
-            leave(np.arange(len(rows)), _gaps(g, rho))
-            break
-        checked = check.nonzero()[0]
-        if len(checked):
-            gaps = _gaps(g[checked], rho[checked])
-            certified = (gaps < CERT_TOL).nonzero()[0]
-            if len(certified):
-                leave(checked[certified], gaps[certified])
-                if not len(rows):
-                    break
+        leaving = stalled | (passes == MAX_ITERATIONS)
+        checked = (check | leaving).nonzero()[0]
+        gaps = _gaps(g[checked], rho[checked])
+        stop = leaving[checked] | (gaps < CERT_TOL)
+        if stop.any():
+            for i, gap in zip(checked[stop], gaps[stop]):
+                results[rows[i]] = (_finish(rho[i]), history[rows[i]],
+                                    bool(gap < CERT_TOL), float(gap))
+            keep = np.ones(len(rows), dtype=bool)
+            keep[checked[stop]] = False
+            rows, counts, expected, h_op, alpha, rho, p, ll, g = (
+                a[keep] for a in (rows, counts, expected, h_op, alpha, rho,
+                                  p, ll, g))
+            if not len(rows):
+                break
         z, z_p, gain, accepted = _step(g, rho, p, counts, expected, alpha)
         passes += 1
         moved = accepted & (gain > 0)
@@ -525,12 +520,9 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
         ll = np.where(moved, ll + gain, ll)
         alpha = np.where(accepted, 1.25 * alpha, 0.5 * alpha)
         check = moved & (gain < CERT_TOL)
+        stalled = accepted & ~moved
         for row, value in zip(rows[moved].tolist(), ll[moved].tolist()):
             history[row].append(value)
-        # the rows whose accepted step does not gain stop on their iterates
-        stops = (accepted & ~moved).nonzero()[0]
-        if len(stops):
-            leave(stops, _gaps(g[stops], rho[stops]))
     return results
 
 
