@@ -12,9 +12,10 @@ for every exposure, and every iterate a state by construction (`_step`).
 A reconstruction stops on a certificate, not on a small step: the
 log-likelihood is concave in the state, so its gradient G at the iterate rho
 bounds how far the maximum lies above it, by the gap
-lambda_max(G) - Tr(G rho) (Glancy, Knill & Girard, NJP 14, 095017 (2012)).
-The iteration stops at the first iterate whose gap is below ``CERT_TOL`` and
-reports the gap of the state it returns as ``certified_gap``.
+lambda_max(G) - Tr(G rho) (Glancy, Knill & Girard, NJP 14, 095017 (2012)),
+plus a bound on its rounding (`_gaps`). The iteration stops at the first
+iterate whose gap is below ``CERT_TOL`` and reports the gap of the state it
+returns as ``certified_gap``.
 
 One loop, `_mle_batch`, runs every reconstruction on a stack of data sets:
 `mle_reconstruct` stacks the observed counts as row 0 and their Monte Carlo
@@ -128,10 +129,8 @@ class TomographyRecord:
     converged: bool
     log_likelihood_history: list[float]
     # accepted steps and the certified gap of the returned state, an upper
-    # bound on how far its log-likelihood is below the maximum, reported as
-    # computed: from about 1e15 counts per setting its rounding exceeds
-    # CERT_TOL, and it can come out below 0 (-0.56 for phi+ at 1e15, seed
-    # 7); diagnostics only, no report prints them
+    # bound on how far its log-likelihood is below the maximum, its rounding
+    # included (`_gaps`); diagnostics only, no report prints them
     iterations: int
     certified_gap: float
     # the Monte Carlo error bars, None when no resamples were asked for
@@ -279,18 +278,23 @@ def _inner(a, b):
     return np.einsum("nab,nba->n", a, b).real
 
 
-def _gaps(g, rho):
+def _gaps(g, rho, expected):
     """The certified gap of each iterate of an (n, 4, 4) stack ``rho``,
-    from the log-likelihood's gradient ``g`` at it.
+    from the log-likelihood's gradient ``g`` at it and the (n, 36) expected
+    counts at unit probability.
 
     The gradient at rho is G = sum_j (n_j / p_j - e_j) Pi_j, from the
-    counts n_j, the probabilities p_j and the expected counts e_j at unit
-    probability. The log-likelihood is concave, so no state's
-    log-likelihood exceeds rho's by more than lambda_max(G) - Tr(G rho), at
-    any exposures. Each gap has the bits of the same iterate in any other
-    stack, so a row stops where it would alone.
+    counts n_j, the probabilities p_j and the expected counts e_j. The
+    log-likelihood is concave, so no state's log-likelihood exceeds rho's
+    by more than lambda_max(G) - Tr(G rho), at any exposures. G is a
+    difference of sums of size sum_j e_j, and against 50-digit arithmetic
+    that value was off by at most 0.05 eps sum_j e_j (1e9 to 1e18 counts
+    per setting), so the gap adds eps sum_j e_j to stay a bound. Each gap
+    has the bits of the same iterate in any other stack, so a row stops
+    where it would alone.
     """
-    return np.linalg.eigvalsh(g)[:, -1] - _inner(g, rho)
+    rounding = np.finfo(float).eps * expected.sum(axis=-1)
+    return np.linalg.eigvalsh(g)[:, -1] - _inner(g, rho) + rounding
 
 
 def _gains(counts, expected, p, cand_p):
@@ -385,8 +389,9 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
     below ``CERT_TOL``, whichever stop it took; the gap stays above it when
     the counts are so large that no step gains any more before the gap gets
     there (some draws of sigma and the mixed state at 1e9 counts per
-    setting; tests/data/frontier_scan.py counts them). ``iterations`` is
-    the number of accepted steps.
+    setting; tests/data/frontier_scan.py counts them), and from about 1e15
+    counts per setting, where the gap's rounding bound alone exceeds
+    ``CERT_TOL``. ``iterations`` is the number of accepted steps.
 
     ``n_resamples`` is 0 (no error bars, ``monte_carlo`` is None) or at
     least 2, and resampling needs an integer ``seed``. Resample k draws
@@ -499,7 +504,7 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
         g = _projector_sums(counts / p) - h_op
         leaving = stalled | (passes == MAX_ITERATIONS)
         checked = (check | leaving).nonzero()[0]
-        gaps = _gaps(g[checked], rho[checked])
+        gaps = _gaps(g[checked], rho[checked], expected[checked])
         stop = leaving[checked] | (gaps < CERT_TOL)
         if stop.any():
             for i, gap in zip(checked[stop], gaps[stop]):

@@ -372,7 +372,8 @@ class TestTomo:
     # counts per setting that does not certify
     @pytest.mark.parametrize("state, n, seed, gap", [
         pytest.param("sigma", "1e9", "103", "0.128", id="sigma-1e9-0.128"),
-        pytest.param("phi+", "1e12", "7", "1.12", id="phi+-1e12-1.12")])
+        pytest.param("phi+", "1e12", "7", "1.13", id="phi+-1e12-1.13"),
+        pytest.param("phi+", "1e15", "7", "7.43", id="phi+-1e15-7.43")])
     def test_unconverged_point_estimate_warned(self, capsys, state, n, seed,
                                                gap):
         code, out = run_cli("--seed", seed, "--format", "json", "tomo",

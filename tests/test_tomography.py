@@ -460,6 +460,52 @@ class TestCertificate:
             assert tg.mle_reconstruct(records).certified_gap < tg.CERT_TOL
 
 
+    # the gap at the returned state, against a 50-digit recomputation of
+    # G and its largest eigenvalue from the same floats: the float value is
+    # off by at most 0.05 eps sum_j e_j, so `_gaps` adds eps sum_j e_j and
+    # bounds it; for phi+ at 1e15 (seed 7) the float value is below
+    # CERT_TOL, and the true gap above it
+    @pytest.mark.parametrize("state, n, seed", [
+        *((state, n, 7) for n in (1e9, 1e12, 1e15)
+          for state in ("phi+", "sigma", "mixed")),
+        ("phi+", 1e18, 1)])
+    def test_gap_bounds_its_rounding(self, state, n, seed):
+        mpmath = pytest.importorskip("mpmath")
+        counts = _point_rows([(state, n, seed)])[0]
+        rec = tg.mle_reconstruct([tg.CountRecord(a, b, int(c)) for (a, b), c
+                                  in zip(sorted(tg.SETTINGS), counts)])
+        rho = rec.rho_hat.matrix
+        expected = np.full(36, 4.0 * counts.mean())
+        p = tg._probs(rho)
+        g = tg._projector_sums((counts / p)[None])[0] - tg._projector_sums(
+            expected[None])[0]
+        gap = float(tg._gaps(g[None], rho[None], expected[None])[0])
+        rounding = np.finfo(float).eps * expected.sum()
+        with mpmath.workdps(50):
+            exact_rho = mpmath.matrix(rho.tolist())
+            exact_g = mpmath.matrix(4, 4)
+            for n_j, e_j, pi in zip(counts, expected, tg._MLE_PROJECTORS):
+                pi = mpmath.matrix(pi.tolist())
+                p_j = max(mpmath.re(sum((exact_rho * pi)[k, k]
+                                        for k in range(4))),
+                          mpmath.mpf(1e-12))
+                exact_g += (float(n_j) / p_j - float(e_j)) * pi
+            exact = (max(mpmath.eighe(exact_g, eigvals_only=True))
+                     - mpmath.re(sum((exact_g * exact_rho)[k, k]
+                                     for k in range(4))))
+        assert abs(gap - rounding - exact) <= 0.1 * rounding
+        assert exact < gap
+        if (state, n) == ("phi+", 1e15):
+            assert gap - rounding < tg.CERT_TOL < exact
+
+    # phi+ at these counts came back converged on the rounding of its gap,
+    # with gaps of -0.56 and -448
+    @pytest.mark.parametrize("n, seed", [(1e15, 7), (1e18, 1)])
+    def test_rounding_does_not_certify(self, n, seed):
+        rec = tg.mle_reconstruct(tg.sample_counts(PHI_DM, n, seed=seed))
+        assert not rec.converged and rec.certified_gap > tg.CERT_TOL
+
+
 class TestMonteCarlo:
     def test_deterministic(self):
         records = tg.sample_counts(SIGMA, 4000, seed=8)
@@ -746,7 +792,7 @@ def reference_mle(counts, exposures, gain_tol=None):
 
     def gap_and_gradient():
         g = tg._projector_sums((counts / p)[None])[0] - h_op
-        return float(tg._gaps(g[None], rho[None])[0]), g
+        return float(tg._gaps(g[None], rho[None], expected[None])[0]), g
 
     for _ in range(tg.MAX_ITERATIONS):
         gap, g = gap_and_gradient()
@@ -830,7 +876,7 @@ class TestDilutionLadder:
         for ref in assert_match_reference(rows, np.ones(36)):
             assert not ref[3] and ref[5] > tg.CERT_TOL
 
-    def test_rows_stopping_in_one_iteration(self):
+    def test_rows_stopping_in_one_iteration(self, monkeypatch):
         # the uniform rows stop together at the start, certified at the
         # maximum, where the gradient vanishes
         rows = np.concatenate(
@@ -838,6 +884,21 @@ class TestDilutionLadder:
         refs = assert_match_reference(rows, np.ones(36))
         assert [ref[4] for ref in refs[:3]] == [0, 0, 0]
         assert all(ref[3] and ref[5] < tg.CERT_TOL for ref in refs[:3])
+        # one stack whose rows leave on each stop in the same call: a
+        # uniform row certifies at the start, sigma at 1e9 counts (seed 103)
+        # stalls after 34 passes, and schmidt:0.2, which certifies after 93,
+        # runs out of a budget of 50
+        monkeypatch.setattr(tg, "MAX_ITERATIONS", 50)
+        rows = np.concatenate([UNIFORM_ROWS[:1], _point_rows(
+            [("sigma", 1e9, 103), ("schmidt:0.2", 1e6, 5)])])
+        certified, stalled, cut = assert_match_reference(rows, np.ones(36))
+        assert certified[3] and certified[4] == 0
+        for row, ref in zip(rows[1:], (stalled, cut)):
+            rec, steps = _stepped([tg.CountRecord(a, b, int(c)) for
+                                   (a, b), c in zip(sorted(tg.SETTINGS), row)])
+            assert not ref[3] and ref[5] > tg.CERT_TOL
+            assert _stalled(steps[-1]) == (ref is stalled)
+            assert (len(steps) == tg.MAX_ITERATIONS) == (ref is cut)
 
     def test_no_diluted_step_gains_at_the_stop(self):
         # where the loop stops, none of the steps I + eps R, eps = 2^-1 ...
