@@ -504,7 +504,9 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
         g = _projector_sums(counts / p) - h_op
         leaving = stalled | (passes == MAX_ITERATIONS)
         checked = (check | leaving).nonzero()[0]
-        gaps = _gaps(g[checked], rho[checked], expected[checked])
+        # an empty gap computation costs as much as a small one
+        gaps = (_gaps(g[checked], rho[checked], expected[checked])
+                if len(checked) else np.empty(0))
         stop = leaving[checked] | (gaps < CERT_TOL)
         if stop.any():
             for i, gap in zip(checked[stop], gaps[stop]):
