@@ -389,9 +389,9 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
     below ``CERT_TOL``, whichever stop it took; the gap stays above it when
     the counts are so large that no step gains any more before the gap gets
     there (some draws of sigma and the mixed state at 1e9 counts per
-    setting; tests/data/frontier_scan.py counts them), and from about 1e15
-    counts per setting, where the gap's rounding bound alone exceeds
-    ``CERT_TOL``. ``iterations`` is the number of accepted steps.
+    setting; tests/data/frontier_scan.py counts them), and always above
+    about 1.3e13 counts per setting, where the gap's rounding bound alone
+    exceeds ``CERT_TOL``. ``iterations`` is the number of accepted steps.
 
     ``n_resamples`` is 0 (no error bars, ``monte_carlo`` is None) or at
     least 2, and resampling needs an integer ``seed``. Resample k draws

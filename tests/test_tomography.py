@@ -463,9 +463,9 @@ class TestCertificate:
 
     # the gap at the returned state, against a 50-digit recomputation of
     # G and its largest eigenvalue from the same floats: the float value is
-    # off by at most 0.05 eps sum_j e_j, so `_gaps` adds eps sum_j e_j and
-    # bounds it, so from 1e15 counts nothing converges; for phi+ at 1e15
-    # (seed 7) the float value is below CERT_TOL, and the true gap above it
+    # off by at most 0.05 eps sum_j e_j, and `_gaps` adds eps sum_j e_j to
+    # bound it, which alone exceeds CERT_TOL from 1e15 counts; for phi+ at
+    # 1e15 (seed 7) the float value is below CERT_TOL, the true gap above
     @pytest.mark.parametrize("state, n, seed", [
         *((state, n, 7) for n in (1e9, 1e12, 1e15)
           for state in ("phi+", "sigma", "mixed")),
@@ -890,8 +890,8 @@ class TestDilutionLadder:
         certified, stalled, cut = assert_match_reference(rows, np.ones(36))
         assert certified[3] and certified[4] == 0
         for row, ref in zip(rows[1:], (stalled, cut)):
-            rec, steps = _stepped([tg.CountRecord(a, b, int(c)) for
-                                   (a, b), c in zip(sorted(tg.SETTINGS), row)])
+            _, steps = _stepped([tg.CountRecord(a, b, int(c)) for
+                                 (a, b), c in zip(sorted(tg.SETTINGS), row)])
             assert not ref[3] and ref[5] > tg.CERT_TOL
             assert _stalled(steps[-1]) == (ref is stalled)
             assert (len(steps) == tg.MAX_ITERATIONS) == (ref is cut)
