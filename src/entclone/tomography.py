@@ -11,11 +11,15 @@ for every exposure, and every iterate a state by construction (`_step`).
 
 A reconstruction stops on a certificate, not on a small step: the
 log-likelihood is concave in the state, so its gradient G at the iterate rho
-bounds how far the maximum lies above it, by the gap
+bounds how far the maximum lies above it, by the linear gap
 lambda_max(G) - Tr(G rho) (Glancy, Knill & Girard, NJP 14, 095017 (2012)),
-plus a bound on its rounding (`_gaps`). The iteration stops at the first
-iterate whose gap is below ``CERT_TOL`` and reports the gap of the state it
-returns as ``certified_gap``.
+plus a bound on its rounding (`_gaps`). That gap is first order in G, while
+the shortfall is second order, so at an iterate of full rank that the
+linear gap does not certify the loop also takes a Fenchel dual gap, second
+order in G, with its own rounding bound (`_dual_gaps`), and the smaller of
+the two counts. The iteration stops at the first iterate whose gap is below
+``CERT_TOL`` and reports the gap of the state it returns as
+``certified_gap``.
 
 One loop, `_mle_batch`, runs every reconstruction on a stack of data sets:
 `mle_reconstruct` stacks the observed counts as row 0 and their Monte Carlo
@@ -165,6 +169,28 @@ _RANKS = _frozen(np.arange(1.0, 5.0))
 _PROB_TABLE = _frozen(np.ascontiguousarray(
     _MLE_PROJECTORS.transpose(0, 2, 1).reshape(36, 16).T))
 _SUM_TABLE = _frozen(_MLE_PROJECTORS.reshape(36, 16))
+_UPPER = np.triu_indices(4, 1)
+
+
+def _coords(m: np.ndarray) -> np.ndarray:
+    """The coordinates of each Hermitian matrix of an (..., 4, 4) stack in
+    an orthonormal real basis of the Hermitian matrices under Tr(A B), as
+    (..., 16): the four diagonal entries, then sqrt(2) times the real and
+    the imaginary parts of the six entries above the diagonal. The basis is
+    orthonormal, so the Frobenius norm of a matrix is that of its
+    coordinates."""
+    upper = np.sqrt(2.0) * m[..., _UPPER[0], _UPPER[1]]
+    return np.concatenate([np.diagonal(m, axis1=-2, axis2=-1).real,
+                           upper.real, upper.imag], axis=-1)
+
+
+# the dual certificate's operands (`_dual_gaps`): the coordinates a_j of
+# the projectors, one row per setting, the outer products a_j a_j^T of
+# each, flattened, and the coordinates of I
+_COORD_TABLE = _frozen(_coords(_MLE_PROJECTORS))
+_NORMAL_TABLE = _frozen(np.einsum("ja,jb->jab", _COORD_TABLE,
+                                  _COORD_TABLE).reshape(36, 256))
+_IDENTITY_COORDS = _frozen(_coords(_IDENTITY))
 
 
 def _born(rho, projectors: np.ndarray) -> np.ndarray:
@@ -279,9 +305,9 @@ def _inner(a, b):
 
 
 def _gaps(g, rho, expected):
-    """The certified gap of each iterate of an (n, 4, 4) stack ``rho``,
-    from the log-likelihood's gradient ``g`` at it and the (n, 36) expected
-    counts at unit probability.
+    """The linear certified gap of each iterate of an (n, 4, 4) stack
+    ``rho``, from the log-likelihood's gradient ``g`` at it and the (n, 36)
+    expected counts at unit probability.
 
     The gradient at rho is G = sum_j (n_j / p_j - e_j) Pi_j, from the
     counts n_j, the probabilities p_j and the expected counts e_j. The
@@ -289,12 +315,79 @@ def _gaps(g, rho, expected):
     by more than lambda_max(G) - Tr(G rho), at any exposures. G is a
     difference of sums of size sum_j e_j, and against 50-digit arithmetic
     that value was off by at most 0.05 eps sum_j e_j (1e9 to 1e18 counts
-    per setting), so the gap adds eps sum_j e_j to stay a bound. Each gap
-    has the bits of the same iterate in any other stack, so a row stops
-    where it would alone.
+    per setting), so the gap adds eps sum_j e_j to stay a bound. This gap
+    is first order in G, while the shortfall is second order; `_dual_gaps`
+    is second order too. Each gap has the bits of the same iterate in any
+    other stack, so a row stops where it would alone.
     """
     rounding = np.finfo(float).eps * expected.sum(axis=-1)
     return np.linalg.eigvalsh(g)[:, -1] - _inner(g, rho) + rounding
+
+
+def _dual_point(target, counts, p):
+    """The dual point of each row of `_dual_gaps` as x_j = delta_j p_j /
+    n_j, 0 where n_j = 0, in an (n, 36) array, from the (n, 16) coordinates
+    ``target`` of t I - G and the counts and probabilities; a row is NaN
+    where the solve finds its normal matrix singular.
+
+    delta is the p_j^2 / n_j-weighted least-norm solution of
+    sum_j delta_j Pi_j = t I - G over the settings with counts: with the
+    projectors' coordinates a_j and the weights w_j = n_j / p_j^2, it is
+    w_j a_j . l, where the normal matrix sum_j w_j a_j a_j^T times l is
+    ``target``. The normal matrices, the solve and the products a_j . l
+    are formed one row at a time, as in `_probs_stack`, so each row has its
+    bits alone."""
+    normal = (counts / (p * p))[:, None, :] @ _NORMAL_TABLE
+    normal, rhs = normal.reshape(-1, 16, 16), target[:, :, None]
+    try:
+        solution = np.linalg.solve(normal, rhs)
+    except np.linalg.LinAlgError:
+        solution = np.full_like(rhs, np.nan)
+        for k in range(len(rhs)):
+            try:
+                solution[k] = np.linalg.solve(normal[k], rhs[k])
+            except np.linalg.LinAlgError:
+                pass
+    return np.where(counts > 0, (solution.swapaxes(-1, -2)
+                                 @ _COORD_TABLE.T)[:, 0] / p, 0.0)
+
+
+def _dual_gaps(g, rho, counts, p, expected):
+    """The dual certified gap of each iterate of an (n, 4, 4) stack
+    ``rho``, from the gradient ``g`` at it, as in `_gaps`, and its (n, 36)
+    counts, probabilities and expected counts; NaN where it is no bound.
+
+    For n_j > 0 and y_j > 0, n_j log p <= n_j log(n_j / y_j) - n_j + y_j p
+    for every p >= 0, and a setting without counts needs only y_j >= 0, so
+    every state's log-likelihood, less the constants n_j log e_j, is at
+    most U(y) = sum_{n>0} [n_j log(n_j / y_j) - n_j]
+    + lambda_max(sum_j (y_j - e_j) Pi_j), for any such y (the Fenchel dual
+    of the maximization). At y = n / p, U less rho's is the linear gap;
+    at y = n / p + delta, with delta from `_dual_point`, it is
+    -sum_{n>0} n_j log1p(x_j) - t + lambda_max(G + sum_j delta_j Pi_j),
+    second order in delta, as sum_j delta_j p_j = 0. The last two terms are
+    at most ||G + sum_j delta_j Pi_j - t I||, the Frobenius norm, which
+    the coordinates give without an eigenvalue. The gap adds
+    eps (2 sum_j e_j + sum_j |delta_j| + sum_j n_j |log1p(x_j)|) for its
+    rounding: G's term is twice the linear gap's, as the Frobenius norm of
+    a 4 x 4 matrix is at most twice its largest eigenvalue in magnitude,
+    and against 50-digit arithmetic the whole was off by at most 0.18 of
+    that bound (sigma and mixed, 1e4 to 1e15 counts per setting). Where
+    some x_j <= -1 some y_j <= 0 and U(y) is no bound."""
+    target = _inner(g, rho)[:, None] * _IDENTITY_COORDS - _coords(g)
+    x = _dual_point(target, counts, p)
+    valid = (x > -1.0).all(axis=-1)
+    x[~valid] = 0.0
+    delta = counts * x / p
+    # the coordinates of G + sum_j delta_j Pi_j - t I
+    residual = (delta[:, None, :] @ _COORD_TABLE)[:, 0] - target
+    logs = counts * np.log1p(x)
+    rounding = np.finfo(float).eps * (
+        2.0 * expected.sum(axis=-1) + (np.abs(delta) + np.abs(logs)).sum(
+            axis=-1))
+    gaps = (np.sqrt((residual * residual).sum(axis=-1)) - logs.sum(axis=-1)
+            + rounding)
+    return np.where(valid, gaps, np.nan)
 
 
 def _gains(counts, expected, p, cand_p):
@@ -313,19 +406,22 @@ def _project(m):
     eigenvectors. With s_k the sum of the k largest eigenvalues, theta is
     the largest (s_k - 1) / k, as that sequence rises while the next
     eigenvalue exceeds it and falls after; `eigh` returns them ascending,
-    so the sums need no sort."""
+    so the sums need no sort. Also returns whether each state is of full
+    rank, no eigenvalue clipped to 0."""
     lam, vecs = np.linalg.eigh(m)
     theta = ((np.cumsum(lam[:, ::-1], axis=1) - 1.0) / _RANKS).max(axis=1)
     weights = np.maximum(lam - theta[:, None], 0.0)
-    return (vecs * weights[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return ((vecs * weights[:, None, :]) @ vecs.conj().swapaxes(-1, -2),
+            lam[:, 0] > theta)
 
 
 def _step(g, rho, p, counts, expected, alpha):
     """One projected-gradient step for each row of an (n, 4, 4) stack of
     iterates ``rho``, from the gradients ``g`` at them and each row's step
     size ``alpha``: the candidate z = Proj(rho + alpha G), its
-    probabilities, its gain, and whether it is accepted, which it is when
-    the gain is at least <G, z - rho> - ||z - rho||^2 / (2 alpha).
+    probabilities, its gain, whether it is accepted, which it is when the
+    gain is at least <G, z - rho> - ||z - rho||^2 / (2 alpha), and whether
+    it is of full rank.
 
     With the probability changes d_j, <G, z - rho> is
     sum_j (n_j / p_j - e_j) d_j, and the gain less it is
@@ -335,13 +431,13 @@ def _step(g, rho, p, counts, expected, alpha):
     arithmetic the bound is at least ||z - rho||^2 / (2 alpha), so an
     accepted step that does not gain has reached the maximum.
     """
-    z = _project(rho + alpha[:, None, None] * g)
+    z, full = _project(rho + alpha[:, None, None] * g)
     z_p = _probs_stack(z)
     x = (z_p - p) / p
     d = z - rho
     accepted = ((counts * (np.log1p(x) - x)).sum(axis=-1)
                 >= -_inner(d, d) / (2.0 * alpha))
-    return z, z_p, _gains(counts, expected, p, z_p), accepted
+    return z, z_p, _gains(counts, expected, p, z_p), accepted, full
 
 
 # each statistic of the resamples' (B, 4, 4) state stack rho, one value per
@@ -388,8 +484,9 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
     exactly when the gap of the returned state, its ``certified_gap``, is
     below ``CERT_TOL``, whichever stop it took; the gap stays above it when
     the counts are so large that no step gains any more before the gap gets
-    there (some draws of sigma and the mixed state at 1e9 counts per
-    setting; tests/data/frontier_scan.py counts them), and always above
+    there (some draws of states whose maximizer has a zero eigenvalue, such
+    as schmidt:0.4 at 1e9 counts per setting, where only the linear gap
+    applies; tests/data/frontier_scan.py counts them), and always above
     about 1.3e13 counts per setting, where the gap's rounding bound alone
     exceeds ``CERT_TOL``. ``iterations`` is the number of accepted steps.
 
@@ -464,13 +561,19 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     gap is below ``CERT_TOL``, on its iterate when the last pass's accepted
     step did not gain (a stalled row), and on every iterate when the passes
     reach ``MAX_ITERATIONS``; it has converged if the gap of that iterate
-    is below ``CERT_TOL``. A gap reuses the pass's gradient and costs one
-    `eigvalsh`. One `_gaps` call covers the stalled rows, the rows out of
-    budget, and the rows whose iterate is the start or was reached by a
-    step gaining less than ``CERT_TOL``; skipping it elsewhere costs no
+    is below ``CERT_TOL``. A gap reuses the pass's gradient. One `_gaps`
+    call, one `eigvalsh`, covers the stalled rows, the rows out of budget,
+    and the rows whose iterate is the start or was reached by a step
+    gaining less than ``CERT_TOL``; skipping it elsewhere costs no
     correctness, as no row stops on the certificate without computing it.
-    A stalled row keeps its state and probabilities, so its gradient and
-    gap have the bits of those of the pass whose step stalled.
+    Of those, a row whose linear gap is not below ``CERT_TOL`` and whose
+    iterate was reached by a step whose projection clipped no eigenvalue
+    (an interior row) also takes the dual gap, one 16 x 16 solve in
+    `_dual_gaps`, and its gap is the smaller of the two. The start and the
+    iterates of lower rank are left out: there the dual point makes some
+    y_j <= 0, and the dual is no bound. A stalled row keeps its state and
+    probabilities, so its gradient and gap have the bits of those of the
+    pass whose step stalled.
 
     Returns per row the finished state, its log-likelihood history (that
     of I/4, then that of each accepted step, so the last entry is the
@@ -495,6 +598,9 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     check = np.ones(n_rows, dtype=bool)
     # the rows whose last accepted step did not gain
     stalled = np.zeros(n_rows, dtype=bool)
+    # the rows whose iterate was reached by a step and is of full rank,
+    # which may try the dual gap
+    interior = np.zeros(n_rows, dtype=bool)
     # positions in the caller's array of the rows still in the stack
     rows = np.arange(n_rows)
     results = [None] * n_rows
@@ -507,6 +613,13 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
         # an empty gap computation costs as much as a small one
         gaps = (_gaps(g[checked], rho[checked], expected[checked])
                 if len(checked) else np.empty(0))
+        # the dual gap, where the linear one does not certify an iterate
+        # that may have one
+        dual = (interior[checked] & (gaps >= CERT_TOL)).nonzero()[0]
+        if len(dual):
+            i = checked[dual]
+            gaps[dual] = np.fmin(gaps[dual], _dual_gaps(
+                g[i], rho[i], counts[i], p[i], expected[i]))
         stop = leaving[checked] | (gaps < CERT_TOL)
         if stop.any():
             for i, gap in zip(checked[stop], gaps[stop]):
@@ -514,16 +627,18 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
                                     bool(gap < CERT_TOL), float(gap))
             keep = np.ones(len(rows), dtype=bool)
             keep[checked[stop]] = False
-            rows, counts, expected, h_op, alpha, rho, p, ll, g = (
+            rows, counts, expected, h_op, alpha, rho, p, ll, g, interior = (
                 a[keep] for a in (rows, counts, expected, h_op, alpha, rho,
-                                  p, ll, g))
+                                  p, ll, g, interior))
             if not len(rows):
                 break
-        z, z_p, gain, accepted = _step(g, rho, p, counts, expected, alpha)
+        z, z_p, gain, accepted, full = _step(g, rho, p, counts, expected,
+                                             alpha)
         passes += 1
         moved = accepted & (gain > 0)
         rho = np.where(moved[:, None, None], z, rho)
         p = np.where(moved[:, None], z_p, p)
+        interior = np.where(moved, full, interior)
         ll = np.where(moved, ll + gain, ll)
         alpha = np.where(accepted, 1.25 * alpha, 0.5 * alpha)
         check = moved & (gain < CERT_TOL)

@@ -7,12 +7,16 @@ seeds 100-139.
 At these counts the last steps' gains approach the float spacing of the
 probabilities, and a run can stop, on an accepted step that does not gain,
 before its certified gap falls below ``CERT_TOL``. For each case this
-prints how many of the draws certified, the largest iteration count among
-all its draws and the seeds that did not certify. schmidt:0.4 is pure with
-its maximizer on the boundary of the state space, the slowest kind of draw
-to certify, and no benchmark workload holds one, so its iteration counts
-are the worst case to watch. A change to the MLE's floating-point work
-moves this frontier; run it before and after such a change.
+prints how many of the draws certified, how many of those have a linear
+gap (`_gaps`) at or above ``CERT_TOL`` at their returned state, so that
+only the dual gap (`_dual_gaps`) certified them, the largest iteration
+count among all its draws and the seeds that did not certify. sigma and
+mixed are of full rank and certify on the dual gap; phi+ and schmidt:0.4
+are pure, with their maximizers on the boundary of the state space, where
+only the linear gap applies. schmidt:0.4 is the slowest kind of draw to
+certify, and no benchmark workload holds one, so its iteration counts are
+the worst case to watch. A change to the MLE's floating-point work moves
+this frontier; run it before and after such a change.
 
 Each case's draws are reconstructed as one `_mle_batch` stack, whose rows
 have the bits of `mle_reconstruct` on each draw alone. pytest does not
@@ -35,30 +39,42 @@ COUNTS = (3e8, 1e9, 3e9)
 SEEDS = range(100, 140)
 
 
-def scan_case(state: str, n: float, seeds: range) -> tuple[int, int, list]:
-    """The number of draws that certified, the largest iteration count and
-    the seeds that did not certify, for one state and count."""
+def scan_case(state: str, n: float,
+              seeds: range) -> tuple[int, int, int, list]:
+    """The number of draws that certified, how many of those only on the
+    dual gap, the largest iteration count and the seeds that did not
+    certify, for one state and count."""
     rho, _ = _named_density(state)
     rows = np.array([tg._mle_arrays(tg.sample_counts(rho, n, seed=seed))[0]
                      for seed in seeds])
     results = tg._mle_batch(rows, np.ones(36))
     certified = [converged for _, _, converged, _ in results]
     iterations = max(len(history) - 1 for _, history, *_ in results)
-    return (sum(certified), iterations,
+    # the linear gap at each returned state, at equal exposures
+    states = np.array([state for state, *_ in results])
+    p = tg._probs_stack(states)
+    expected = np.repeat(4.0 * rows.mean(axis=1, keepdims=True), 36, axis=1)
+    g = tg._projector_sums(rows / p) - tg._projector_sums(expected)
+    linear = tg._gaps(g, states, expected)
+    on_dual = sum(ok and gap >= tg.CERT_TOL
+                  for ok, gap in zip(certified, linear))
+    return (sum(certified), on_dual, iterations,
             [seed for seed, ok in zip(seeds, certified) if not ok])
 
 
 def main() -> None:
-    print(f"{'state':<12}{'n':>8}{'certified':>12}{'max it':>9}{'s':>8}  "
-          "not certified")
+    print(f"{'state':<12}{'n':>8}{'certified':>12}{'on dual':>9}"
+          f"{'max it':>9}{'s':>8}  not certified")
     totals = dict.fromkeys(STATES, 0)
     for state in STATES:
         for n in COUNTS:
             t0 = time.perf_counter()
-            certified, iterations, failed = scan_case(state, n, SEEDS)
+            certified, on_dual, iterations, failed = scan_case(state, n,
+                                                               SEEDS)
             totals[state] += certified
             print(f"{state:<12}{n:>8.0e}{certified:>7}/{len(SEEDS):<4}"
-                  f"{iterations:>9}{time.perf_counter() - t0:>8.2f}  "
+                  f"{on_dual:>9}{iterations:>9}"
+                  f"{time.perf_counter() - t0:>8.2f}  "
                   f"{' '.join(map(str, failed))}", flush=True)
     print("certified per state:",
           ", ".join(f"{state} {totals[state]}" for state in STATES))

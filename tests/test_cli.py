@@ -368,10 +368,11 @@ class TestTomo:
 
     # counts too large for the last steps to reach the certified gap: the
     # report says so instead of printing a plausible state as converged
-    # sigma at seed 103 is the draw of tests/data/frontier_scan.py at 1e9
-    # counts per setting that does not certify
+    # schmidt:0.4 at seed 108 is a draw of tests/data/frontier_scan.py at
+    # 1e9 counts per setting that does not certify
     @pytest.mark.parametrize("state, n, seed, gap", [
-        pytest.param("sigma", "1e9", "103", "0.128", id="sigma-1e9-0.128"),
+        pytest.param("schmidt:0.4", "1e9", "108", "0.166",
+                     id="schmidt:0.4-1e9-0.166"),
         pytest.param("phi+", "1e12", "7", "1.13", id="phi+-1e12-1.13"),
         pytest.param("phi+", "1e15", "7", "7.43", id="phi+-1e15-7.43")])
     def test_unconverged_point_estimate_warned(self, capsys, state, n, seed,
