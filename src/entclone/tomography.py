@@ -169,7 +169,8 @@ _RANKS = _frozen(np.arange(1.0, 5.0))
 _PROB_TABLE = _frozen(np.ascontiguousarray(
     _MLE_PROJECTORS.transpose(0, 2, 1).reshape(36, 16).T))
 _SUM_TABLE = _frozen(_MLE_PROJECTORS.reshape(36, 16))
-_UPPER = np.triu_indices(4, 1)
+# the rows and the columns of the six entries above the diagonal
+_UPPER = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
 
 
 def _coords(m: np.ndarray) -> np.ndarray:
@@ -188,8 +189,8 @@ def _coords(m: np.ndarray) -> np.ndarray:
 # the projectors, one row per setting, the outer products a_j a_j^T of
 # each, flattened, and the coordinates of I
 _COORD_TABLE = _frozen(_coords(_MLE_PROJECTORS))
-_NORMAL_TABLE = _frozen(np.einsum("ja,jb->jab", _COORD_TABLE,
-                                  _COORD_TABLE).reshape(36, 256))
+_NORMAL_TABLE = _frozen((_COORD_TABLE[:, :, None]
+                         * _COORD_TABLE[:, None, :]).reshape(36, 256))
 _IDENTITY_COORDS = _frozen(_coords(_IDENTITY))
 
 
@@ -617,9 +618,9 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
         # that may have one
         dual = (interior[checked] & (gaps >= CERT_TOL)).nonzero()[0]
         if len(dual):
-            i = checked[dual]
+            k = checked[dual]
             gaps[dual] = np.fmin(gaps[dual], _dual_gaps(
-                g[i], rho[i], counts[i], p[i], expected[i]))
+                g[k], rho[k], counts[k], p[k], expected[k]))
         stop = leaving[checked] | (gaps < CERT_TOL)
         if stop.any():
             for i, gap in zip(checked[stop], gaps[stop]):

@@ -872,8 +872,9 @@ def reference_mle(counts, exposures, gain_tol=None):
     It stops as the library does: at the start or at an iterate reached by
     a gain below ``tg.CERT_TOL`` whose certified gap is below it, when an
     accepted step does not gain, or after ``tg.MAX_ITERATIONS`` passes. An
-    iterate reached by a step whose projection clipped no eigenvalue to 0
-    may certify on the dual gap as well as the linear one (`tg._gaps`).
+    iterate reached by a step whose projection clipped no eigenvalue to 0,
+    whose linear gap (`tg._gaps`) is not below ``tg.CERT_TOL``, also takes
+    the dual gap (`tg._dual_gaps`), and its gap is the smaller of the two.
     Given ``gain_tol``, it does not stop on the certificate but after the
     first accepted step that gains less than ``gain_tol``. Takes one row of
     counts and exposures in the MLE's setting order and returns the state,
