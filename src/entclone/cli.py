@@ -163,6 +163,12 @@ def cmd_tomo(args) -> int:
         raise CliError(f"--n must be finite, positive and at most {most:g}, "
                        f"got {args.n}")
     rho_true, state_name = _named_density(args.state)
+    if args.n > tomography.CERTIFIABLE_MEAN_COUNT:
+        print(f"entclone: warning: --n {args.n:g} is above "
+              f"{tomography.CERTIFIABLE_MEAN_COUNT:.3g} counts per setting, "
+              "where the certified gap's rounding bound alone exceeds "
+              f"{tomography.CERT_TOL:g}: the reconstruction cannot converge",
+              file=sys.stderr)
     records = tomography.sample_counts(rho_true, args.n, seed=args.seed)
     rec = tomography.mle_reconstruct(records, args.resamples, seed=args.seed)
     if not rec.converged:

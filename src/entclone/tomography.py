@@ -4,10 +4,15 @@
 count statistics, maximum-likelihood reconstruction by projected gradient
 ascent, and Monte Carlo error bars from Poisson resampling.
 
-Each step takes the iterate rho to z = Proj(rho + alpha G), along the
-log-likelihood's gradient G, with its eigenvalues projected onto the
-probability simplex (Shang, Zhang & Ng, PRA 95, 062336 (2017)): one rule
-for every exposure, and every iterate a state by construction (`_step`).
+A reconstruction starts at the least-squares linear inversion of the
+frequencies projected onto the states (Smolin, Gambetta & Smith, PRL 108,
+070502 (2012)), one matmul and one `eigh` per data set
+(`_linear_inversion`), where that is more likely than I/4, and at I/4
+otherwise. Each step takes the iterate rho to z = Proj(rho + alpha G),
+along the log-likelihood's gradient G, with its eigenvalues projected onto
+the probability simplex (Shang, Zhang & Ng, PRA 95, 062336 (2017)): one
+rule for every exposure, and every iterate a state by construction
+(`_step`).
 
 A reconstruction stops on a certificate, not on a small step: the
 log-likelihood is concave in the state, so its gradient G at the iterate rho
@@ -69,6 +74,10 @@ MAX_ITERATIONS = 100_000
 # the certified log-likelihood gap at which a reconstruction stops; a 1 sigma
 # likelihood-ratio interval spans a log-likelihood drop of 0.5
 CERT_TOL = 0.1
+# the mean count per setting above which the rounding bound of the linear
+# gap (`_gaps`), eps sum_j e_j = 36 eps n at unit exposures, alone exceeds
+# CERT_TOL, so that no reconstruction can certify: about 1.25e13
+CERTIFIABLE_MEAN_COUNT = CERT_TOL / (36 * np.finfo(float).eps)
 # the largest mean count sample_counts draws: numpy's Poisson sampler refuses
 # means above about 9.2e18, and with every Born probability at most 1 the
 # mean counts stay under n_per_setting * exposure
@@ -169,6 +178,17 @@ _RANKS = _frozen(np.arange(1.0, 5.0))
 _PROB_TABLE = _frozen(np.ascontiguousarray(
     _MLE_PROJECTORS.transpose(0, 2, 1).reshape(36, 16).T))
 _SUM_TABLE = _frozen(_MLE_PROJECTORS.reshape(36, 16))
+# the least-squares linear inversion of the 36 frequencies: one qubit's six
+# projectors sum to 3 I and map each Pauli matrix to itself under
+# X -> sum_a Tr(Pi_a X) Pi_a, so sum_a Tr(Pi_a X) (Pi_a - I/3) = X, and the
+# dual of setting (a, b) is D_ab = (|a><a| - I/3) x (|b><b| - I/3). A row of
+# 36 frequencies times this (36, 16) table of vec(D_j), one row per setting
+# in the MLE's order as in `_SUM_TABLE`, is the inversion
+_DUALS = {a: np.outer(k, k.conj()) - np.eye(2) / 3.0
+          for a, k in _KETS.items()}
+_INVERSION_TABLE = _frozen(np.stack(
+    [np.kron(_DUALS[a], _DUALS[b]) for a, b in sorted(SETTINGS)]
+).reshape(36, 16))
 # the rows and the columns of the six entries above the diagonal
 _UPPER = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
 
@@ -391,13 +411,27 @@ def _dual_gaps(g, rho, counts, p, expected):
     return np.where(valid, gaps, np.nan)
 
 
+def _log_ratios(x, p, cand_p):
+    """log(cand_p / p) from x = (cand_p - p) / p: log1p(x), which keeps the
+    digits of a small change, but log of the ratio itself where x < -1/2,
+    as 1 + x formed from x has lost the digits of a probability that falls
+    by orders of magnitude (1000 log1p(x) was off by 3e-6 for a fall from
+    0.04 to 6e-10)."""
+    logs = np.log1p(x)
+    low = x < -0.5
+    if low.any():
+        logs[low] = np.log(cand_p[low] / p[low])
+    return logs
+
+
 def _gains(counts, expected, p, cand_p):
     """The log-likelihood of probabilities ``cand_p`` less that of ``p``,
     over the last axis, summed from the differences: a difference of two
     log-likelihoods of about N log N each loses every gain below their
     float spacing, and this sum does not."""
     d = cand_p - p
-    return (counts * np.log1p(d / p) - expected * d).sum(axis=-1)
+    return (counts * _log_ratios(d / p, p, cand_p)
+            - expected * d).sum(axis=-1)
 
 
 def _project(m):
@@ -416,6 +450,18 @@ def _project(m):
             lam[:, 0] > theta)
 
 
+def _linear_inversion(counts, expected):
+    """The start of each row of an (n, 36) count array in the MLE's setting
+    order, from its expected counts at unit probability: the least-squares
+    linear inversion sum_j (n_j / e_j) D_j of its frequencies, one (n, 1,
+    36) @ (36, 16) matmul against `_INVERSION_TABLE`, a row at a time in
+    BLAS as in `_projector_sums`, projected onto the states by `_project`,
+    which also returns whether each is of full rank (Smolin, Gambetta &
+    Smith, PRL 108, 070502 (2012))."""
+    rows = (counts / expected).astype(complex)[:, None, :]
+    return _project((rows @ _INVERSION_TABLE).reshape(-1, 4, 4))
+
+
 def _step(g, rho, p, counts, expected, alpha):
     """One projected-gradient step for each row of an (n, 4, 4) stack of
     iterates ``rho``, from the gradients ``g`` at them and each row's step
@@ -426,17 +472,18 @@ def _step(g, rho, p, counts, expected, alpha):
 
     With the probability changes d_j, <G, z - rho> is
     sum_j (n_j / p_j - e_j) d_j, and the gain less it is
-    sum_j n_j (log1p(d_j / p_j) - d_j / p_j): the rule is tested in that
-    form, free of the rounding of |G| times the iterate's float spacing that
-    Tr(G (z - rho)) carries, 1e-4 at 1e12 counts per setting. In exact
-    arithmetic the bound is at least ||z - rho||^2 / (2 alpha), so an
-    accepted step that does not gain has reached the maximum.
+    sum_j n_j (log1p(d_j / p_j) - d_j / p_j), the logarithm taken as in
+    `_gains`: the rule is tested in that form, free of the rounding of |G|
+    times the iterate's float spacing that Tr(G (z - rho)) carries, 1e-4 at
+    1e12 counts per setting. In exact arithmetic the bound is at least
+    ||z - rho||^2 / (2 alpha), so an accepted step that does not gain has
+    reached the maximum.
     """
     z, full = _project(rho + alpha[:, None, None] * g)
     z_p = _probs_stack(z)
     x = (z_p - p) / p
     d = z - rho
-    accepted = ((counts * (np.log1p(x) - x)).sum(axis=-1)
+    accepted = ((counts * (_log_ratios(x, p, z_p) - x)).sum(axis=-1)
                 >= -_inner(d, d) / (2.0 * alpha))
     return z, z_p, _gains(counts, expected, p, z_p), accepted, full
 
@@ -473,10 +520,13 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
 
     The maximizer is found by projected gradient ascent (`_step`), at equal
     and unequal exposures alike, so iterates stay physical with unit trace.
-    A step's gain is summed from the changes of the probabilities, which
-    resolves gains far below the float spacing of the log-likelihood, and
-    the log-likelihood reported is that of I/4 plus the gains of the
-    accepted steps, so its history rises with every step.
+    It starts at the projected least-squares linear inversion of the
+    frequencies (`_linear_inversion`) where that is more likely than I/4,
+    and at I/4 otherwise; the first entry of the log-likelihood history is
+    the start's. A step's gain is summed from the changes of the
+    probabilities, which resolves gains far below the float spacing of the
+    log-likelihood, and the log-likelihood reported is the start's plus the
+    gains of the accepted steps, so its history rises with every step.
 
     The iteration stops at the first iterate whose certified gap, an upper
     bound on how far its log-likelihood lies below the maximum, is below
@@ -486,10 +536,11 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
     below ``CERT_TOL``, whichever stop it took; the gap stays above it when
     the counts are so large that no step gains any more before the gap gets
     there (some draws of states whose maximizer has a zero eigenvalue, such
-    as schmidt:0.4 at 1e9 counts per setting, where only the linear gap
-    applies; tests/data/frontier_scan.py counts them), and always above
-    about 1.3e13 counts per setting, where the gap's rounding bound alone
-    exceeds ``CERT_TOL``. ``iterations`` is the number of accepted steps.
+    as schmidt:0.4 at 1e10 and 3e10 counts per setting, where only the
+    linear gap applies; tests/data/frontier_scan.py counts them), and
+    always above ``CERTIFIABLE_MEAN_COUNT``, about 1.25e13 counts per
+    setting at unit exposures, where the gap's rounding bound alone exceeds
+    ``CERT_TOL``. ``iterations`` is the number of accepted steps.
 
     ``n_resamples`` is 0 (no error bars, ``monte_carlo`` is None) or at
     least 2, and resampling needs an integer ``seed``. Resample k draws
@@ -551,11 +602,13 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     observed counts and their resamples as one stack.
 
     The columns are in the MLE's setting order (sorted ``SETTINGS``), and
-    ``exposures`` broadcasts against ``counts``. The rows run as one
-    (B, 4, 4) stack and take one `_step` each per pass; each row keeps its
-    own step size, from 1 / (its count total), its certificate stop and
-    its ``MAX_ITERATIONS`` budget of passes, and a row's results have the
-    same bits in any stack.
+    ``exposures`` broadcasts against ``counts``. Each row starts at its
+    projected linear inversion (`_linear_inversion`) where its
+    log-likelihood exceeds that of I/4, and at I/4 otherwise. The rows run
+    as one (B, 4, 4) stack and take one `_step` each per pass; each row
+    keeps its own step size, from 1 / (its count total), its certificate
+    stop and its ``MAX_ITERATIONS`` budget of passes, and a row's results
+    have the same bits in any stack.
 
     Rows leave the stack in one place, at the top of a pass, once its
     gradient is known: a row leaves on the first iterate whose certified
@@ -568,16 +621,17 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     gaining less than ``CERT_TOL``; skipping it elsewhere costs no
     correctness, as no row stops on the certificate without computing it.
     Of those, a row whose linear gap is not below ``CERT_TOL`` and whose
-    iterate was reached by a step whose projection clipped no eigenvalue
-    (an interior row) also takes the dual gap, one 16 x 16 solve in
-    `_dual_gaps`, and its gap is the smaller of the two. The start and the
+    iterate is its inversion or was reached by a step, with a projection
+    that clipped no eigenvalue (an interior row), also takes the dual gap,
+    one 16 x 16 solve in `_dual_gaps`, and its gap is the smaller of the
+    two; a full-rank inversion can so certify before any step. I/4 and the
     iterates of lower rank are left out: there the dual point makes some
     y_j <= 0, and the dual is no bound. A stalled row keeps its state and
     probabilities, so its gradient and gap have the bits of those of the
     pass whose step stalled.
 
     Returns per row the finished state, its log-likelihood history (that
-    of I/4, then that of each accepted step, so the last entry is the
+    of its start, then that of each accepted step, so the last entry is the
     state's), whether it converged and the certified gap of its last
     iterate.
     """
@@ -589,9 +643,17 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     expected = n_hat[:, None] * exposures
     # the constant part of the log-likelihood's gradient
     h_op = _projector_sums(expected)
-    rho = np.repeat((_IDENTITY / 4.0)[None], n_rows, axis=0)
-    p = np.repeat(_probs(_IDENTITY / 4.0)[None], n_rows, axis=0)
-    ll = _loglik(counts, expected, p)
+    # each row starts at its projected linear inversion where that is more
+    # likely than I/4, and at I/4 otherwise
+    start, full = _linear_inversion(counts, expected)
+    start_p = _probs_stack(start)
+    start_ll = _loglik(counts, expected, start_p)
+    mixed_p = _probs(_IDENTITY / 4.0)
+    mixed_ll = _loglik(counts, expected, mixed_p)
+    taken = start_ll > mixed_ll
+    rho = np.where(taken[:, None, None], start, _IDENTITY / 4.0)
+    p = np.where(taken[:, None], start_p, mixed_p)
+    ll = np.where(taken, start_ll, mixed_ll)
     history = [[value] for value in ll.tolist()]
     alpha = 1.0 / np.maximum(counts.sum(axis=1), 1.0)
     # the rows whose iterates need a gap check: the start, and an iterate
@@ -599,9 +661,9 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     check = np.ones(n_rows, dtype=bool)
     # the rows whose last accepted step did not gain
     stalled = np.zeros(n_rows, dtype=bool)
-    # the rows whose iterate was reached by a step and is of full rank,
-    # which may try the dual gap
-    interior = np.zeros(n_rows, dtype=bool)
+    # the rows whose iterate is the inversion or was reached by a step, and
+    # is of full rank, which may try the dual gap
+    interior = taken & full
     # positions in the caller's array of the rows still in the stack
     rows = np.arange(n_rows)
     results = [None] * n_rows

@@ -1,6 +1,6 @@
 """Where the maximum-likelihood reconstruction stops certifying: sigma,
-mixed, phi+ and schmidt:0.4 at 3e8, 1e9 and 3e9 counts per setting, over
-seeds 100-139.
+mixed, phi+ and schmidt:0.4 at 3e8, 1e9, 3e9, 1e10 and 3e10 counts per
+setting, over seeds 100-139.
 
     python tests/data/frontier_scan.py
 
@@ -10,7 +10,8 @@ before its certified gap falls below ``CERT_TOL``. For each case this
 prints how many of the draws certified, how many of those have a linear
 gap (`_gaps`) at or above ``CERT_TOL`` at their returned state, so that
 only the dual gap (`_dual_gaps`) certified them, the largest iteration
-count among all its draws and the seeds that did not certify. sigma and
+count among all its draws, the largest certified gap among the draws that
+did not certify and those draws' seeds. sigma and
 mixed are of full rank and certify on the dual gap; phi+ and schmidt:0.4
 are pure, with their maximizers on the boundary of the state space, where
 only the linear gap applies. schmidt:0.4 is the slowest kind of draw to
@@ -35,15 +36,16 @@ from entclone import tomography as tg  # noqa: E402
 from entclone.cli import _named_density  # noqa: E402
 
 STATES = ("sigma", "mixed", "phi+", "schmidt:0.4")
-COUNTS = (3e8, 1e9, 3e9)
+COUNTS = (3e8, 1e9, 3e9, 1e10, 3e10)
 SEEDS = range(100, 140)
 
 
 def scan_case(state: str, n: float,
-              seeds: range) -> tuple[int, int, int, list]:
+              seeds: range) -> tuple[int, int, int, float, list]:
     """The number of draws that certified, how many of those only on the
-    dual gap, the largest iteration count and the seeds that did not
-    certify, for one state and count."""
+    dual gap, the largest iteration count, the largest gap of a draw that
+    did not certify (NaN if all did) and the seeds that did not certify,
+    for one state and count."""
     rho, _ = _named_density(state)
     rows = np.array([tg._mle_arrays(tg.sample_counts(rho, n, seed=seed))[0]
                      for seed in seeds])
@@ -58,22 +60,23 @@ def scan_case(state: str, n: float,
     linear = tg._gaps(g, states, expected)
     on_dual = sum(ok and gap >= tg.CERT_TOL
                   for ok, gap in zip(certified, linear))
-    return (sum(certified), on_dual, iterations,
+    stalled = [gap for _, _, ok, gap in results if not ok]
+    return (sum(certified), on_dual, iterations, max(stalled, default=np.nan),
             [seed for seed, ok in zip(seeds, certified) if not ok])
 
 
 def main() -> None:
     print(f"{'state':<12}{'n':>8}{'certified':>12}{'on dual':>9}"
-          f"{'max it':>9}{'s':>8}  not certified")
+          f"{'max it':>9}{'max gap':>10}{'s':>8}  not certified")
     totals = dict.fromkeys(STATES, 0)
     for state in STATES:
         for n in COUNTS:
             t0 = time.perf_counter()
-            certified, on_dual, iterations, failed = scan_case(state, n,
-                                                               SEEDS)
+            certified, on_dual, iterations, worst, failed = scan_case(
+                state, n, SEEDS)
             totals[state] += certified
             print(f"{state:<12}{n:>8.0e}{certified:>7}/{len(SEEDS):<4}"
-                  f"{on_dual:>9}{iterations:>9}"
+                  f"{on_dual:>9}{iterations:>9}{worst:>10.3g}"
                   f"{time.perf_counter() - t0:>8.2f}  "
                   f"{' '.join(map(str, failed))}", flush=True)
     print("certified per state:",

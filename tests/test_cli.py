@@ -27,6 +27,14 @@ GOLDEN_PAPER = {fmt: Path(__file__).parent / "data" / f"paper_seed3.{ext}"
                 for fmt, ext in (("text", "txt"), ("json", "json"))}
 
 
+# what `tomo` prints on stderr before the run when --n is above
+# `tomography.CERTIFIABLE_MEAN_COUNT`
+UNCERTIFIABLE_WARNING = (
+    "entclone: warning: --n {n:g} is above 1.25e+13 counts per setting, "
+    "where the certified gap's rounding bound alone exceeds 0.1: the "
+    "reconstruction cannot converge\n")
+
+
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
     out = capsys.readouterr() if capsys else None
@@ -368,22 +376,42 @@ class TestTomo:
 
     # counts too large for the last steps to reach the certified gap: the
     # report says so instead of printing a plausible state as converged
-    # schmidt:0.4 at seed 108 is a draw of tests/data/frontier_scan.py at
-    # 1e9 counts per setting that does not certify
+    # schmidt:0.4 at seed 100 is a draw of tests/data/frontier_scan.py at
+    # 3e10 counts per setting that does not certify; 1e15 is above the
+    # counts at which any reconstruction can, and says so first
     @pytest.mark.parametrize("state, n, seed, gap", [
-        pytest.param("schmidt:0.4", "1e9", "108", "0.166",
-                     id="schmidt:0.4-1e9-0.166"),
-        pytest.param("phi+", "1e12", "7", "1.13", id="phi+-1e12-1.13"),
-        pytest.param("phi+", "1e15", "7", "7.43", id="phi+-1e15-7.43")])
+        pytest.param("schmidt:0.4", "3e10", "100", "0.925",
+                     id="schmidt:0.4-3e10-0.925"),
+        pytest.param("phi+", "1e12", "7", "0.242", id="phi+-1e12-0.242"),
+        pytest.param("phi+", "1e15", "7", "8.22", id="phi+-1e15-8.22")])
     def test_unconverged_point_estimate_warned(self, capsys, state, n, seed,
                                                gap):
         code, out = run_cli("--seed", seed, "--format", "json", "tomo",
                             "--state", state, "--n", n, capsys=capsys)
         assert code == 0
         assert json.loads(out.out)["converged"] is False
-        assert out.err == ("entclone: warning: the reconstruction did not "
-                           "converge: its certified log-likelihood gap is "
-                           f"{gap}, above 0.1\n")
+        limit = (UNCERTIFIABLE_WARNING.format(n=float(n))
+                 if float(n) > tg.CERTIFIABLE_MEAN_COUNT else "")
+        assert out.err == (limit + "entclone: warning: the reconstruction "
+                           "did not converge: its certified log-likelihood "
+                           f"gap is {gap}, above 0.1\n")
+
+    # the warning comes before the run, and leaves stdout as it was
+    @pytest.mark.parametrize("n", ["1e12", "1e15"])
+    def test_uncertifiable_count_warned(self, capsys, monkeypatch, n):
+        code, out = run_cli("--seed", "7", "--format", "json", "tomo",
+                            "--state", "sigma", "--n", n, capsys=capsys)
+        assert code == 0
+        warned = out.err.startswith(UNCERTIFIABLE_WARNING.format(n=float(n)))
+        assert warned == (n == "1e15")
+        assert ("1.25e+13 counts per setting" in out.err) == warned
+        # with the limit lifted the run warns of nothing before it, and
+        # prints the same report
+        monkeypatch.setattr(tg, "CERTIFIABLE_MEAN_COUNT", float("inf"))
+        code, alone = run_cli("--seed", "7", "--format", "json", "tomo",
+                              "--state", "sigma", "--n", n, capsys=capsys)
+        assert alone.out == out.out
+        assert "counts per setting" not in alone.err
 
     def test_resample_without_counts_named(self, capsys):
         # the observed counts reconstruct, but half the resamples of their
