@@ -94,8 +94,12 @@ class NetworkConfig:
     def __post_init__(self):
         for name, val in (("r1", self.r1), ("r2", self.r2),
                           ("overlap_sq", self.overlap_sq)):
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} = {val} outside [0, 1]")
+            _check_unit(name, val)
+
+
+def _check_unit(name: str, val: float) -> None:
+    if not 0.0 <= val <= 1.0:
+        raise ValueError(f"{name} = {val} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -193,8 +197,11 @@ def _network_branches(input_spec: InputSpec,
 
 def _run_branches(branches: list[tuple[FockState, float]], r1: float,
                   r2: float) -> CloneOutcome:
-    """Send each branch through both beam splitters, post-select one photon
-    per output arm and average the branches by weight."""
+    """Send each branch through both beam splitters, each post-selected on
+    one photon per output arm as it acts, so no bunched route is built;
+    read out the six arms' polarization per branch and average the branches
+    by weight. The bits equal those of the two unitaries followed by one
+    coincidence post-selection."""
     bs1 = BeamSplitterSpec(("1", "3"), ("1'", "3'"), r1)
     bs2 = BeamSplitterSpec(("2", "5"), ("2'", "5'"), r2)
 
@@ -202,8 +209,8 @@ def _run_branches(branches: list[tuple[FockState, float]], r1: float,
     rho_acc = np.zeros((dim, dim), dtype=complex)
     total = 0.0
     for st, w in branches:
-        st = fock.apply_beamsplitter(st, bs1)
-        st = fock.apply_beamsplitter(st, bs2)
+        st = fock.apply_postselected_beamsplitter(st, bs1)
+        st = fock.apply_postselected_beamsplitter(st, bs2)
         rho6, weight = fock.postselect_coincidence(st, _ALL_OUTPUT_ARMS)
         if rho6 is None:
             raise ConsistencyError("post-selection rejected a branch")
@@ -246,7 +253,7 @@ def _hom_coincidence_probability(r: float, lam: float) -> float:
     prob = 0.0
     for st, w in fock.dephase_internal(state, [("a", "b", lam)]):
         _, weight = fock.postselect_coincidence(
-            fock.apply_beamsplitter(st, bs), ("c", "d"))
+            fock.apply_postselected_beamsplitter(st, bs), ("c", "d"))
         prob += w * weight
     return prob
 
@@ -296,11 +303,13 @@ def fidelity_sweep(input_spec: InputSpec, r_grid, overlap_sq: float,
     """
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
+    # checked before the grid, so an empty grid rejects what a full one does
+    _check_unit("overlap_sq", overlap_sq)
+    target = input_spec.state().amplitudes
     configs = [NetworkConfig(input_spec, float(r), float(r), overlap_sq)
                for r in r_grid]
     if not configs:
         return []
-    target = input_spec.state().amplitudes
     branches = _network_branches(input_spec, overlap_sq)
     rows = []
     for config in configs:

@@ -8,8 +8,11 @@ sorted monomial of modes with a complex coefficient, meaning
 with occupations ``n_m`` is ``coeff * sqrt(prod n_m!)``, which is where the
 bosonic bunching factors enter.
 
-The six-photon cloning network never exceeds a few hundred nonzero monomials,
-so nothing dense is ever materialized.
+The six-photon cloning network post-selects inside its beam splitters
+(`apply_postselected_beamsplitter`), so a branch holds at most 16 monomials
+in, 32 between the splitters and 64 at the read-out, against up to 256 had
+each splitter been expanded as the full unitary. Nothing dense is
+materialized before `postselect_coincidence` reads out the polarization.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ class BeamSplitterSpec:
     def __post_init__(self):
         if not 0.0 <= self.reflectivity <= 1.0:
             raise ValueError(f"reflectivity {self.reflectivity} outside [0, 1]")
+        for pair in (self.input_arms, self.output_arms):
+            if pair[0] == pair[1]:
+                raise ValueError(f"arm {pair[0]!r} repeated in {pair}")
         if set(self.input_arms) & set(self.output_arms):
             raise ValueError("input and output arm pairs must be disjoint")
 
@@ -115,15 +121,14 @@ class FockState:
         return FockState(out)
 
 
-def apply_beamsplitter(state: FockState, bs: BeamSplitterSpec) -> FockState:
-    """Rewrite creation operators through the beam splitter.
-
-    Arm a: a+ -> sqrt(1-R) c+ + i sqrt(R) d+
-    Arm b: b+ -> i sqrt(R) c+ + sqrt(1-R) d+
-
-    with (c, d) the output arms; polarization and internal labels ride along
-    unchanged. Photon number and norm are preserved.
-    """
+def _routing(state: FockState, bs: BeamSplitterSpec
+             ) -> tuple[dict[Mode, tuple], dict[Mode, tuple]]:
+    """Each mode's output (factor, mode) pairs through the beam splitter,
+    split into the factors and the modes so that one product over each
+    walks the same combinations. An input-arm mode goes to the first
+    output arm (index 0) or the second (index 1); a passive mode keeps its
+    arm with the factor 1.0, which is multiplied in like the others so
+    every amplitude is the same product in the same order."""
     a_in, b_in = bs.input_arms
     c_out, d_out = bs.output_arms
     modes = {mode for mono in state.terms for mode in mono}
@@ -135,10 +140,6 @@ def apply_beamsplitter(state: FockState, bs: BeamSplitterSpec) -> FockState:
     t = math.sqrt(1.0 - bs.reflectivity)
     r = 1j * math.sqrt(bs.reflectivity)
 
-    # each mode's output (factor, mode) pairs, split into the factors and
-    # the modes so that one product over each walks the same combinations;
-    # a passive arm keeps its factor 1.0, which is multiplied in like the
-    # others so every amplitude is the same product in the same order
     factors: dict[Mode, tuple] = {}
     routes: dict[Mode, tuple] = {}
     for mode in modes:
@@ -149,7 +150,19 @@ def apply_beamsplitter(state: FockState, bs: BeamSplitterSpec) -> FockState:
         else:
             factors[mode] = (1.0,)
             routes[mode] = (mode,)
+    return factors, routes
 
+
+def apply_beamsplitter(state: FockState, bs: BeamSplitterSpec) -> FockState:
+    """Rewrite creation operators through the beam splitter.
+
+    Arm a: a+ -> sqrt(1-R) c+ + i sqrt(R) d+
+    Arm b: b+ -> i sqrt(R) c+ + sqrt(1-R) d+
+
+    with (c, d) the output arms; polarization and internal labels ride along
+    unchanged. Photon number and norm are preserved.
+    """
+    factors, routes = _routing(state, bs)
     out: dict[tuple[Mode, ...], complex] = defaultdict(complex)
     for mono, coeff in state.terms.items():
         for amps, outs in zip(
@@ -159,6 +172,56 @@ def apply_beamsplitter(state: FockState, bs: BeamSplitterSpec) -> FockState:
             if abs(amp) > _PRUNE:
                 out[tuple(sorted(outs))] += amp
     return FockState._from_canonical(out)
+
+
+def apply_postselected_beamsplitter(state: FockState,
+                                    bs: BeamSplitterSpec) -> FockState:
+    """``apply_beamsplitter(state, bs)`` projected onto exactly one photon
+    in each output arm: a partial Bell-state projection.
+
+    No other route is built. An input-arm photon goes to whichever output
+    arm the photons already there leave empty, so a monomial with two
+    input-arm photons and none in (c, d) takes two routes, and one with
+    two bunched in an output arm takes none. The routes come in the order
+    that ``apply_beamsplitter``'s product reaches them, so every kept
+    amplitude is the same product summed in the same order, and the result
+    equals the unitary's output projected, bit for bit.
+    """
+    factors, routes = _routing(state, bs)
+    c_out, d_out = bs.output_arms
+    # "move" through the splitter, already sit in an output arm, or neither
+    role = {m: "move" if len(f) == 2 else {c_out: "c", d_out: "d"}.get(m[0])
+            for m, f in factors.items()}
+    out: dict[tuple[Mode, ...], complex] = defaultdict(complex)
+    for mono, coeff in state.terms.items():
+        picks = _coincidence_picks(tuple(map(role.__getitem__, mono)))
+        if not picks:
+            continue
+        amps = list(map(factors.__getitem__, mono))
+        outs = list(map(routes.__getitem__, mono))
+        for pick in picks:
+            amp = functools.reduce(operator.mul,
+                                   map(operator.getitem, amps, pick), coeff)
+            if abs(amp) > _PRUNE:
+                out[tuple(sorted(map(operator.getitem, outs, pick)))] += amp
+    return FockState._from_canonical(out)
+
+
+@functools.cache
+def _coincidence_picks(roles: tuple[str | None, ...]
+                       ) -> tuple[tuple[int, ...], ...]:
+    """The route indices, one per mode of a monomial whose modes play
+    ``roles``, that leave one photon in each output arm, in
+    ``itertools.product`` order. A mover takes route 0 (first output arm)
+    or 1 (second); any other mode has only route 0."""
+    to_c = 1 - roles.count("c")
+    to_d = 1 - roles.count("d")
+    if min(to_c, to_d) < 0 or roles.count("move") != to_c + to_d:
+        return ()
+    return tuple(
+        pick for pick in itertools.product(
+            *[(0, 1) if role == "move" else (0,) for role in roles])
+        if pick.count(1) == to_d)
 
 
 def postselect_coincidence(
@@ -172,6 +235,9 @@ def postselect_coincidence(
     back as ``(None, 0.0)``.
     """
     arms = [str(a) for a in arms]
+    for k, arm in enumerate(arms):
+        if arm in arms[:k]:
+            raise ValueError(f"arm {arm!r} repeated in {tuple(arms)}")
     if state.terms and state.num_photons() != len(arms):
         raise ValueError(
             f"state has {state.num_photons()} photons, expected {len(arms)}"

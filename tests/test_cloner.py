@@ -4,12 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from entclone import cloner, metrics
 from entclone.cloner import (InputSpec, NetworkConfig, fidelity_sweep,
                              fit_overlap, hom_visibility,
                              postselection_operator, run_ideal, run_physical)
+from entclone.fock import (BeamSplitterSpec, apply_beamsplitter,
+                           postselect_coincidence)
 from entclone.paperchecks import REFERENCES
 from entclone.qmath import ConsistencyError, DensityMatrix
 from entclone.tomography import matrix_to_json_dict
@@ -205,6 +207,48 @@ class TestNetworkGolden:
         assert network_golden_text() == NETWORK_GOLDEN.read_text()
 
 
+def unitary_run_physical(config: NetworkConfig) -> cloner.CloneOutcome:
+    """`run_physical` composed as the unitary beam splitters, one after the
+    other, then one coincidence post-selection on all six arms."""
+    bs1 = BeamSplitterSpec(("1", "3"), ("1'", "3'"), config.r1)
+    bs2 = BeamSplitterSpec(("2", "5"), ("2'", "5'"), config.r2)
+    arms = cloner._ALL_OUTPUT_ARMS
+    rho_acc = np.zeros((2 ** len(arms),) * 2, dtype=complex)
+    total = 0.0
+    for branch, w in cloner._network_branches(config.input_spec,
+                                              config.overlap_sq):
+        out = apply_beamsplitter(apply_beamsplitter(branch, bs1), bs2)
+        rho6, weight = postselect_coincidence(out, arms)
+        rho_acc += w * weight * rho6.matrix
+        total += w * weight
+    full = DensityMatrix(rho_acc / total, arms)
+    return cloner.CloneOutcome(full.partial_trace(cloner.LOCAL_PAIR),
+                               full.partial_trace(cloner.DISTANT_PAIR), total)
+
+
+class TestPostselectedNetworkBits:
+    """Post-selecting inside each beam splitter leaves every bit of the
+    network's output as the unitary composition makes it."""
+
+    @given(amps=st.lists(st.builds(complex, st.floats(-1, 1),
+                                   st.floats(-1, 1)), min_size=4, max_size=4),
+           r1=st.floats(0.0, 1.0), r2=st.floats(0.0, 1.0),
+           overlap_sq=st.floats(0.0, 1.0))
+    def test_matches_unitary_composition(self, amps, r1, r2, overlap_sq):
+        assume(r1 != r2)
+        vec = np.array(amps)
+        norm = np.linalg.norm(vec)
+        assume(norm > 0.1)
+        spec = InputSpec("custom", amplitudes=tuple(vec / norm))
+        config = NetworkConfig(spec, r1, r2, overlap_sq)
+        got, want = run_physical(config), unitary_run_physical(config)
+        assert got.rho_local.matrix.tobytes() == \
+            want.rho_local.matrix.tobytes()
+        assert got.rho_distant.matrix.tobytes() == \
+            want.rho_distant.matrix.tobytes()
+        assert got.success_weight.hex() == want.success_weight.hex()
+
+
 class TestPhysicalProperties:
     """Physical outputs over the whole parameter space; at overlap^2 = 1
     the Fock model must be the qubit model."""
@@ -351,6 +395,13 @@ class TestSweep:
             fidelity_sweep(PHI, [0.2, 1.5], 1.0)
         with pytest.raises(ValueError, match="overlap_sq"):
             fidelity_sweep(PHI, [0.2], float("nan"))
+        # an empty grid checks its inputs as a full one does
+        for overlap_sq in (2.0, float("nan")):
+            with pytest.raises(ValueError, match="overlap_sq"):
+                fidelity_sweep(PHI, [], overlap_sq)
+        with pytest.raises(ValueError, match="normalized"):
+            fidelity_sweep(InputSpec("custom", amplitudes=(1, 1, 0, 0)), [],
+                           1.0)
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):

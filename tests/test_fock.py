@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from entclone.fock import BeamSplitterSpec, FockState, apply_beamsplitter, \
-    dephase_internal, postselect_coincidence
+    apply_postselected_beamsplitter, dephase_internal, postselect_coincidence
 
 
 def one_photon(arm, pol="H", internal=0):
@@ -95,6 +97,64 @@ class TestBeamSplitter:
         with pytest.raises(ValueError):
             BeamSplitterSpec(("a", "b"), ("a", "d"), 0.5)
 
+    @pytest.mark.parametrize("inputs, outputs", [
+        (("a", "b"), ("c", "c")), (("a", "a"), ("c", "d"))])
+    def test_repeated_arm_rejected(self, inputs, outputs):
+        # a repeated output arm would bunch both photons there; a repeated
+        # input arm would leave the other input's photon untouched
+        with pytest.raises(ValueError, match="repeated"):
+            BeamSplitterSpec(inputs, outputs, 0.5)
+
+
+def bits(state):
+    """A state's monomials in order, each with its coefficient's exact
+    bits (signed zeros included)."""
+    return [(mono, c.real.hex(), c.imag.hex())
+            for mono, c in state.terms.items()]
+
+
+def coincidences(state, arms):
+    """The terms of ``state`` with exactly one photon in each of ``arms``."""
+    return FockState._from_canonical({
+        mono: c for mono, c in state.terms.items()
+        if all(Counter(arm for arm, _, _ in mono)[a] == 1 for a in arms)})
+
+
+# the splitter (a, b) -> (c, d); photons may already sit in c or d, bunch
+# in one input arm, leave one input arm empty or pass by in arm e
+MODES = st.tuples(st.sampled_from("abcde"), st.sampled_from("HV"),
+                  st.integers(0, 2))
+COEFFS = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1)).filter(
+    lambda c: abs(c) > 1e-3)
+REFLECTIVITIES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+
+
+@st.composite
+def fock_states(draw):
+    n = draw(st.integers(2, 4))
+    monos = draw(st.lists(st.lists(MODES, min_size=n, max_size=n),
+                          min_size=1, max_size=6))
+    return FockState({tuple(m): draw(COEFFS) for m in monos})
+
+
+class TestPostselectedBeamSplitter:
+    @given(state=fock_states(), r=REFLECTIVITIES)
+    def test_equals_projected_unitary_bits(self, state, r):
+        bs = BeamSplitterSpec(("a", "b"), ("c", "d"), r)
+        if state.terms and not {"a", "b"} & state.arms():
+            for apply in (apply_beamsplitter, apply_postselected_beamsplitter):
+                with pytest.raises(KeyError):
+                    apply(state, bs)
+            return
+        expected = coincidences(apply_beamsplitter(state, bs), ("c", "d"))
+        assert bits(apply_postselected_beamsplitter(state, bs)) == \
+            bits(expected)
+
+    def test_unknown_arm_raises(self):
+        with pytest.raises(KeyError, match="neither input arm"):
+            apply_postselected_beamsplitter(
+                one_photon("a"), BeamSplitterSpec(("x", "y"), ("u", "v"), 0.5))
+
 
 class TestPostselect:
     def test_product_state_passes_through(self):
@@ -130,6 +190,11 @@ class TestPostselect:
         assert 0.0 <= weight <= 1.0
         # DensityMatrix constructor enforces Hermiticity/trace/PSD
         assert rho.num_qubits == 2
+
+    def test_repeated_arm_raises(self):
+        st_in = FockState.from_photons([("a", "H", 0), ("b", "V", 0)])
+        with pytest.raises(ValueError, match="arm 'a' repeated"):
+            postselect_coincidence(st_in, ("a", "a"))
 
     def test_wrong_photon_number_raises(self):
         st = FockState.from_photons([("a", "H", 0)])
