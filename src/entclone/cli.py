@@ -292,9 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     h = sub.add_parser("hom", help="Hong-Ou-Mandel visibility / overlap fit")
     h.add_argument("--r", type=float, required=True)
-    h.add_argument("--overlap-sq", type=float, default=1.0)
-    h.add_argument("--fit", type=float, default=None,
-                   help="measured visibility to invert into overlap_sq")
+    # --fit infers overlap_sq, so the two cannot be given together
+    hom_mode = h.add_mutually_exclusive_group()
+    hom_mode.add_argument("--overlap-sq", type=float, default=1.0)
+    hom_mode.add_argument("--fit", type=float, default=None,
+                          help="measured visibility to invert into overlap_sq")
 
     sub.add_parser("paper", help="reproduce the reference numbers")
 

@@ -504,6 +504,19 @@ class TestHom:
         assert out.err.startswith("entclone: error:")
         assert out.out == ""
 
+    @pytest.mark.parametrize("flags", [
+        ["--fit", "0.5", "--overlap-sq", "nan"],
+        ["--overlap-sq", "0.9", "--fit", "0.5"],
+    ])
+    def test_fit_with_overlap_sq_rejected(self, capsys, flags):
+        # --fit infers overlap_sq; a given one would be silently ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["hom", "--r", "0.3", *flags])
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "not allowed with argument" in out.err
+        assert out.out == ""
+
     def test_consistency_error_reported(self, capsys, monkeypatch):
         monkeypatch.setattr(cloner, "ideal_hom_visibility", lambda r: 0.5)
         code, out = run_cli("hom", "--r", "0.3", capsys=capsys)
@@ -601,9 +614,9 @@ class TestGlobalFlags:
         assert calls == [0.3]
 
 
-def test_no_module_imports_a_process_pool():
-    # every command runs in one process; a pool would reintroduce workers
-    banned = {"concurrent", "multiprocessing"}
+def _absolute_imports():
+    """``(module file name, imported name)`` for every absolute import in
+    the package's modules."""
     for path in Path(entclone.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -613,5 +626,20 @@ def test_no_module_imports_a_process_pool():
             else:
                 continue
             for name in names:
-                assert name.split(".")[0] not in banned, \
-                    f"{path.name} imports {name}"
+                yield path.name, name
+
+
+def test_no_module_imports_a_process_pool():
+    # every command runs in one process; a pool would reintroduce workers
+    banned = {"concurrent", "multiprocessing"}
+    for module, name in _absolute_imports():
+        assert name.split(".")[0] not in banned, f"{module} imports {name}"
+
+
+def test_no_module_imports_beyond_numpy():
+    # numpy is the package's one declared dependency; these are installed
+    # next to it for the tests, so an import of one would pass here and
+    # fail for a user
+    banned = {"scipy", "sympy", "mpmath", "hypothesis"}
+    for module, name in _absolute_imports():
+        assert name.split(".")[0] not in banned, f"{module} imports {name}"

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from conftest import random_density, random_unitary
 from entclone import qmath
-from entclone.qmath import (DensityMatrix, PureState, bell_state, herm_eig,
-                            kron, psd_sqrt, trace_norm)
+from entclone.qmath import (EIG_CLAMP, DensityMatrix, PureState, bell_state,
+                            dagger, herm_eig, kron, psd_sqrt, trace_norm)
 
 I2 = np.eye(2)
 I4 = np.eye(4)
@@ -202,3 +203,94 @@ class TestStateTypes:
         joint = a.tensor(b)
         assert joint.labels == ("x", "y")
         assert np.allclose(joint.amplitudes, [0, 1, 0, 0])
+
+
+def with_min_eigenvalue(rng, dim, min_eig):
+    """A unit-trace Hermitian matrix U diag(λ) U† with smallest eigenvalue
+    ``min_eig``, U random and the other eigenvalues random above it."""
+    rest = min_eig + rng.dirichlet(np.ones(dim - 1)) * (1 - dim * min_eig)
+    u = random_unitary(rng, dim)
+    return (u * np.concatenate([[min_eig], rest])) @ u.conj().T
+
+
+def eigvalsh_rule(m):
+    """The message for the first matrix of ``m`` whose symmetrized part
+    has an eigenvalue below -EIG_CLAMP, or None: positivity checked from
+    the full spectrum, the reference for `check_density`'s certificate."""
+    min_eig = np.linalg.eigvalsh((m + dagger(m)) / 2)[..., 0]
+    low = min_eig < -EIG_CLAMP
+    if not low.any():
+        return None
+    return f"min eigenvalue {np.ravel(min_eig)[np.ravel(low)][0]:.3e} below -1e-9"
+
+
+class TestCheckDensityThreshold:
+    """`check_density` passes a stack whose shifted Cholesky factorization
+    completes without computing a spectrum, and decides every other stack
+    from its eigenvalues."""
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["alone", "row"])
+    @pytest.mark.parametrize("dim", [4, 64])
+    @pytest.mark.parametrize("factor, verdict", [
+        (0.99, "certified"),
+        (0.9995, "fallback"),  # between the shift and EIG_CLAMP
+        (1.01, "min eigenvalue -1.010e-09 below -1e-9"),
+    ])
+    def test_min_eigenvalue_at_the_threshold(self, rng, eigvalsh_calls,
+                                             dim, stacked, factor, verdict):
+        m = with_min_eigenvalue(rng, dim, -factor * EIG_CLAMP)
+        if stacked:
+            n_qubits = dim.bit_length() - 1
+            m = np.array([random_density(rng, n_qubits).matrix, m,
+                          random_density(rng, n_qubits).matrix])
+        if verdict.startswith("min eigenvalue"):
+            with pytest.raises(ValueError) as exc:
+                qmath.check_density(m)
+            assert str(exc.value) == verdict
+        else:
+            qmath.check_density(m)
+        expected_calls = [] if verdict == "certified" else [m.shape]
+        assert eigvalsh_calls == expected_calls
+
+    @given(dim=st.sampled_from([2, 4, 16, 64]),
+           rows=st.integers(0, 3),
+           seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_raises_exactly_when_a_spectrum_does(self, dim, rows, seed, data):
+        # min eigenvalues near -EIG_CLAMP on either side, or anywhere a
+        # unit-trace matrix allows; rows = 0 checks one matrix alone
+        near = st.tuples(st.sampled_from([-1.0, 1.0]),
+                         st.floats(-3.0, 0.0)).map(
+            lambda t: -EIG_CLAMP * (1 + t[0] * 10 ** t[1]))
+        anywhere = st.floats(-0.1, 1 / dim)
+        rng = np.random.default_rng(seed)
+        mins = [data.draw(st.one_of(near, anywhere))
+                for _ in range(max(rows, 1))]
+        m = np.array([with_min_eigenvalue(rng, dim, x) for x in mins])
+        # an anti-Hermitian part within HERMITICITY_TOL, which only the
+        # symmetrization removes
+        noise = rng.standard_normal(m.shape) * 1e-12
+        m = m + 1j * (noise + np.swapaxes(noise, -1, -2))
+        if not rows:
+            m = m[0]
+        min_eig = np.linalg.eigvalsh((m + dagger(m)) / 2)[..., 0]
+        assume(np.all(abs(min_eig + EIG_CLAMP) >= 1e-12))
+        expected = eigvalsh_rule(m)
+        if expected is None:
+            qmath.check_density(m)
+        else:
+            with pytest.raises(ValueError) as exc:
+                qmath.check_density(m)
+            assert str(exc.value) == expected
