@@ -18,8 +18,9 @@ error bound for Cholesky (*Accuracy and Stability of Numerical Algorithms*,
 Thm 10.3), a factorization that completes proves
 λmin(H) ≥ −τ − γ_{d+1}·tr(H + τI), γ_k = ku/(1 − ku), u the unit roundoff:
 at unit trace and d = 64 that is −τ − 7e-15 (complex arithmetic scales the
-constant by a small factor), well inside the 1e-12 between τ and `EIG_CLAMP`. So a stack that factors passes, and only a stack that does
-not pays for `eigvalsh`, whose verdict and message are final.
+constant by a small factor), well inside the 1e-12 between τ and
+`EIG_CLAMP`. So a stack that factors passes, and only a stack that does not
+pays for `eigvalsh`, whose verdict and message are final.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_CLAMP = 1e-9       # eigenvalues in [-EIG_CLAMP, 0) are numerical noise
 EIG_NEGATIVE_ERR = 1e-6  # below -EIG_NEGATIVE_ERR the matrix is genuinely not PSD
-# H + CHOLESKY_SHIFT*I factoring proves min eigenvalue > -EIG_CLAMP: the shift
-# leaves 1e-12 for Cholesky's rounding, about 7e-15 at unit trace and d = 64
+# check_density's certificate shift: the 1e-12 it leaves below EIG_CLAMP
+# absorbs the Cholesky factorization's rounding
 CHOLESKY_SHIFT = 0.999 * EIG_CLAMP
 
 I2 = np.eye(2, dtype=complex)

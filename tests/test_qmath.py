@@ -213,17 +213,6 @@ def with_min_eigenvalue(rng, dim, min_eig):
     return (u * np.concatenate([[min_eig], rest])) @ u.conj().T
 
 
-def eigvalsh_rule(m):
-    """The message for the first matrix of ``m`` whose symmetrized part
-    has an eigenvalue below -EIG_CLAMP, or None: positivity checked from
-    the full spectrum, the reference for `check_density`'s certificate."""
-    min_eig = np.linalg.eigvalsh((m + dagger(m)) / 2)[..., 0]
-    low = min_eig < -EIG_CLAMP
-    if not low.any():
-        return None
-    return f"min eigenvalue {np.ravel(min_eig)[np.ravel(low)][0]:.3e} below -1e-9"
-
-
 class TestCheckDensityThreshold:
     """`check_density` passes a stack whose shifted Cholesky factorization
     completes without computing a spectrum, and decides every other stack
@@ -285,12 +274,14 @@ class TestCheckDensityThreshold:
         m = m + 1j * (noise + np.swapaxes(noise, -1, -2))
         if not rows:
             m = m[0]
+        # the reference: positivity decided from the full spectrum
         min_eig = np.linalg.eigvalsh((m + dagger(m)) / 2)[..., 0]
         assume(np.all(abs(min_eig + EIG_CLAMP) >= 1e-12))
-        expected = eigvalsh_rule(m)
-        if expected is None:
+        low = min_eig < -EIG_CLAMP
+        if not low.any():
             qmath.check_density(m)
-        else:
-            with pytest.raises(ValueError) as exc:
-                qmath.check_density(m)
-            assert str(exc.value) == expected
+            return
+        with pytest.raises(ValueError) as exc:
+            qmath.check_density(m)
+        bad = np.ravel(min_eig)[np.ravel(low)][0]
+        assert str(exc.value) == f"min eigenvalue {bad:.3e} below -1e-9"
