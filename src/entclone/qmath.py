@@ -25,8 +25,8 @@ pays for `eigvalsh`, whose verdict and message are final.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -62,12 +62,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).swapaxes(-1, -2)
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """Whether every matrix of ``m`` equals its conjugate transpose within
-    ``tol``, entry by entry."""
-    return bool(np.max(np.abs(m - dagger(m))) <= tol)
-
-
 def _float_or_rows(values: np.ndarray):
     """A per-matrix result: a Python float for a single matrix, the array
     of per-matrix values for a stack."""
@@ -83,7 +77,7 @@ def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix's with the bits it has alone; every matrix must be Hermitian.
     """
     m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m):
+    if not np.max(np.abs(m - dagger(m))) <= HERMITICITY_TOL:
         raise ValueError("herm_eig requires a Hermitian matrix")
     vals, vecs = np.linalg.eigh(m)
     # eigh returns the eigenvalues ascending; the reversed views are copied
@@ -95,9 +89,9 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Positive-semidefinite square root of a PSD Hermitian matrix, or of
     each matrix of a ``(..., d, d)`` stack.
 
-    Eigenvalues in ``[-1e-9, 0)`` are clamped to zero; anything below
-    ``-1e-6``, in any matrix, raises, since that is no longer numerical
-    noise.
+    Eigenvalues in ``[-EIG_NEGATIVE_ERR, 0)`` = ``[-1e-6, 0)`` are clamped
+    to zero; anything below ``-EIG_NEGATIVE_ERR``, in any matrix, raises,
+    since that is no longer numerical noise.
     """
     vals, vecs = herm_eig(m)
     if vals.min() < -EIG_NEGATIVE_ERR:
@@ -131,14 +125,15 @@ def check_density(m: np.ndarray) -> None:
     """
     if not np.isfinite(m).all():
         raise ValueError("non-finite matrix entry")
-    if not is_hermitian(m):
+    m_dagger = dagger(m)
+    if not np.max(np.abs(m - m_dagger)) <= HERMITICITY_TOL:
         raise ValueError("density matrix is not Hermitian")
     tr = m.trace(axis1=-2, axis2=-1).real
     off = abs(tr - 1.0) > TRACE_TOL
     if off.any():
         bad = float(np.ravel(tr)[np.ravel(off)][0])
         raise ValueError(f"trace = {bad!r}, expected 1")
-    h = (m + dagger(m)) / 2
+    h = (m + m_dagger) / 2
     try:
         np.linalg.cholesky(h + CHOLESKY_SHIFT * np.eye(h.shape[-1]))
         return
@@ -199,7 +194,9 @@ class DensityMatrix:
 
     matrix: np.ndarray
     labels: tuple[str, ...]
-    validate: bool = field(default=True, compare=False)
+    # every instance is checked; the constant stays only because
+    # bench/tracing.py reads it
+    validate: ClassVar[bool] = True
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -207,8 +204,7 @@ class DensityMatrix:
         dim = 2 ** len(labels)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
-        if self.validate:
-            check_density(mat)
+        check_density(mat)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "labels", labels)
 
@@ -241,7 +237,7 @@ class DensityMatrix:
         k = len(kept_pos)
         reduced = t.reshape(2 ** k, 2 ** k)
         new_labels = tuple(self.labels[i] for i in kept_pos)
-        return DensityMatrix(reduced, new_labels, validate=self.validate)
+        return DensityMatrix(reduced, new_labels)
 
 
 def bell_state(which: str, labels: Sequence[str] = ("a", "b")) -> PureState:

@@ -215,10 +215,13 @@ _IDENTITY_COORDS = _frozen(_coords(_IDENTITY))
 
 
 def _born(rho, projectors: np.ndarray) -> np.ndarray:
-    """Tr[rho Pi] for a projector, or for each of a stack of them."""
+    """Tr[rho Pi] for a projector, or for each of a stack of them. A plain
+    array is checked as `DensityMatrix` checks its matrix."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     if m.shape != (4, 4):
         raise ValueError("born_probability requires a two-qubit state")
+    if not isinstance(rho, DensityMatrix):
+        check_density(m)
     return (m @ projectors).trace(axis1=-2, axis2=-1).real
 
 
@@ -230,8 +233,11 @@ def born_probability(rho, setting_a: str, setting_b: str) -> float:
 def sample_counts(rho, n_per_setting: float, seed: int,
                   exposure: float = 1.0) -> list[CountRecord]:
     """Poisson counts for all 36 settings, drawn in one call in ``SETTINGS``
-    order; deterministic given the seed. The 36 Born probabilities are one
-    stacked product, each with the bits `born_probability` gives it."""
+    order; deterministic given the seed, which must be an integer. The 36
+    Born probabilities are one stacked product, each with the bits
+    `born_probability` gives it."""
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"sampling needs an integer seed, got {seed!r}")
     if not (math.isfinite(n_per_setting) and n_per_setting > 0):
         raise ValueError(
             f"n_per_setting must be finite and positive, got {n_per_setting}")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -203,6 +205,57 @@ class TestStateTypes:
         joint = a.tensor(b)
         assert joint.labels == ("x", "y")
         assert np.allclose(joint.amplitudes, [0, 1, 0, 0])
+
+    def test_density_has_no_opt_out(self):
+        # every DensityMatrix is checked: validate is no longer a field
+        rho = np.eye(4) / 4
+        with pytest.raises(TypeError):
+            DensityMatrix(rho, ("a", "b"), validate=False)
+        assert [f.name for f in dataclasses.fields(DensityMatrix)] == [
+            "matrix", "labels"]
+        assert DensityMatrix.validate is True
+
+
+class TestCheckDensityInput:
+    """`check_density` reads its input and never writes it."""
+
+    @pytest.mark.parametrize("rows", [0, 3], ids=["alone", "stack"])
+    @pytest.mark.parametrize("n_qubits", [2, 6])
+    def test_input_unchanged_and_may_be_read_only(self, rng, n_qubits, rows):
+        m = np.array([random_density(rng, n_qubits).matrix
+                      for _ in range(max(rows, 1))])
+        if not rows:
+            m = m[0]
+        # read-only, as tomography's frozen stacks are
+        m.flags.writeable = False
+        before = m.tobytes()
+        qmath.check_density(m)
+        assert m.tobytes() == before
+
+    @pytest.mark.parametrize("m, verdict", [
+        (np.diag([1, 0, 0, 0]), None),
+        (np.array([[1, 1], [1, 0]]), "min eigenvalue -6.180e-01 below -1e-9"),
+        (np.eye(4, dtype=int), "trace = 4.0, expected 1"),
+        (np.array([[1, 1], [0, 0]]), "density matrix is not Hermitian"),
+    ])
+    def test_integer_matrix_judged_as_its_float_copy(self, m, verdict):
+        # H = (m + m†) / 2 is formed in floating point, so an integer
+        # matrix gets the verdict and message of the same float matrix
+        for a in (m, m.astype(float)):
+            if verdict is None:
+                qmath.check_density(a)
+                continue
+            with pytest.raises(ValueError) as exc:
+                qmath.check_density(a)
+            assert str(exc.value) == verdict
+
+    def test_one_conjugate_transpose_per_check(self, rng, monkeypatch):
+        stack = np.array([random_density(rng).matrix for _ in range(3)])
+        calls = []
+        monkeypatch.setattr(qmath, "dagger",
+                            lambda m: calls.append(m.shape) or dagger(m))
+        qmath.check_density(stack)
+        assert calls == [stack.shape]
 
 
 def with_min_eigenvalue(rng, dim, min_eig):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import random_density, tier1_examples
 from entclone import metrics, tomography as tg
@@ -183,6 +183,35 @@ class TestSampleCounts:
     def test_bad_exposure_rejected(self, exposure):
         with pytest.raises(ValueError, match="exposure must be finite"):
             tg.sample_counts(SIGMA, 100.0, seed=1, exposure=exposure)
+
+    # a plain array was drawn from unchecked: np.eye(4) gave 36 102 counts
+    # and a non-PSD one failed inside numpy's Poisson sampler
+    @pytest.mark.parametrize("bad", [
+        np.eye(4),  # trace 4
+        np.eye(4) / 4 + np.eye(4, k=1) / 10,  # not Hermitian
+        np.diag([1.5, -0.5, 0.0, 0.0]),  # eigenvalue -0.5
+        np.diag([np.nan, 1.0, 0.0, 0.0]),  # NaN
+    ])
+    def test_plain_matrix_checked_as_a_state(self, bad):
+        with pytest.raises(ValueError) as checked:
+            check_density(bad)
+        for draw in (lambda: tg.sample_counts(bad, 1000, seed=0),
+                     lambda: tg.born_probability(bad, "H", "H")):
+            with pytest.raises(ValueError) as exc:
+                draw()
+            assert str(exc.value) == str(checked.value)
+
+    def test_plain_matrix_draws_as_its_state(self):
+        assert tg.sample_counts(SIGMA.matrix, 1000, seed=4) == \
+            tg.sample_counts(SIGMA, 1000, seed=4)
+
+    # None drew from fresh OS entropy, so two calls differed
+    @pytest.mark.parametrize("seed", [None, 2.5, np.random.default_rng(0)],
+                             ids=["none", "float", "generator"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError,
+                           match="sampling needs an integer seed, got"):
+            tg.sample_counts(SIGMA, 1000, seed=seed)
 
 
 class TestMleReconstruct:
@@ -411,6 +440,10 @@ class TestStepRule:
            exposures=st.one_of(
                st.just([1.0] * 36),
                st.lists(st.floats(1e-3, 1e3), min_size=36, max_size=36)))
+    # 2 and 1 counts at R,H and R,V: a threshold of the reference's simplex
+    # projection taken at another k than the library's left rho_hat 5.6e-17
+    # off reference_mle's
+    @example(counts=[0] * 30 + [2, 1] + [0] * 4, exposures=[1.0] * 36)
     def test_each_accepted_step_meets_the_rule(self, counts, exposures):
         records = [tg.CountRecord(a, b, c, e) for (a, b), c, e
                    in zip(tg.SETTINGS, counts, exposures)]
@@ -889,12 +922,14 @@ class TestMleBatch:
 def _simplex(v):
     """The point of the probability simplex nearest to the vector ``v``,
     found by sorting: with s_k the sum of the k largest entries, the
-    threshold theta = (s_k - 1) / k of the largest k whose k-th largest
-    entry exceeds it is taken from every entry, and negatives clip to 0."""
+    threshold theta, the largest (s_k - 1) / k, is taken from every entry,
+    and negatives clip to 0. That is the (s_k - 1) / k of the largest k
+    whose k-th largest entry exceeds it, as the sequence rises while the
+    next entry exceeds it and falls after; taking the largest, as
+    `tg._project` does, keeps the bits of a tie between neighbours."""
     u = np.sort(v)[::-1]
     thresholds = (np.cumsum(u) - 1.0) / np.arange(1.0, len(u) + 1.0)
-    theta = thresholds[np.nonzero(u > thresholds)[0][-1]]
-    return np.maximum(v - theta, 0.0)
+    return np.maximum(v - thresholds.max(), 0.0)
 
 
 def _hermitian_basis():
