@@ -15,16 +15,15 @@ rule for every exposure, and every iterate a state by construction
 (`_step`).
 
 A reconstruction stops on a certificate, not on a small step: the
-log-likelihood is concave in the state, so its gradient G at the iterate rho
-bounds how far the maximum lies above it, by the linear gap
-lambda_max(G) - Tr(G rho) (Glancy, Knill & Girard, NJP 14, 095017 (2012)),
-plus a bound on its rounding (`_gaps`). That gap is first order in G, while
-the shortfall is second order, so at an iterate of full rank that the
-linear gap does not certify the loop also takes a Fenchel dual gap, second
-order in G, with its own rounding bound (`_dual_gaps`), and the smaller of
-the two counts. The iteration stops at the first iterate whose gap is below
-``CERT_TOL`` and reports the gap of the state it returns as
-``certified_gap``.
+log-likelihood is concave in the state, and its Fenchel dual bounds how far
+the maximum lies above the iterate rho at any dual point y (`_gaps`). At
+y = n / p that gap is the linear gap lambda_max(G) - Tr(G rho), from the
+gradient G at rho (Glancy, Knill & Girard, NJP 14, 095017 (2012)), first
+order in G, while the shortfall is second order; so at an iterate of full
+rank that the linear gap does not certify the loop also takes the gap at a
+second-order dual point (`_dual_point`), and the smaller of the two counts.
+The iteration stops at the first iterate whose gap is below ``CERT_TOL``
+and reports the gap of the state it returns as ``certified_gap``.
 
 One loop, `_mle_batch`, runs every reconstruction on a stack of data sets:
 `mle_reconstruct` stacks the observed counts as row 0 and their Monte Carlo
@@ -74,9 +73,10 @@ MAX_ITERATIONS = 100_000
 # the certified log-likelihood gap at which a reconstruction stops; a 1 sigma
 # likelihood-ratio interval spans a log-likelihood drop of 0.5
 CERT_TOL = 0.1
-# the mean count per setting above which the rounding bound of the linear
-# gap (`_gaps`), eps sum_j e_j = 36 eps n at unit exposures, alone exceeds
-# CERT_TOL, so that no reconstruction can certify: about 1.25e13
+# the mean count per setting above which no reconstruction can certify:
+# the rounding bound of the gap at every dual point (`_gaps`) is at least
+# eps sum_j e_j, 36 eps n at unit exposures, which alone exceeds CERT_TOL
+# above about 1.25e13
 CERTIFIABLE_MEAN_COUNT = CERT_TOL / (36 * np.finfo(float).eps)
 # the largest mean count sample_counts draws: numpy's Poisson sampler refuses
 # means above about 9.2e18, and with every Born probability at most 1 the
@@ -142,8 +142,8 @@ class TomographyRecord:
     converged: bool
     log_likelihood_history: list[float]
     # accepted steps and the certified gap of the returned state, an upper
-    # bound on how far its log-likelihood is below the maximum, its rounding
-    # included (`_gaps`); diagnostics only, no report prints them
+    # bound on how far its log-likelihood is below the maximum (`_gaps`);
+    # diagnostics only, no report prints them
     iterations: int
     certified_gap: float
     # the Monte Carlo error bars, None when no resamples were asked for
@@ -198,14 +198,13 @@ def _coords(m: np.ndarray) -> np.ndarray:
     an orthonormal real basis of the Hermitian matrices under Tr(A B), as
     (..., 16): the four diagonal entries, then sqrt(2) times the real and
     the imaginary parts of the six entries above the diagonal. The basis is
-    orthonormal, so the Frobenius norm of a matrix is that of its
-    coordinates."""
+    orthonormal, so Tr(A B) is the dot product of the coordinates."""
     upper = np.sqrt(2.0) * m[..., _UPPER[0], _UPPER[1]]
     return np.concatenate([np.diagonal(m, axis1=-2, axis2=-1).real,
                            upper.real, upper.imag], axis=-1)
 
 
-# the dual certificate's operands (`_dual_gaps`): the coordinates a_j of
+# the dual point's operands (`_dual_point`): the coordinates a_j of
 # the projectors, one row per setting, the outer products a_j a_j^T of
 # each, flattened, and the coordinates of I
 _COORD_TABLE = _frozen(_coords(_MLE_PROJECTORS))
@@ -331,90 +330,78 @@ def _inner(a, b):
     return np.einsum("nab,nba->n", a, b).real
 
 
-def _gaps(g, rho, expected):
-    """The linear certified gap of each iterate of an (n, 4, 4) stack
-    ``rho``, from the log-likelihood's gradient ``g`` at it and the (n, 36)
-    expected counts at unit probability.
+def _gaps(g, rho, counts, p, expected, x):
+    """The certified gap of each iterate of an (n, 4, 4) stack ``rho`` at
+    the dual point given by ``x``, from the log-likelihood's gradient ``g``
+    at it and its (n, 36) counts, probabilities and expected counts at unit
+    probability; ``x`` is an (n, 36) array from `_dual_point`, or the
+    scalar 0 for the linear gap.
 
-    The gradient at rho is G = sum_j (n_j / p_j - e_j) Pi_j, from the
-    counts n_j, the probabilities p_j and the expected counts e_j. The
-    log-likelihood is concave, so no state's log-likelihood exceeds rho's
-    by more than lambda_max(G) - Tr(G rho), at any exposures. G is a
-    difference of sums of size sum_j e_j, and against 50-digit arithmetic
-    that value was off by at most 0.05 eps sum_j e_j (1e9 to 1e18 counts
-    per setting), so the gap adds eps sum_j e_j to stay a bound. This gap
-    is first order in G, while the shortfall is second order; `_dual_gaps`
-    is second order too. Each gap has the bits of the same iterate in any
-    other stack, so a row stops where it would alone.
+    The gradient at rho is G = sum_j (n_j / p_j - e_j) Pi_j. For n_j > 0
+    and y_j > 0, n_j log p <= n_j log(n_j / y_j) - n_j + y_j p for every
+    p >= 0, and a setting without counts needs only y_j >= 0, so every
+    state's log-likelihood, less the constants n_j log e_j, is at most
+    U(y) = sum_{n>0} [n_j log(n_j / y_j) - n_j]
+    + lambda_max(sum_j (y_j - e_j) Pi_j), for any such y (the Fenchel dual
+    of the maximization). At y_j = n_j / p_j + delta_j, with
+    delta_j = n_j x_j / p_j, U less rho's log-likelihood is
+    lambda_max(G + sum_j delta_j Pi_j) - Tr(G rho) - sum_j n_j log1p(x_j):
+    at x = 0 the linear gap lambda_max(G) - Tr(G rho), first order in G
+    (Glancy, Knill & Girard, NJP 14, 095017 (2012)), and at `_dual_point`
+    second order. G is a difference of sums of size sum_j e_j, so the gap
+    adds eps (sum_j e_j + sum_j |delta_j| + sum_j n_j |log1p(x_j)|) for its
+    rounding: against 50-digit arithmetic the linear gap was off by at most
+    0.05 eps sum_j e_j (1e9 to 1e18 counts per setting), and the gap at the
+    dual point less that bound fell below the true one by at most 0.23 of
+    the bound (sigma and mixed, 1e4 to 1e15). Each gap has the bits of the
+    same iterate in any other stack, so a row stops where it would alone.
     """
-    rounding = np.finfo(float).eps * expected.sum(axis=-1)
-    return np.linalg.eigvalsh(g)[:, -1] - _inner(g, rho) + rounding
+    shifted, logs, scale = g, 0.0, expected.sum(axis=-1)
+    # at x = 0 delta and the logarithms vanish: forming them, and the
+    # projector sum of zeros, would nearly double the linear gap's cost
+    if isinstance(x, np.ndarray):
+        delta = counts * x / p
+        terms = counts * np.log1p(x)
+        shifted = g + _projector_sums(delta)
+        logs = terms.sum(axis=-1)
+        scale = (scale + np.abs(delta).sum(axis=-1)
+                 + np.abs(terms).sum(axis=-1))
+    return (np.linalg.eigvalsh(shifted)[:, -1] - _inner(g, rho) - logs
+            + np.finfo(float).eps * scale)
 
 
-def _dual_point(target, counts, p):
-    """The dual point of each row of `_dual_gaps` as x_j = delta_j p_j /
-    n_j, 0 where n_j = 0, in an (n, 36) array, from the (n, 16) coordinates
-    ``target`` of t I - G and the counts and probabilities; a row is NaN
-    where the solve finds its normal matrix singular.
+def _dual_point(g, rho, counts, p):
+    """The second-order dual point of `_gaps` for each iterate of an
+    (n, 4, 4) stack ``rho``, from the gradient ``g`` at it and its (n, 36)
+    counts and probabilities, as x_j = delta_j p_j / n_j, 0 where n_j = 0,
+    in an (n, 36) array. A row is 0, the linear gap's point, where the
+    solve finds its normal matrix singular or some x_j <= -1, where y_j <= 0
+    and U(y) is no bound.
 
     delta is the p_j^2 / n_j-weighted least-norm solution of
-    sum_j delta_j Pi_j = t I - G over the settings with counts: with the
-    projectors' coordinates a_j and the weights w_j = n_j / p_j^2, it is
-    w_j a_j . l, where the normal matrix sum_j w_j a_j a_j^T times l is
-    ``target``. The normal matrices, the solve and the products a_j . l
-    are formed one row at a time, as in `_probs_stack`, so each row has its
-    bits alone."""
+    sum_j delta_j Pi_j = t I - G, t = Tr(G rho), over the settings with
+    counts: with the projectors' coordinates a_j and the weights
+    w_j = n_j / p_j^2, it is w_j a_j . l, where the normal matrix
+    sum_j w_j a_j a_j^T times l is the coordinates of t I - G. As
+    sum_j delta_j p_j = 0, the gap at it is second order in delta. The
+    normal matrices, the solve and the products a_j . l are formed one row
+    at a time, as in `_probs_stack`, so each row has its bits alone."""
+    target = _inner(g, rho)[:, None] * _IDENTITY_COORDS - _coords(g)
     normal = (counts / (p * p))[:, None, :] @ _NORMAL_TABLE
     normal, rhs = normal.reshape(-1, 16, 16), target[:, :, None]
     try:
         solution = np.linalg.solve(normal, rhs)
     except np.linalg.LinAlgError:
-        solution = np.full_like(rhs, np.nan)
+        solution = np.zeros_like(rhs)
         for k in range(len(rhs)):
             try:
                 solution[k] = np.linalg.solve(normal[k], rhs[k])
             except np.linalg.LinAlgError:
                 pass
-    return np.where(counts > 0, (solution.swapaxes(-1, -2)
-                                 @ _COORD_TABLE.T)[:, 0] / p, 0.0)
-
-
-def _dual_gaps(g, rho, counts, p, expected):
-    """The dual certified gap of each iterate of an (n, 4, 4) stack
-    ``rho``, from the gradient ``g`` at it, as in `_gaps`, and its (n, 36)
-    counts, probabilities and expected counts; NaN where it is no bound.
-
-    For n_j > 0 and y_j > 0, n_j log p <= n_j log(n_j / y_j) - n_j + y_j p
-    for every p >= 0, and a setting without counts needs only y_j >= 0, so
-    every state's log-likelihood, less the constants n_j log e_j, is at
-    most U(y) = sum_{n>0} [n_j log(n_j / y_j) - n_j]
-    + lambda_max(sum_j (y_j - e_j) Pi_j), for any such y (the Fenchel dual
-    of the maximization). At y = n / p, U less rho's is the linear gap;
-    at y = n / p + delta, with delta from `_dual_point`, it is
-    -sum_{n>0} n_j log1p(x_j) - t + lambda_max(G + sum_j delta_j Pi_j),
-    second order in delta, as sum_j delta_j p_j = 0. The last two terms are
-    at most ||G + sum_j delta_j Pi_j - t I||, the Frobenius norm, which
-    the coordinates give without an eigenvalue. The gap adds
-    eps (2 sum_j e_j + sum_j |delta_j| + sum_j n_j |log1p(x_j)|) for its
-    rounding: G's term is twice the linear gap's, as the Frobenius norm of
-    a 4 x 4 matrix is at most twice its largest eigenvalue in magnitude,
-    and against 50-digit arithmetic the whole was off by at most 0.18 of
-    that bound (sigma and mixed, 1e4 to 1e15 counts per setting). Where
-    some x_j <= -1 some y_j <= 0 and U(y) is no bound."""
-    target = _inner(g, rho)[:, None] * _IDENTITY_COORDS - _coords(g)
-    x = _dual_point(target, counts, p)
-    valid = (x > -1.0).all(axis=-1)
-    x[~valid] = 0.0
-    delta = counts * x / p
-    # the coordinates of G + sum_j delta_j Pi_j - t I
-    residual = (delta[:, None, :] @ _COORD_TABLE)[:, 0] - target
-    logs = counts * np.log1p(x)
-    rounding = np.finfo(float).eps * (
-        2.0 * expected.sum(axis=-1) + (np.abs(delta) + np.abs(logs)).sum(
-            axis=-1))
-    gaps = (np.sqrt((residual * residual).sum(axis=-1)) - logs.sum(axis=-1)
-            + rounding)
-    return np.where(valid, gaps, np.nan)
+    x = np.where(counts > 0, (solution.swapaxes(-1, -2)
+                              @ _COORD_TABLE.T)[:, 0] / p, 0.0)
+    x[~(x > -1.0).all(axis=-1)] = 0.0
+    return x
 
 
 def _log_ratios(x, p, cand_p):
@@ -621,20 +608,20 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     gap is below ``CERT_TOL``, on its iterate when the last pass's accepted
     step did not gain (a stalled row), and on every iterate when the passes
     reach ``MAX_ITERATIONS``; it has converged if the gap of that iterate
-    is below ``CERT_TOL``. A gap reuses the pass's gradient. One `_gaps`
-    call, one `eigvalsh`, covers the stalled rows, the rows out of budget,
-    and the rows whose iterate is the start or was reached by a step
-    gaining less than ``CERT_TOL``; skipping it elsewhere costs no
+    is below ``CERT_TOL``. A gap reuses the pass's gradient. One linear
+    `_gaps` call, one `eigvalsh`, covers the stalled rows, the rows out of
+    budget, and the rows whose iterate is the start or was reached by a
+    step gaining less than ``CERT_TOL``; skipping it elsewhere costs no
     correctness, as no row stops on the certificate without computing it.
     Of those, a row whose linear gap is not below ``CERT_TOL`` and whose
     iterate is its inversion or was reached by a step, with a projection
-    that clipped no eigenvalue (an interior row), also takes the dual gap,
-    one 16 x 16 solve in `_dual_gaps`, and its gap is the smaller of the
+    that clipped no eigenvalue (an interior row), also takes the gap at its
+    `_dual_point`, one 16 x 16 solve, and its gap is the smaller of the
     two; a full-rank inversion can so certify before any step. I/4 and the
     iterates of lower rank are left out: there the dual point makes some
-    y_j <= 0, and the dual is no bound. A stalled row keeps its state and
-    probabilities, so its gradient and gap have the bits of those of the
-    pass whose step stalled.
+    y_j <= 0 and falls back to the linear one. A stalled row keeps its
+    state and probabilities, so its gradient and gap have the bits of those
+    of the pass whose step stalled.
 
     Returns per row the finished state, its log-likelihood history (that
     of its start, then that of each accepted step, so the last entry is the
@@ -680,15 +667,17 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
         leaving = stalled | (passes == MAX_ITERATIONS)
         checked = (check | leaving).nonzero()[0]
         # an empty gap computation costs as much as a small one
-        gaps = (_gaps(g[checked], rho[checked], expected[checked])
+        gaps = (_gaps(g[checked], rho[checked], counts[checked],
+                      p[checked], expected[checked], 0.0)
                 if len(checked) else np.empty(0))
-        # the dual gap, where the linear one does not certify an iterate
-        # that may have one
+        # the second-order gap, where the linear one does not certify an
+        # iterate that may have one
         dual = (interior[checked] & (gaps >= CERT_TOL)).nonzero()[0]
         if len(dual):
             k = checked[dual]
-            gaps[dual] = np.fmin(gaps[dual], _dual_gaps(
-                g[k], rho[k], counts[k], p[k], expected[k]))
+            gaps[dual] = np.minimum(gaps[dual], _gaps(
+                g[k], rho[k], counts[k], p[k], expected[k],
+                _dual_point(g[k], rho[k], counts[k], p[k])))
         stop = leaving[checked] | (gaps < CERT_TOL)
         if stop.any():
             for i, gap in zip(checked[stop], gaps[stop]):
@@ -814,4 +803,9 @@ def matrix_to_json(rho: DensityMatrix, path) -> None:
 
 def matrix_from_json(path) -> DensityMatrix:
     with open(path) as f:
-        return matrix_from_json_dict(json.load(f))
+        try:
+            d = json.load(f)
+        except ValueError as e:  # bad JSON, or bytes that are not UTF-8
+            raise ValueError(f"matrix JSON {str(path)!r} is not valid JSON: "
+                             f"{e}") from None
+    return matrix_from_json_dict(d)

@@ -1,6 +1,6 @@
 """Where the maximum-likelihood reconstruction stops certifying: sigma,
-mixed, phi+ and schmidt:0.4 at 3e8, 1e9, 3e9, 1e10 and 3e10 counts per
-setting, over seeds 100-139.
+mixed, phi+ and schmidt:0.4 at 3e8, 1e9, 3e9, 1e10, 3e10 and 1e13 counts
+per setting, over seeds 100-139.
 
     python tests/data/frontier_scan.py
 
@@ -8,13 +8,15 @@ At these counts the last steps' gains approach the float spacing of the
 probabilities, and a run can stop, on an accepted step that does not gain,
 before its certified gap falls below ``CERT_TOL``. For each case this
 prints how many of the draws certified, how many of those have a linear
-gap (`_gaps`) at or above ``CERT_TOL`` at their returned state, so that
-only the dual gap (`_dual_gaps`) certified them, the largest iteration
-count among all its draws, the largest certified gap among the draws that
-did not certify and those draws' seeds. sigma and
-mixed are of full rank and certify on the dual gap; phi+ and schmidt:0.4
+gap (`_gaps` at x = 0) at or above ``CERT_TOL`` at their returned state,
+so that only the gap at the dual point (`_dual_point`) certified them, the
+largest iteration count among all its draws, the largest certified gap
+among the draws that did not certify and those draws' seeds. sigma and
+mixed are of full rank and certify at the dual point; phi+ and schmidt:0.4
 are pure, with their maximizers on the boundary of the state space, where
-only the linear gap applies. schmidt:0.4 is the slowest kind of draw to
+only the linear gap applies. 1e13 lies just under
+``CERTIFIABLE_MEAN_COUNT``, where the gap's rounding bound, 0.08 there,
+nears ``CERT_TOL``. schmidt:0.4 is the slowest kind of draw to
 certify, and no benchmark workload holds one, so its iteration counts are
 the worst case to watch. A change to the MLE's floating-point work moves
 this frontier; run it before and after such a change.
@@ -36,14 +38,14 @@ from entclone import tomography as tg  # noqa: E402
 from entclone.cli import _named_density  # noqa: E402
 
 STATES = ("sigma", "mixed", "phi+", "schmidt:0.4")
-COUNTS = (3e8, 1e9, 3e9, 1e10, 3e10)
+COUNTS = (3e8, 1e9, 3e9, 1e10, 3e10, 1e13)
 SEEDS = range(100, 140)
 
 
 def scan_case(state: str, n: float,
               seeds: range) -> tuple[int, int, int, float, list]:
-    """The number of draws that certified, how many of those only on the
-    dual gap, the largest iteration count, the largest gap of a draw that
+    """The number of draws that certified, how many of those only at the
+    dual point, the largest iteration count, the largest gap of a draw that
     did not certify (NaN if all did) and the seeds that did not certify,
     for one state and count."""
     rho, _ = _named_density(state)
@@ -57,7 +59,7 @@ def scan_case(state: str, n: float,
     p = tg._probs_stack(states)
     expected = np.repeat(4.0 * rows.mean(axis=1, keepdims=True), 36, axis=1)
     g = tg._projector_sums(rows / p) - tg._projector_sums(expected)
-    linear = tg._gaps(g, states, expected)
+    linear = tg._gaps(g, states, rows, p, expected, 0.0)
     on_dual = sum(ok and gap >= tg.CERT_TOL
                   for ok, gap in zip(certified, linear))
     stalled = [gap for _, _, ok, gap in results if not ok]

@@ -285,6 +285,27 @@ class TestTomo:
         assert out.err.startswith("entclone: error: matrix JSON")
         assert problem in out.err
 
+    # a file that is not JSON is named ("Expecting value: line 1 column 1
+    # (char 0)" for an empty one, a bare UTF-8 codec message for a binary
+    # one before)
+    @pytest.mark.parametrize("content, problem", [
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b"\x7fELF\x02\x01\x01\x00\xd0\xff", "'utf-8' codec can't decode"),
+    ], ids=["empty", "binary"])
+    def test_matrix_file_not_json_rejected(self, tmp_path, capsys, content,
+                                           problem):
+        path = tmp_path / "rho.json"
+        path.write_bytes(content)
+        code, out = run_cli("tomo", "--state", str(path), "--n", "500",
+                            capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err.startswith(f"entclone: error: matrix JSON "
+                                  f"{str(path)!r} is not valid JSON: ")
+        assert problem in out.err
+        with pytest.raises(ValueError, match="is not valid JSON"):
+            tg.matrix_from_json(path)
+
     # a bad schmidt angle is named as clone names it, and not taken for a
     # file name ("unknown state 'schmidt:inf' and no such file" before)
     @pytest.mark.parametrize("state, problem", [

@@ -536,11 +536,12 @@ class TestCertificate:
                 for (a, b), e in zip(tg.SETTINGS, exposures)]
             assert tg.mle_reconstruct(records).certified_gap < tg.CERT_TOL
 
-    # the gap at the returned state, against a 50-digit recomputation of
-    # G and its largest eigenvalue from the same floats: the float value is
-    # off by at most 0.05 eps sum_j e_j, and `_gaps` adds eps sum_j e_j to
-    # bound it, which alone exceeds CERT_TOL from 1e15 counts; for phi+ at
-    # 1e15 (seed 26) the float value is below CERT_TOL, the true gap above
+    # the linear gap at the returned state, against a 50-digit
+    # recomputation of G and its largest eigenvalue from the same floats:
+    # the float value is off by at most 0.05 eps sum_j e_j, and `_gaps` adds
+    # eps sum_j e_j to bound it, which alone exceeds CERT_TOL from 1e15
+    # counts; for phi+ at 1e15 (seed 26) the float value is below CERT_TOL,
+    # the true gap above
     @pytest.mark.parametrize("state, n, seed", [
         *((state, n, 7) for n in (1e9, 1e12, 1e15)
           for state in ("phi+", "sigma", "mixed")),
@@ -548,7 +549,8 @@ class TestCertificate:
     def test_gap_bounds_its_rounding(self, state, n, seed):
         mpmath = pytest.importorskip("mpmath")
         counts, rec, rho, expected, p, g = _at_returned_state(state, n, seed)
-        gap = float(tg._gaps(g[None], rho[None], expected[None])[0])
+        gap = float(tg._gaps(g[None], rho[None], counts[None], p[None],
+                             expected[None], 0.0)[0])
         rounding = _EPS * expected.sum()
         with mpmath.workdps(50):
             exact_rho, exact_g, _ = _exact_gradient(mpmath, rho, counts,
@@ -564,8 +566,9 @@ class TestCertificate:
 
     # U(y) from its definition, less the log-likelihood of the returned
     # state: at y = n / p, delta = 0, it is the linear gap, and at the dual
-    # point it is the small-terms value, which `_dual_gaps` bounds. phi+
-    # returns a state of rank 1, where the dual point gives some y_j < 0
+    # point it is the small-terms value, which `_gaps` gives. phi+ returns a
+    # state of rank 1, where the least-norm delta gives some y_j < 0, so
+    # `_dual_point` falls back to x = 0 and its gap is the linear one
     @pytest.mark.parametrize("state, n", [
         ("sigma", 1e3), ("mixed", 1e3), ("sigma", 1e5), ("mixed", 1e5),
         ("phi+", 1e3)])
@@ -573,16 +576,18 @@ class TestCertificate:
         counts, rec, rho, expected, p, g = _at_returned_state(state, n, 7)
         ll = float(tg._loglik(counts, expected, p))
         rounding = 64 * _EPS * (abs(ll) + expected.sum())
-        linear = (float(tg._gaps(g[None], rho[None], expected[None])[0])
-                  - _EPS * expected.sum())
+        at = (g[None], rho[None], counts[None], p[None], expected[None])
+        at_x0 = float(tg._gaps(*at, 0.0)[0])
+        linear = at_x0 - _EPS * expected.sum()
         at_zero = _upper(np.where(counts > 0, counts / p, 0.0), counts,
                          expected) - ll
         assert abs(at_zero - linear) <= rounding
         y, x = _dual_y(g, rho, counts, p)
-        dual = float(tg._dual_gaps(g[None], rho[None], counts[None],
-                                   p[None], expected[None])[0])
+        dual = float(tg._gaps(*at, x[None])[0])
         if state == "phi+":
-            assert (x <= -1.0).any() and np.isnan(dual)
+            assert (_least_norm_x(g, rho, counts, p) <= -1.0).any()
+            assert not x.any()
+            assert dual == at_x0
             return
         assert (y[counts > 0] > 0).all()
         t = float(tg._inner(g[None], rho[None])[0])
@@ -592,11 +597,27 @@ class TestCertificate:
         at_dual = _upper(y, counts, expected) - ll
         assert abs(at_dual - small) <= rounding
         assert at_dual <= dual + rounding
+        # the solve's x is the least-norm one
+        assert np.allclose(x, _least_norm_x(g, rho, counts, p),
+                           rtol=1e-6, atol=1e-12)
         # the reconstruction certified on this gap, at the last iterate,
         # of which the returned state is the Hermitian part at unit trace
         assert rec.converged and rec.certified_gap < tg.CERT_TOL
         assert dual == pytest.approx(rec.certified_gap, rel=1e-9)
         assert tg.CERT_TOL < linear
+
+    # every gap's rounding bound has eps sum_j e_j as its floor, under
+    # CERT_TOL up to CERTIFIABLE_MEAN_COUNT, so full-rank draws certify up
+    # to it; a bound of 2 eps sum_j e_j, as a Frobenius norm in place of
+    # lambda_max needs, exceeds CERT_TOL from about 6.2e12 counts per
+    # setting and certifies none of these draws
+    @pytest.mark.parametrize("state", ["sigma", "mixed"])
+    @pytest.mark.parametrize("n", [8e12, 1.1e13])
+    def test_certified_up_to_the_certifiable_count(self, state, n):
+        assert n < tg.CERTIFIABLE_MEAN_COUNT
+        rows = _point_rows([(state, n, seed) for seed in (100, 101, 102)])
+        results = tg._mle_batch(rows, np.ones(36))
+        assert all(converged for _, _, converged, _ in results)
 
     # U(y) at the dual point bounds the log-likelihood of every state:
     # states mixed from the returned one and a random one, from next to it
@@ -621,38 +642,39 @@ class TestCertificate:
         assert ll <= upper + 64 * _EPS * (abs(ll) + expected.sum())
 
     # counts in one setting give a singular normal matrix: the solve fails
-    # for that row, which gets no dual gap, and the row beside it keeps the
-    # bits it has alone
+    # for that row, whose dual point falls back to x = 0 and whose gap is
+    # then its linear gap, bit for bit, and the row beside it keeps the bits
+    # it has alone
     def test_singular_normal_matrix_has_no_dual_gap(self):
         counts, _, rho, expected, p, g = _at_returned_state("sigma", 1e3, 7)
         lone = np.where(np.arange(36) == 0, counts, 0.0)
         rows, pair = np.array([lone, counts]), (lambda a: np.array([a, a]))
-        target = _dual_target(pair(g), pair(rho))
-        x = tg._dual_point(target, rows, pair(p))
-        assert np.isnan(x[0, 0]) and not x[0, 1:].any()
-        alone = tg._dual_point(target[1:], counts[None], p[None])
+        x = tg._dual_point(pair(g), pair(rho), rows, pair(p))
+        assert not x[0].any()
+        alone = tg._dual_point(g[None], rho[None], counts[None], p[None])
         assert x[1].tobytes() == alone[0].tobytes()
-        gaps = tg._dual_gaps(pair(g), pair(rho), rows, pair(p),
-                             pair(expected))
-        assert np.isnan(gaps[0]) and gaps[1] < tg.CERT_TOL
+        at = (pair(g), pair(rho), rows, pair(p), pair(expected))
+        gaps, linear = tg._gaps(*at, x), tg._gaps(*at, 0.0)
+        assert gaps[0].tobytes() == linear[0].tobytes()
+        assert linear[1] >= tg.CERT_TOL > gaps[1]
 
-    # the dual gap at the returned state, against a 50-digit recomputation
-    # from the same floats and the same dual point: the float value less
-    # its rounding bound is below the true one, by at most 0.18 of the
-    # bound (seeds 1 and 7), so the bound is what keeps it an upper bound.
-    # The Frobenius norm it takes bounds lambda_max(G + sum_j delta_j Pi_j)
-    # - t, and from 1e15 counts the rounding bound alone exceeds CERT_TOL
+    # the gap at the dual point of the returned state, against a 50-digit
+    # recomputation of lambda_max(G + sum_j delta_j Pi_j) from the same
+    # floats and the same dual point: the float value less its rounding
+    # bound is below the true one, by at most 0.23 of the bound (seeds 1 and
+    # 7), so the bound is what keeps it an upper bound. From 1e15 counts the
+    # rounding bound alone exceeds CERT_TOL; at 1.1e13 its floor
+    # eps sum_j e_j is 0.088
     @pytest.mark.parametrize("state, n", [
-        (state, n) for n in (1e6, 1e9, 1e12, 1e15)
+        (state, n) for n in (1e6, 1e9, 1e12, 1.1e13, 1e15)
         for state in ("sigma", "mixed")])
     def test_dual_gap_bounds_its_rounding(self, state, n):
         mpmath = pytest.importorskip("mpmath")
         counts, rec, rho, expected, p, g = _at_returned_state(state, n, 7)
         _, x = _dual_y(g, rho, counts, p)
-        gap = float(tg._dual_gaps(g[None], rho[None], counts[None], p[None],
-                                  expected[None])[0])
-        rounding = _EPS * (2.0 * expected.sum()
-                           + np.abs(counts * x / p).sum()
+        gap = float(tg._gaps(g[None], rho[None], counts[None], p[None],
+                             expected[None], x[None])[0])
+        rounding = _EPS * (expected.sum() + np.abs(counts * x / p).sum()
                            + np.abs(counts * np.log1p(x)).sum())
         with mpmath.workdps(50):
             exact_rho, exact_g, exact_p = _exact_gradient(mpmath, rho, counts,
@@ -666,11 +688,7 @@ class TestCertificate:
                     m += (float(n_j) * float(x_j) / p_j) * mpmath.matrix(
                         pi.tolist())
                     logs -= float(n_j) * mpmath.log1p(float(x_j))
-            exact = logs + mpmath.sqrt(sum(abs(m[a, b]) ** 2
-                                           for a in range(4)
-                                           for b in range(4)))
-            eigen = logs + max(mpmath.eighe(m, eigvals_only=True))
-        assert eigen <= exact
+            exact = logs + max(mpmath.eighe(m, eigvals_only=True))
         assert abs(gap - rounding - exact) <= rounding
         assert gap - rounding < exact < gap
         assert rec.converged == (n < 1e15)
@@ -995,8 +1013,8 @@ def reference_mle(counts, exposures, gain_tol=None):
     accepted step does not gain, or after ``tg.MAX_ITERATIONS`` passes. An
     iterate that is `reference_start`'s state or was reached by a step,
     with a projection that clipped no eigenvalue to 0, and whose linear gap
-    (`tg._gaps`) is not below ``tg.CERT_TOL``, also takes the dual gap
-    (`tg._dual_gaps`), and its gap is the smaller of the two.
+    (`tg._gaps` at x = 0) is not below ``tg.CERT_TOL``, also takes the gap
+    at its `tg._dual_point`, and its gap is the smaller of the two.
     Given ``gain_tol``, it does not stop on the certificate but after the
     first accepted step that gains less than ``gain_tol``. Takes one row of
     counts and exposures in the MLE's setting order and returns the state,
@@ -1023,11 +1041,11 @@ def reference_mle(counts, exposures, gain_tol=None):
         return tg._projector_sums((counts / p)[None])[0] - h_op
 
     def gap(g):
-        linear = float(tg._gaps(g[None], rho[None], expected[None])[0])
+        at = (g[None], rho[None], counts[None], p[None], expected[None])
+        linear = float(tg._gaps(*at, 0.0)[0])
         if not (interior and linear >= tg.CERT_TOL):
             return linear
-        return float(np.fmin(linear, tg._dual_gaps(
-            g[None], rho[None], counts[None], p[None], expected[None])[0]))
+        return min(linear, float(tg._gaps(*at, tg._dual_point(*at[:4]))[0]))
 
     for _ in range(tg.MAX_ITERATIONS):
         g = gradient()
@@ -1099,22 +1117,32 @@ def _at_returned_state(state, n, seed):
 
 
 def _dual_y(g, rho, counts, p):
-    """The dual point y = n / p + delta of `tg._dual_gaps` at one iterate,
+    """The dual point y = n / p + delta of `tg._dual_point` at one iterate,
     0 where n_j = 0, and x = delta p / n."""
-    x = tg._dual_point(_dual_target(g[None], rho[None]), counts[None],
-                       p[None])[0]
+    x = tg._dual_point(g[None], rho[None], counts[None], p[None])[0]
     return np.where(counts > 0, counts / p * (1.0 + x), 0.0), x
 
 
-def _dual_target(g, rho):
-    """The coordinates of t I - G, t = Tr(G rho), for each of a stack of
-    gradients ``g`` and iterates ``rho``."""
-    return (tg._inner(g, rho)[:, None] * tg._IDENTITY_COORDS
-            - tg._coords(g))
+def _least_norm_x(g, rho, counts, p):
+    """x = delta p / n at one iterate, 0 where n_j = 0, for the
+    p_j^2 / n_j-weighted least-norm delta with sum_j delta_j Pi_j =
+    Tr(G rho) I - G over the settings with counts, by `lstsq` on the
+    16 x 36 system in the Hermitian coordinates, with none of
+    `tg._dual_point`'s fallbacks: delta_j = sqrt(w_j) u_j, w_j = n_j / p_j^2,
+    for the least-norm u."""
+    seen = counts > 0
+    root_w = np.sqrt(counts[seen]) / p[seen]
+    target = tg._coords(float(tg._inner(g[None], rho[None])[0])
+                        * tg._IDENTITY - g)
+    u = np.linalg.lstsq(tg._coords(tg._MLE_PROJECTORS[seen]).T * root_w,
+                        target, rcond=None)[0]
+    x = np.zeros(36)
+    x[seen] = root_w * u * p[seen] / counts[seen]
+    return x
 
 
 def _upper(y, counts, expected):
-    """U(y) of `tg._dual_gaps`, the bound on every state's log-likelihood,
+    """U(y) of `tg._gaps`, the bound on every state's log-likelihood,
     from its definition, with the terms n_j log e_j that `tg._loglik` keeps:
     sum_{n>0} n_j [log(n_j e_j / y_j) - 1]
     + lambda_max(sum_j (y_j - e_j) Pi_j)."""
