@@ -122,8 +122,7 @@ def postselection_operator(r: float) -> np.ndarray:
     (1-R) I - R SWAP = (1-2R) P_sym + P_anti (up to the global phase fixed
     by the +i reflection convention).
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"reflectivity {r} outside [0, 1]")
+    _check_unit("reflectivity", r)
     return (1.0 - r) * np.eye(4, dtype=complex) - r * SWAP
 
 
@@ -265,10 +264,8 @@ def hom_visibility(r: float, overlap_sq: float) -> float:
     Computed by brute force in the Fock model and cross-checked against the
     closed form overlap_sq * (1 - (1-2R)^2 / (R^2 + (1-R)^2)).
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"reflectivity {r} outside [0, 1]")
-    if not 0.0 <= overlap_sq <= 1.0:
-        raise ValueError(f"overlap_sq {overlap_sq} outside [0, 1]")
+    _check_unit("reflectivity", r)
+    _check_unit("overlap_sq", overlap_sq)
     p_dist = _hom_coincidence_probability(r, 0.0)
     p = _hom_coincidence_probability(r, math.sqrt(overlap_sq))
     v = 1.0 - p / p_dist
@@ -281,8 +278,7 @@ def hom_visibility(r: float, overlap_sq: float) -> float:
 
 def fit_overlap(v_measured: float, r: float) -> float:
     """Squared overlap reproducing a measured HOM visibility at given R."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"reflectivity {r} outside [0, 1]")
+    _check_unit("reflectivity", r)
     ideal = ideal_hom_visibility(r)
     if not 0.0 <= v_measured <= ideal + 1e-12:
         raise ValueError(

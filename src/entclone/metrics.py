@@ -19,9 +19,9 @@ PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 _PAULI = {"X": qmath.SX, "Y": qmath.SY, "Z": qmath.SZ}
 PAULI_BASES = ("X", "Y", "Z")
 # two-qubit operators built once, at import
-_PAULI_PRODUCTS = {(a, b): kron(_PAULI[a], _PAULI[b])
-                   for a in PAULI_BASES for b in PAULI_BASES}
-_WITNESS = 0.5 * np.eye(4) - np.outer(PHI_PLUS, np.conj(PHI_PLUS))
+PAULI_PRODUCTS = {(a, b): kron(_PAULI[a], _PAULI[b])
+                  for a in PAULI_BASES for b in PAULI_BASES}
+WITNESS = 0.5 * np.eye(4) - np.outer(PHI_PLUS, np.conj(PHI_PLUS))
 
 
 def _mat(rho) -> np.ndarray:
@@ -58,7 +58,7 @@ def pauli_correlation(rho, basis_a: str, basis_b: str):
     m = _two_qubit(rho, "pauli_correlation")
     if basis_a not in _PAULI or basis_b not in _PAULI:
         raise ValueError(f"bases must be in {PAULI_BASES}")
-    return _expectation(m, _PAULI_PRODUCTS[basis_a, basis_b])
+    return _expectation(m, PAULI_PRODUCTS[basis_a, basis_b])
 
 
 def _expectation(m: np.ndarray, op: np.ndarray):
@@ -74,7 +74,7 @@ def witness_expectation(rho):
     (`ConsistencyError` if they differ).
     """
     m = _two_qubit(rho, "witness_expectation")
-    direct = _expectation(m, _WITNESS)
+    direct = _expectation(m, WITNESS)
     expanded = 0.25 * (1.0
                        - pauli_correlation(m, "X", "X")
                        + pauli_correlation(m, "Y", "Y")
@@ -95,7 +95,7 @@ def concurrence(rho):
     Complex conjugation is taken in the computational (H/V) basis.
     """
     m = _two_qubit(rho, "concurrence")
-    yy = _PAULI_PRODUCTS["Y", "Y"]
+    yy = PAULI_PRODUCTS["Y", "Y"]
     m_tilde = yy @ m.conj() @ yy
     vals = np.linalg.eigvals(m @ m_tilde)
     vals = np.sqrt(np.maximum(vals.real, 0.0))

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import cloner, metrics, tomography
 from .cloner import InputSpec, NetworkConfig
-from .qmath import SX, SY, SZ, DensityMatrix, kron
+from .qmath import DensityMatrix
 
 PHI, PSI = InputSpec("bell_phi_plus"), InputSpec("bell_psi_plus")
 # criterion 5 compares the two network models on these inputs and R values
@@ -156,11 +156,10 @@ def criterion_4(seed: int = 0) -> list[CheckResult]:
     a = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
     rhos = a @ np.conj(np.swapaxes(a, 1, 2))
     rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None].real
-    witness_op = 0.5 * np.eye(4) - np.outer(metrics.PHI_PLUS,
-                                            np.conj(metrics.PHI_PLUS))
-    direct = np.einsum("nab,ba->n", rhos, witness_op).real
-    xx, yy, zz = (np.einsum("nab,ba->n", rhos, kron(p, p)).real
-                  for p in (SX, SY, SZ))
+    direct = np.einsum("nab,ba->n", rhos, metrics.WITNESS).real
+    xx, yy, zz = (np.einsum("nab,ba->n", rhos,
+                            metrics.PAULI_PRODUCTS[b, b]).real
+                  for b in metrics.PAULI_BASES)
     expanded = 0.25 * (1 - xx + yy - zz)
     return [check("witness_identity_max_deviation",
                   float(np.max(np.abs(direct - expanded))))]

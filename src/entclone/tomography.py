@@ -138,16 +138,25 @@ class MonteCarloSummary:
 class TomographyRecord:
     records: list[CountRecord]
     rho_hat: DensityMatrix
-    log_likelihood: float
-    converged: bool
+    # the start's log-likelihood, then that of each accepted step
     log_likelihood_history: list[float]
-    # accepted steps and the certified gap of the returned state, an upper
-    # bound on how far its log-likelihood is below the maximum (`_gaps`);
-    # diagnostics only, no report prints them
-    iterations: int
+    # the certified gap of the returned state, an upper bound on how far its
+    # log-likelihood is below the maximum (`_gaps`)
     certified_gap: float
     # the Monte Carlo error bars, None when no resamples were asked for
     monte_carlo: MonteCarloSummary | None = None
+
+    @property
+    def log_likelihood(self) -> float:
+        return self.log_likelihood_history[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.log_likelihood_history) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.certified_gap < CERT_TOL
 
 
 def setting_projector(setting_a: str, setting_b: str) -> np.ndarray:
@@ -417,16 +426,6 @@ def _log_ratios(x, p, cand_p):
     return logs
 
 
-def _gains(counts, expected, p, cand_p):
-    """The log-likelihood of probabilities ``cand_p`` less that of ``p``,
-    over the last axis, summed from the differences: a difference of two
-    log-likelihoods of about N log N each loses every gain below their
-    float spacing, and this sum does not."""
-    d = cand_p - p
-    return (counts * _log_ratios(d / p, p, cand_p)
-            - expected * d).sum(axis=-1)
-
-
 def _project(m):
     """The state nearest to each Hermitian matrix of an (n, 4, 4) stack in
     Frobenius norm (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)): each
@@ -463,10 +462,12 @@ def _step(g, rho, p, counts, expected, alpha):
     gain is at least <G, z - rho> - ||z - rho||^2 / (2 alpha), and whether
     it is of full rank.
 
-    With the probability changes d_j, <G, z - rho> is
-    sum_j (n_j / p_j - e_j) d_j, and the gain less it is
-    sum_j n_j (log1p(d_j / p_j) - d_j / p_j), the logarithm taken as in
-    `_gains`: the rule is tested in that form, free of the rounding of |G|
+    The gain, the log-likelihood at z less that at rho, is
+    sum_j (n_j log(z_p_j / p_j) - e_j d_j) over the probability changes d_j
+    (`_log_ratios`), which keeps gains far below the float spacing of the
+    log-likelihood. <G, z - rho> is sum_j (n_j / p_j - e_j) d_j, so the gain
+    less it is sum_j n_j (log(z_p_j / p_j) - d_j / p_j), from the same
+    logarithms: the rule is tested in that form, free of the rounding of |G|
     times the iterate's float spacing that Tr(G (z - rho)) carries, 1e-4 at
     1e12 counts per setting. In exact arithmetic the bound is at least
     ||z - rho||^2 / (2 alpha), so an accepted step that does not gain has
@@ -474,11 +475,14 @@ def _step(g, rho, p, counts, expected, alpha):
     """
     z, full = _project(rho + alpha[:, None, None] * g)
     z_p = _probs_stack(z)
-    x = (z_p - p) / p
+    dp = z_p - p
+    x = dp / p
+    logs = _log_ratios(x, p, z_p)
     d = z - rho
-    accepted = ((counts * (_log_ratios(x, p, z_p) - x)).sum(axis=-1)
+    accepted = ((counts * (logs - x)).sum(axis=-1)
                 >= -_inner(d, d) / (2.0 * alpha))
-    return z, z_p, _gains(counts, expected, p, z_p), accepted, full
+    gain = (counts * logs - expected * dp).sum(axis=-1)
+    return z, z_p, gain, accepted, full
 
 
 # each statistic of the resamples' (B, 4, 4) state stack rho, one value per
@@ -533,7 +537,8 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
     linear gap applies; tests/data/frontier_scan.py counts them), and
     always above ``CERTIFIABLE_MEAN_COUNT``, about 1.25e13 counts per
     setting at unit exposures, where the gap's rounding bound alone exceeds
-    ``CERT_TOL``. ``iterations`` is the number of accepted steps.
+    ``CERT_TOL``. ``log_likelihood``, ``iterations`` (accepted steps) and
+    ``converged`` are read from the history and the gap.
 
     ``n_resamples`` is 0 (no error bars, ``monte_carlo`` is None) or at
     least 2, and resampling needs an integer ``seed``. Resample k draws
@@ -569,10 +574,9 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
                 f"{int(observed.sum())}")
         counts = np.concatenate([counts, drawn[:, _mle_order(records)]])
     results = _mle_batch(counts, exposures)
-    rho, history, converged, gap = results[0]
+    rho, history, gap = results[0]
     rec = TomographyRecord(list(records), DensityMatrix(rho, ("a", "b")),
-                           history[-1], converged, history,
-                           len(history) - 1, gap)
+                           history, gap)
     if not n_resamples:
         return rec
     resamples = results[1:]
@@ -584,7 +588,7 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
     rec.monte_carlo = MonteCarloSummary(
         {name: (float(v.mean()), float(v.std(ddof=1)))
          for name, v in zip(_STATISTICS, values)},
-        sum(not converged for _, _, converged, *_ in resamples),
+        sum(not gap < CERT_TOL for *_, gap in resamples),
         float(np.max([gap for *_, gap in resamples])))
     return rec
 
@@ -624,9 +628,9 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     of the pass whose step stalled.
 
     Returns per row the finished state, its log-likelihood history (that
-    of its start, then that of each accepted step, so the last entry is the
-    state's), whether it converged and the certified gap of its last
-    iterate.
+    of its start, then the previous entry plus each accepted step's gain,
+    so the last entry is the state's) and the certified gap of its last
+    iterate, below ``CERT_TOL`` if the row converged.
     """
     counts = np.ascontiguousarray(counts, dtype=float)
     exposures = np.ascontiguousarray(
@@ -646,8 +650,7 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     taken = start_ll > mixed_ll
     rho = np.where(taken[:, None, None], start, _IDENTITY / 4.0)
     p = np.where(taken[:, None], start_p, mixed_p)
-    ll = np.where(taken, start_ll, mixed_ll)
-    history = [[value] for value in ll.tolist()]
+    history = [[v] for v in np.where(taken, start_ll, mixed_ll).tolist()]
     alpha = 1.0 / np.maximum(counts.sum(axis=1), 1.0)
     # the rows whose iterates need a gap check: the start, and an iterate
     # reached by a step that gained less than CERT_TOL
@@ -682,12 +685,12 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
         if stop.any():
             for i, gap in zip(checked[stop], gaps[stop]):
                 results[rows[i]] = (_finish(rho[i]), history[rows[i]],
-                                    bool(gap < CERT_TOL), float(gap))
+                                    float(gap))
             keep = np.ones(len(rows), dtype=bool)
             keep[checked[stop]] = False
-            rows, counts, expected, h_op, alpha, rho, p, ll, g, interior = (
+            rows, counts, expected, h_op, alpha, rho, p, g, interior = (
                 a[keep] for a in (rows, counts, expected, h_op, alpha, rho,
-                                  p, ll, g, interior))
+                                  p, g, interior))
             if not len(rows):
                 break
         z, z_p, gain, accepted, full = _step(g, rho, p, counts, expected,
@@ -697,12 +700,11 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
         rho = np.where(moved[:, None, None], z, rho)
         p = np.where(moved[:, None], z_p, p)
         interior = np.where(moved, full, interior)
-        ll = np.where(moved, ll + gain, ll)
         alpha = np.where(accepted, 1.25 * alpha, 0.5 * alpha)
         check = moved & (gain < CERT_TOL)
         stalled = accepted & ~moved
-        for row, value in zip(rows[moved].tolist(), ll[moved].tolist()):
-            history[row].append(value)
+        for row, value in zip(rows[moved].tolist(), gain[moved].tolist()):
+            history[row].append(history[row][-1] + value)
     return results
 
 

@@ -22,8 +22,10 @@ the worst case to watch. A change to the MLE's floating-point work moves
 this frontier; run it before and after such a change.
 
 Each case's draws are reconstructed as one `_mle_batch` stack, whose rows
-have the bits of `mle_reconstruct` on each draw alone. pytest does not
-collect this file.
+have the bits of `mle_reconstruct` on each draw alone: a state, a
+log-likelihood history, one entry more than the draw's accepted steps, and
+a certified gap, which certifies the draw when below ``CERT_TOL``. pytest
+does not collect this file.
 """
 
 import sys
@@ -52,17 +54,17 @@ def scan_case(state: str, n: float,
     rows = np.array([tg._mle_arrays(tg.sample_counts(rho, n, seed=seed))[0]
                      for seed in seeds])
     results = tg._mle_batch(rows, np.ones(36))
-    certified = [converged for _, _, converged, _ in results]
-    iterations = max(len(history) - 1 for _, history, *_ in results)
+    certified = [gap < tg.CERT_TOL for _, _, gap in results]
+    iterations = max(len(history) - 1 for _, history, _ in results)
     # the linear gap at each returned state, at equal exposures
-    states = np.array([state for state, *_ in results])
+    states = np.array([state for state, _, _ in results])
     p = tg._probs_stack(states)
     expected = np.repeat(4.0 * rows.mean(axis=1, keepdims=True), 36, axis=1)
     g = tg._projector_sums(rows / p) - tg._projector_sums(expected)
     linear = tg._gaps(g, states, rows, p, expected, 0.0)
     on_dual = sum(ok and gap >= tg.CERT_TOL
                   for ok, gap in zip(certified, linear))
-    stalled = [gap for _, _, ok, gap in results if not ok]
+    stalled = [gap for _, _, gap in results if not gap < tg.CERT_TOL]
     return (sum(certified), on_dual, iterations, max(stalled, default=np.nan),
             [seed for seed, ok in zip(seeds, certified) if not ok])
 

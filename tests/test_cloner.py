@@ -436,3 +436,23 @@ class TestInputSpec:
             NetworkConfig(PHI, -0.1, 0.5)
         with pytest.raises(ValueError):
             NetworkConfig(PHI, 0.5, 0.5, overlap_sq=1.1)
+
+    # every entry point that takes a reflectivity or a squared overlap
+    # rejects it outside [0, 1], NaN included, with one message
+    @pytest.mark.parametrize("value", [math.nan, -0.1, 1.5])
+    @pytest.mark.parametrize("name, call", [
+        ("r1", lambda v: NetworkConfig(PHI, v, 0.5)),
+        ("r2", lambda v: NetworkConfig(PHI, 0.5, v)),
+        ("overlap_sq", lambda v: NetworkConfig(PHI, 0.5, 0.5, v)),
+        ("reflectivity", postselection_operator),
+        ("reflectivity", lambda v: hom_visibility(v, 1.0)),
+        ("overlap_sq", lambda v: hom_visibility(0.5, v)),
+        ("reflectivity", lambda v: fit_overlap(0.5, v)),
+        ("overlap_sq", lambda v: fidelity_sweep(PHI, [0.5], v)),
+    ], ids=["config-r1", "config-r2", "config-overlap", "postselection",
+            "hom-r", "hom-overlap", "fit-r", "sweep-overlap"])
+    def test_unit_range_rejected_by_every_entry_point(self, name, call,
+                                                      value):
+        with pytest.raises(ValueError,
+                           match=rf"^{name} = {value} outside \[0, 1\]$"):
+            call(value)

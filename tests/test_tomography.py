@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 from pathlib import Path
 
@@ -317,6 +318,21 @@ class TestMleReconstruct:
                                   for k, (a, b) in enumerate(tg.SETTINGS)])
         assert rec.converged and rec.certified_gap < tg.CERT_TOL
 
+    # the record keeps the history and the gap; the log-likelihood, the
+    # step count and the converged flag are read from them, and cannot be
+    # set apart from them
+    def test_record_derives_its_summaries(self):
+        assert [f.name for f in dataclasses.fields(tg.TomographyRecord)] == [
+            "records", "rho_hat", "log_likelihood_history", "certified_gap",
+            "monte_carlo"]
+        rec = tg.mle_reconstruct(tg.sample_counts(SIGMA, 2000, seed=8))
+        assert rec.log_likelihood == rec.log_likelihood_history[-1]
+        assert rec.iterations == len(rec.log_likelihood_history) - 1
+        assert rec.converged == (rec.certified_gap < tg.CERT_TOL)
+        for name in ("iterations", "log_likelihood", "converged"):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, getattr(rec, name))
+
     def test_all_zero_counts_raises(self):
         records = [tg.CountRecord(a, b, 0) for a, b in tg.SETTINGS]
         with pytest.raises(ValueError):
@@ -492,6 +508,18 @@ class TestStepRule:
         z, z_p, gain, accepted, _ = (a[0] for a in found)
         assert ((z_p - p) / p)[n > 0].min() < -0.99
         assert_gain_is_rise(n, expected, p, z_p, gain)
+        assert gain.tobytes() == _gains(n, expected, p, z_p).tobytes()
+
+
+def _gains(counts, expected, p, cand_p):
+    """Test-only copy of a step's gain: the log-likelihood of probabilities
+    ``cand_p`` less that of ``p``, over the last axis, summed from the
+    differences d, each logarithm log1p(d / p), or log(cand_p / p) where
+    d / p < -1/2."""
+    d = cand_p - p
+    x = d / p
+    logs = np.where(x < -0.5, np.log(cand_p / p), np.log1p(x))
+    return (counts * logs - expected * d).sum(axis=-1)
 
 
 def assert_gain_is_rise(n, expected, p, z_p, gain):
@@ -547,7 +575,7 @@ class TestCertificate:
           for state in ("phi+", "sigma", "mixed")),
         ("phi+", 1e15, 26), ("phi+", 1e18, 1)])
     def test_gap_bounds_its_rounding(self, state, n, seed):
-        mpmath = pytest.importorskip("mpmath")
+        import mpmath
         counts, rec, rho, expected, p, g = _at_returned_state(state, n, seed)
         gap = float(tg._gaps(g[None], rho[None], counts[None], p[None],
                              expected[None], 0.0)[0])
@@ -617,7 +645,7 @@ class TestCertificate:
         assert n < tg.CERTIFIABLE_MEAN_COUNT
         rows = _point_rows([(state, n, seed) for seed in (100, 101, 102)])
         results = tg._mle_batch(rows, np.ones(36))
-        assert all(converged for _, _, converged, _ in results)
+        assert all(gap < tg.CERT_TOL for _, _, gap in results)
 
     # U(y) at the dual point bounds the log-likelihood of every state:
     # states mixed from the returned one and a random one, from next to it
@@ -669,7 +697,7 @@ class TestCertificate:
         (state, n) for n in (1e6, 1e9, 1e12, 1.1e13, 1e15)
         for state in ("sigma", "mixed")])
     def test_dual_gap_bounds_its_rounding(self, state, n):
-        mpmath = pytest.importorskip("mpmath")
+        import mpmath
         counts, rec, rho, expected, p, g = _at_returned_state(state, n, 7)
         _, x = _dual_y(g, rho, counts, p)
         gap = float(tg._gaps(g[None], rho[None], counts[None], p[None],
@@ -859,19 +887,19 @@ def _resampled_rows(state, n, seed, size):
 def assert_rows_match_one_set(counts, exposures):
     """Every row of `_mle_batch` has the bits of its own `mle_reconstruct`:
     state, log-likelihood history (whose last entry is the log-likelihood
-    and whose length less one is the iteration count), converged flag and
-    certified gap."""
+    and whose length less one is the iteration count) and certified gap,
+    whose test against ``CERT_TOL`` is the converged flag."""
     results = tg._mle_batch(counts, exposures)
     assert len(results) == len(counts)
     exposures = np.broadcast_to(exposures, np.shape(counts))
     for row, row_exposures, result in zip(counts, exposures, results):
-        rho, history, converged, gap = result
+        rho, history, gap = result
         one = tg.mle_reconstruct([
             tg.CountRecord(a, b, int(c), float(e)) for (a, b), c, e
             in zip(sorted(tg.SETTINGS), row, row_exposures)])
         assert np.array_equal(rho, one.rho_hat.matrix)
         assert history[-1] == one.log_likelihood
-        assert converged == one.converged
+        assert (gap < tg.CERT_TOL) == one.converged
         assert len(history) - 1 == one.iterations
         assert gap == one.certified_gap
         assert history == one.log_likelihood_history
@@ -894,7 +922,7 @@ class TestMleBatch:
         rows = _resampled_rows(state, n, seed, size)
         results = assert_rows_match_one_set(rows, np.ones(36))
         if state == "phi+":
-            assert all(r[2] and 0 < r[3] < tg.CERT_TOL for r in results)
+            assert all(0 < gap < tg.CERT_TOL for _, _, gap in results)
 
     @pytest.mark.parametrize("size", [2, 3, 10, 11])
     def test_identical_rows(self, size):
@@ -918,8 +946,7 @@ class TestMleBatch:
         monkeypatch.setattr(tg, "MAX_ITERATIONS", budget)
         rows = _resampled_rows("schmidt:0.2", 1e6, 5, 10)
         results = assert_rows_match_one_set(rows, np.ones(36))
-        converged = sum(r[2] for r in results)
-        assert all((r[3] < tg.CERT_TOL) == r[2] for r in results)
+        converged = sum(gap < tg.CERT_TOL for _, _, gap in results)
         assert converged == {5: 1, 110: 10, 180: 10}.get(budget, 0)
 
     def test_one_row_and_none(self):
@@ -1055,7 +1082,7 @@ def reference_mle(counts, exposures, gain_tol=None):
         weights = _simplex(lam)
         z = (vecs * weights) @ vecs.conj().T
         z_p = tg._probs(z)
-        gain = float(tg._gains(counts, expected, p, z_p))
+        gain = float(_gains(counts, expected, p, z_p))
         x = (z_p - p) / p
         d = z - rho
         accepted = bool((counts * (np.log1p(x) - x)).sum()
@@ -1091,10 +1118,10 @@ def assert_match_reference(counts, exposures):
         assert np.array_equal(one.rho_hat.matrix, ref[0])
         assert (one.log_likelihood, one.log_likelihood_history,
                 one.converged, one.iterations, one.certified_gap) == ref[1:]
-    for (rho, *fields), ref in zip(results, refs):
+    for (rho, history, gap), ref in zip(results, refs):
         assert np.array_equal(rho, ref[0])
-        assert tuple(fields) == (ref[2], ref[3], ref[5])
-        assert (fields[0][-1], len(fields[0]) - 1) == (ref[1], ref[4])
+        assert (history, gap < tg.CERT_TOL, gap) == (ref[2], ref[3], ref[5])
+        assert (history[-1], len(history) - 1) == (ref[1], ref[4])
     return refs
 
 
@@ -1192,8 +1219,8 @@ def _diluted_gain(eps, rho, counts):
     step = tg._IDENTITY + eps * tg._projector_sums(
         (counts / p)[None])[0] / counts.sum()
     cand = step @ rho @ step.conj().T
-    return float(tg._gains(counts, expected, p,
-                           tg._probs(cand / cand.trace().real)))
+    return float(_gains(counts, expected, p,
+                        tg._probs(cand / cand.trace().real)))
 
 
 class TestDilutionLadder:
