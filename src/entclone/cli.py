@@ -5,6 +5,10 @@ flags: ``--seed`` (falls back to the ECLONE_SEED environment variable),
 ``--out``, ``--format {csv,json}`` (default: text for ``paper``, JSON for
 ``tomo``, CSV otherwise), ``--threads``. All file outputs are
 bit-reproducible for a fixed seed. Angles (schmidt:<theta>) are in radians.
+
+Each handler imports the modules it runs, so a process loads only what its
+command needs: ``hom --fit`` loads no numpy, and only ``tomo`` and
+``paper`` load ``tomography``.
 """
 
 from __future__ import annotations
@@ -16,13 +20,10 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import cloner, metrics, tomography
-from .cloner import InputSpec, NetworkConfig
-from .paperchecks import run_paper_checks
-from .qmath import DensityMatrix
+if TYPE_CHECKING:
+    from .qmath import DensityMatrix
 
 
 class CliError(Exception):
@@ -44,6 +45,12 @@ def _default_seed() -> int:
 
 def _named_density(name: str) -> tuple[DensityMatrix, str]:
     """Resolve a named state or a matrix-JSON path to a density matrix."""
+    import numpy as np
+
+    from . import cloner, tomography
+    from .cloner import InputSpec
+    from .qmath import DensityMatrix
+
     if name == "sigma":
         return cloner.ideal_clone_sigma(), "sigma"
     if name == "mixed":
@@ -85,6 +92,11 @@ def _emit_report(pairs, fmt: str, out_path: str | None) -> None:
 
 
 def cmd_clone(args) -> int:
+    if args.r is not None and (args.r1 is not None or args.r2 is not None):
+        raise CliError("--r cannot be combined with --r1 or --r2")
+    from . import cloner, metrics
+    from .cloner import InputSpec, NetworkConfig
+
     spec = InputSpec.from_name(args.input)
     r1 = args.r if args.r1 is None else args.r1
     r2 = args.r if args.r2 is None else args.r2
@@ -131,7 +143,11 @@ def cmd_sweep(args) -> int:
         raise CliError("--r-min must not exceed --r-max")
     if args.steps < 1 or (args.steps < 2 and args.r_min != args.r_max):
         raise CliError("--steps must be at least 2 (1 for a degenerate grid)")
-    spec = InputSpec.from_name(args.input)
+    import numpy as np
+
+    from . import cloner
+
+    spec = cloner.InputSpec.from_name(args.input)
     if args.r_min == args.r_max:
         grid = [args.r_min]
     else:
@@ -155,6 +171,8 @@ def cmd_sweep(args) -> int:
 def cmd_tomo(args) -> int:
     if args.format == "csv":
         raise CliError("tomo reports are JSON only; use --format json")
+    from . import metrics, tomography
+
     if args.resamples == 1 or args.resamples < 0:
         raise CliError("--resamples must be 0 (no error bars) or at least 2, "
                        f"got {args.resamples}")
@@ -211,10 +229,15 @@ def cmd_tomo(args) -> int:
 
 def cmd_hom(args) -> int:
     if args.fit is not None:
-        overlap = cloner.fit_overlap(args.fit, args.r)
+        # the closed form alone: no numpy, no Fock model
+        from .hom import fit_overlap
+
+        overlap = fit_overlap(args.fit, args.r)
         pairs = [("R", float(args.r)), ("visibility_measured", float(args.fit)),
                  ("overlap_sq", overlap)]
     else:
+        from . import cloner
+
         v = cloner.hom_visibility(args.r, args.overlap_sq)
         pairs = [("R", float(args.r)), ("overlap_sq", float(args.overlap_sq)),
                  ("visibility", v)]
@@ -225,6 +248,8 @@ def cmd_hom(args) -> int:
 def cmd_paper(args) -> int:
     if args.format == "csv":
         raise CliError("the paper table is text or JSON; use --format json")
+    from .paperchecks import run_paper_checks
+
     checks = run_paper_checks(seed=args.seed)
     failed = [c for c in checks if not c.passed]
     if args.format == "json":

@@ -21,6 +21,9 @@ import numpy as np
 
 from . import fock, metrics
 from .fock import BeamSplitterSpec, FockState
+# re-exported: callers read the HOM calibration through this module, and
+# `hom_visibility` looks up `ideal_hom_visibility` in this namespace
+from .hom import _check_unit, fit_overlap, ideal_hom_visibility  # noqa: F401
 from .qmath import ConsistencyError, DensityMatrix, PureState, bell_state
 
 SWAP = np.array([[1, 0, 0, 0],
@@ -95,11 +98,6 @@ class NetworkConfig:
         for name, val in (("r1", self.r1), ("r2", self.r2),
                           ("overlap_sq", self.overlap_sq)):
             _check_unit(name, val)
-
-
-def _check_unit(name: str, val: float) -> None:
-    if not 0.0 <= val <= 1.0:
-        raise ValueError(f"{name} = {val} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -241,11 +239,6 @@ def ideal_clone_sigma() -> DensityMatrix:
     return DensityMatrix(rho, ("a", "b"))
 
 
-def ideal_hom_visibility(r: float) -> float:
-    """Closed-form HOM visibility 1 - (1-2R)^2 / (R^2 + (1-R)^2)."""
-    return 1.0 - (1.0 - 2.0 * r) ** 2 / (r**2 + (1.0 - r) ** 2)
-
-
 def _hom_coincidence_probability(r: float, lam: float) -> float:
     state = FockState.from_photons([("a", "H", 0), ("b", "H", 0)])
     bs = BeamSplitterSpec(("a", "b"), ("c", "d"), r)
@@ -274,18 +267,6 @@ def hom_visibility(r: float, overlap_sq: float) -> float:
         raise ConsistencyError(
             f"fock visibility {v} disagrees with closed form {closed}")
     return v
-
-
-def fit_overlap(v_measured: float, r: float) -> float:
-    """Squared overlap reproducing a measured HOM visibility at given R."""
-    _check_unit("reflectivity", r)
-    ideal = ideal_hom_visibility(r)
-    if not 0.0 <= v_measured <= ideal + 1e-12:
-        raise ValueError(
-            f"visibility {v_measured} outside physical range [0, {ideal}]")
-    if ideal == 0.0:
-        return 0.0
-    return min(1.0, v_measured / ideal)
 
 
 def fidelity_sweep(input_spec: InputSpec, r_grid, overlap_sq: float,

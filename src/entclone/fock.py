@@ -27,6 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .hom import _check_unit
 from .qmath import DensityMatrix
 
 # (arm, polarization, internal)
@@ -49,8 +50,7 @@ class BeamSplitterSpec:
     reflectivity: float
 
     def __post_init__(self):
-        if not 0.0 <= self.reflectivity <= 1.0:
-            raise ValueError(f"reflectivity {self.reflectivity} outside [0, 1]")
+        _check_unit("reflectivity", self.reflectivity)
         for pair in (self.input_arms, self.output_arms):
             if pair[0] == pair[1]:
                 raise ValueError(f"arm {pair[0]!r} repeated in {pair}")
@@ -314,8 +314,7 @@ def dephase_internal(
     """
     branches: list[tuple[FockState, float]] = [(state, 1.0)]
     for k, (arm_a, arm_b, lam) in enumerate(pairings):
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"overlap {lam} outside [0, 1]")
+        _check_unit("overlap", lam)
         for arm in (arm_a, arm_b):
             if state.terms and arm not in state.arms():
                 raise KeyError(f"pairing references unknown arm {arm!r}")

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import re
@@ -96,6 +97,48 @@ class TestClone:
     def test_missing_r_fails(self, capsys):
         code, out = run_cli("clone", "--input", "phi+", capsys=capsys)
         assert code != 0
+
+    # the first CLI checks of the asymmetric network
+    @pytest.mark.parametrize("model, overlap_sq, run", [
+        ("ideal", 1.0, cloner.run_ideal),
+        ("physical", 0.9, cloner.run_physical),
+    ], ids=["ideal", "physical"])
+    def test_asymmetric_reflectivities(self, capsys, model, overlap_sq, run):
+        code, out = run_cli("--format", "json", "clone", "--input", "psi-",
+                            "--r1", "0.2", "--r2", "0.6", "--model", model,
+                            "--overlap-sq", repr(overlap_sq), capsys=capsys)
+        assert code == 0
+        report = json.loads(out.out)
+        spec = cloner.InputSpec.from_name("psi-")
+        want = run(cloner.NetworkConfig(spec, 0.2, 0.6, overlap_sq))
+        target = spec.state().amplitudes
+        assert (report["R1"], report["R2"]) == (0.2, 0.6)
+        assert report["F_local"] == \
+            metrics.fidelity_to_pure(want.rho_local, target)
+        assert report["F_distant"] == \
+            metrics.fidelity_to_pure(want.rho_distant, target)
+        assert report["success_weight"] == want.success_weight
+
+    @pytest.mark.parametrize("flags", [["--r1", "0.4"], ["--r2", "0.4"]],
+                             ids=["r1", "r2"])
+    def test_one_sided_reflectivity_rejected(self, capsys, flags):
+        code, out = run_cli("clone", "--input", "phi+", *flags, capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err == ("entclone: error: provide --r or both --r1 and "
+                           "--r2\n")
+
+    # --r 0.3 --r1 0.4 ran R1 = 0.4, R2 = 0.3 without a word
+    @pytest.mark.parametrize("flags", [
+        ["--r1", "0.4"], ["--r2", "0.4"], ["--r1", "0.4", "--r2", "0.6"],
+    ], ids=["r1", "r2", "both"])
+    def test_r_with_r1_or_r2_rejected(self, capsys, flags):
+        code, out = run_cli("clone", "--input", "phi+", "--r", "0.3", *flags,
+                            capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err == ("entclone: error: --r cannot be combined with "
+                           "--r1 or --r2\n")
 
     def test_ideal_model_rejects_overlap(self, capsys):
         code, out = run_cli("clone", "--input", "phi+", "--r", "0.5",
@@ -612,15 +655,14 @@ class TestGlobalFlags:
         commands = [["--format", "json", "hom", "--r", "0.3"],
                     ["sweep", "--input", "psi-", "--steps", "3"],
                     ["--seed", "2", "tomo", "--state", "mixed", "--n", "500"],
-                    ["--format", "csv", "paper"]]
+                    ["--format", "csv", "paper"],
+                    ["hom", "--r", "0.3", "--fit", "0.731"],
+                    ["clone", "--model", "physical", "--input", "psi-",
+                     "--r", "0.3", "--overlap-sq", "0.9"]]
         in_process = [run_cli(*argv, capsys=capsys) for argv in commands]
         assert build_parser() is build_parser()
-        env = {k: v for k, v in os.environ.items() if k != "ECLONE_SEED"}
-        env["PYTHONPATH"] = str(Path(entclone.__file__).parents[1])
         for argv, (code, out) in zip(commands, in_process):
-            alone = subprocess.run(
-                [sys.executable, "-m", "entclone.cli", *argv], env=env,
-                capture_output=True, text=True, timeout=120)
+            alone = _fresh_python("-m", "entclone.cli", *argv)
             assert (code, out.out, out.err) == \
                 (alone.returncode, alone.stdout, alone.stderr)
 
@@ -633,6 +675,73 @@ class TestGlobalFlags:
                             lambda args: calls.append(args.r) or 0)
         assert run_cli("hom", "--r", "0.3", capsys=capsys)[0] == 0
         assert calls == [0.3]
+
+
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a fresh interpreter importing this entclone."""
+    env = {k: v for k, v in os.environ.items() if k != "ECLONE_SEED"}
+    env["PYTHONPATH"] = str(Path(entclone.__file__).parents[1])
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _modules_loaded(*args) -> set[str]:
+    """The modules a fresh ``python ARGS`` imports, read from the report
+    of ``-X importtime`` on stderr."""
+    proc = _fresh_python("-X", "importtime", *args)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def _numpy_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.split(".")[0] == "numpy"}
+
+
+class TestImportGraph:
+    """A fresh process imports only what its command runs."""
+
+    def test_hom_fit_loads_no_numpy(self):
+        # the calibration is one division
+        loaded = _modules_loaded("-m", "entclone.cli", "hom", "--r", "0.3",
+                                 "--fit", "0.5")
+        assert "entclone.hom" in loaded
+        assert _numpy_modules(loaded) == set()
+
+    @pytest.mark.parametrize("argv", [
+        ["clone", "--model", "physical", "--input", "phi+", "--r", "0.3",
+         "--overlap-sq", "0.9"],
+        ["sweep", "--input", "psi-", "--steps", "3"],
+        ["hom", "--r", "0.3"],
+    ], ids=["clone", "sweep", "hom"])
+    def test_network_commands_skip_tomography(self, argv):
+        loaded = _modules_loaded("-m", "entclone.cli", *argv)
+        assert "entclone.cloner" in loaded
+        assert not loaded & {"entclone.tomography", "entclone.paperchecks"}
+
+    def test_tomo_skips_paperchecks(self):
+        loaded = _modules_loaded("-m", "entclone.cli", "tomo", "--state",
+                                 "mixed", "--n", "500")
+        assert "entclone.tomography" in loaded
+        assert "entclone.paperchecks" not in loaded
+
+    def test_package_import_loads_no_numpy(self):
+        loaded = _modules_loaded("-c", "import entclone")
+        assert "entclone" in loaded
+        assert _numpy_modules(loaded) == set()
+
+    @pytest.mark.parametrize("name", entclone.__all__)
+    def test_export_is_home_binding(self, name):
+        obj = getattr(entclone, name)
+        home = importlib.import_module(obj.__module__)
+        assert home.__name__.startswith("entclone.")
+        assert getattr(home, name) is obj
+        assert name in dir(entclone)
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            getattr(entclone, "no_such_name")
 
 
 def _absolute_imports():

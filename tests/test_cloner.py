@@ -10,8 +10,8 @@ from entclone import cloner, metrics
 from entclone.cloner import (InputSpec, NetworkConfig, fidelity_sweep,
                              fit_overlap, hom_visibility,
                              postselection_operator, run_ideal, run_physical)
-from entclone.fock import (BeamSplitterSpec, apply_beamsplitter,
-                           postselect_coincidence)
+from entclone.fock import (BeamSplitterSpec, FockState, apply_beamsplitter,
+                           dephase_internal, postselect_coincidence)
 from entclone.paperchecks import REFERENCES
 from entclone.qmath import ConsistencyError, DensityMatrix
 from entclone.tomography import matrix_to_json_dict
@@ -449,8 +449,14 @@ class TestInputSpec:
         ("overlap_sq", lambda v: hom_visibility(0.5, v)),
         ("reflectivity", lambda v: fit_overlap(0.5, v)),
         ("overlap_sq", lambda v: fidelity_sweep(PHI, [0.5], v)),
+        ("reflectivity",
+         lambda v: BeamSplitterSpec(("a", "b"), ("c", "d"), v)),
+        ("overlap", lambda v: dephase_internal(
+            FockState.from_photons([("a", "H", 0), ("b", "H", 0)]),
+            [("a", "b", v)])),
     ], ids=["config-r1", "config-r2", "config-overlap", "postselection",
-            "hom-r", "hom-overlap", "fit-r", "sweep-overlap"])
+            "hom-r", "hom-overlap", "fit-r", "sweep-overlap",
+            "fock-beamsplitter", "fock-dephase"])
     def test_unit_range_rejected_by_every_entry_point(self, name, call,
                                                       value):
         with pytest.raises(ValueError,
