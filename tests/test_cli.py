@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import importlib
+import io
 import json
 import os
 import re
@@ -26,6 +28,34 @@ GOLDEN_TOMO = (Path(__file__).parent / "data"
 # value of the reference checks bit for bit
 GOLDEN_PAPER = {fmt: Path(__file__).parent / "data" / f"paper_seed3.{ext}"
                 for fmt, ext in (("text", "txt"), ("json", "json"))}
+# stdout of each `clone` and `sweep` command line below, keyed by the line
+# joined with " ", as `cli_network_golden_text()` wrote it before the named
+# inputs became plain amplitudes; every input name spelling, model and
+# format the network commands take shows here
+GOLDEN_CLI_NETWORK = Path(__file__).parent / "data" / "cli_network_golden.json"
+_GOLDEN_INPUTS = ("phi+", "psi+", "psi-", "schmidt:0.3",
+                  "schmidt:0.39269908169872414", " psi- ")
+CLI_NETWORK_GOLDEN_ARGV = [
+    argv for name in _GOLDEN_INPUTS for argv in (
+        ["clone", "--input", name, "--r", "0.3"],
+        ["--format", "json", "clone", "--input", name, "--r1", "0.5",
+         "--r2", "0.2"],
+        ["clone", "--input", name, "--model", "physical",
+         "--r", "0.3333333333333333", "--overlap-sq", "0.5"],
+        ["--format", "json", "clone", "--input", name, "--model",
+         "physical", "--r1", "0.4", "--r2", "0.25", "--overlap-sq",
+         "0.91375"],
+    )
+] + [
+    ["sweep", "--input", "phi+"],
+    ["--format", "json", "sweep", "--input", "psi+", "--steps", "3",
+     "--overlap-sq", "0.5"],
+    ["sweep", "--input", "psi-", "--r-min", "0.25", "--r-max", "0.25",
+     "--steps", "1"],
+    ["--format", "json", "sweep", "--input", "schmidt:0.4", "--r-min", "0.1",
+     "--r-max", "0.9", "--steps", "5", "--overlap-sq", "0.91375"],
+    ["sweep", "--input", "schmidt:1.2", "--steps", "4", "--overlap-sq", "0"],
+]
 
 
 # what `tomo` prints on stderr before the run when --n is above
@@ -40,6 +70,18 @@ def run_cli(*argv, capsys=None):
     code = main(list(argv))
     out = capsys.readouterr() if capsys else None
     return code, out
+
+
+def cli_network_golden_text() -> str:
+    """JSON of the stdout of each command line of `CLI_NETWORK_GOLDEN_ARGV`."""
+    out = {}
+    for argv in CLI_NETWORK_GOLDEN_ARGV:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        assert code == 0, argv
+        out[" ".join(argv)] = buf.getvalue()
+    return json.dumps(out, indent=2) + "\n"
 
 
 def _json_entries(m) -> list:
@@ -158,6 +200,10 @@ class TestClone:
         assert code == 1
         assert out.out == ""
         assert out.err.startswith("entclone: error: post-selection")
+
+
+def test_network_commands_match_golden_bytes():
+    assert cli_network_golden_text() == GOLDEN_CLI_NETWORK.read_text()
 
 
 class TestSweep:
