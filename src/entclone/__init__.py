@@ -12,7 +12,7 @@ import importlib
 _HOMES = {
     "CloneOutcome": "cloner",
     "DensityMatrix": "qmath",
-    "InputSpec": "cloner",
+    "InputSpec": "qmath",
     "NetworkConfig": "cloner",
     "PureState": "qmath",
     "bell_state": "qmath",

@@ -7,8 +7,9 @@ flags: ``--seed`` (falls back to the ECLONE_SEED environment variable),
 bit-reproducible for a fixed seed. Angles (schmidt:<theta>) are in radians.
 
 Each handler imports the modules it runs, so a process loads only what its
-command needs: ``hom --fit`` loads no numpy, and only ``tomo`` and
-``paper`` load ``tomography``.
+command needs: ``hom --fit`` loads no numpy, only ``tomo`` and ``paper``
+load ``tomography``, and ``tomo`` loads neither ``cloner`` nor ``fock``:
+`qmath` resolves every state name, this module only a matrix file.
 """
 
 from __future__ import annotations
@@ -44,31 +45,21 @@ def _default_seed() -> int:
 
 
 def _named_density(name: str) -> tuple[DensityMatrix, str]:
-    """Resolve a named state or a matrix-JSON path to a density matrix."""
-    import numpy as np
+    """A named state (`qmath.named_density`) or, for a name outside the
+    table, a matrix-JSON path resolved to a density matrix."""
+    from . import tomography
+    from .qmath import named_density
 
-    from . import cloner, tomography
-    from .cloner import InputSpec
-    from .qmath import DensityMatrix
-
-    if name == "sigma":
-        return cloner.ideal_clone_sigma(), "sigma"
-    if name == "mixed":
-        return DensityMatrix(np.eye(4) / 4.0, ("a", "b")), "mixed"
-    try:
-        spec = InputSpec.from_name(name)
-    except ValueError:
-        if os.path.exists(name):
-            rho = tomography.matrix_from_json(name)
-            if rho.num_qubits != 2:
-                raise CliError(f"matrix JSON {name!r} holds a "
-                               f"{rho.num_qubits}-qubit state, not a "
-                               "two-qubit one") from None
-            return rho, name
-        if name.strip().startswith("schmidt:"):
-            raise  # names the bad angle
-        raise CliError(f"unknown state {name!r} and no such file") from None
-    return spec.state(("a", "b")).to_density(), name
+    rho = named_density(name)
+    if rho is not None:
+        return rho, name
+    if not os.path.exists(name):
+        raise CliError(f"unknown state {name!r} and no such file")
+    rho = tomography.matrix_from_json(name)
+    if rho.num_qubits != 2:
+        raise CliError(f"matrix JSON {name!r} holds a {rho.num_qubits}-qubit "
+                       "state, not a two-qubit one")
+    return rho, name
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -109,7 +100,7 @@ def cmd_clone(args) -> int:
         out = cloner.run_ideal(config)
     else:
         out = cloner.run_physical(config)
-    target = spec.state().amplitudes
+    target = spec.state()
     pairs = [
         ("input", args.input),
         ("model", args.model),

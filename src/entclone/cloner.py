@@ -24,7 +24,8 @@ from .fock import BeamSplitterSpec, FockState
 # re-exported: callers read the HOM calibration through this module, and
 # `hom_visibility` looks up `ideal_hom_visibility` in this namespace
 from .hom import _check_unit, fit_overlap, ideal_hom_visibility  # noqa: F401
-from .qmath import ConsistencyError, DensityMatrix, PureState, bell_state
+from .qmath import (ConsistencyError, DensityMatrix, InputSpec, PureState,
+                    bell_state, named_density)
 
 SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -34,57 +35,7 @@ SWAP = np.array([[1, 0, 0, 0],
 LOCAL_PAIR = ("1'", "2'")
 DISTANT_PAIR = ("4", "6")
 _ALL_OUTPUT_ARMS = ("1'", "2'", "3'", "4", "5'", "6")
-
-
-@dataclass(frozen=True)
-class InputSpec:
-    """Two-qubit pure input for the cloner.
-
-    kind: 'bell_phi_plus', 'bell_psi_plus', 'bell_psi_minus',
-    'schmidt' (with ``theta`` in radians: cos t |HH> + sin t |VV>), or
-    'custom' with four amplitudes.
-    """
-
-    kind: str
-    theta: float | None = None
-    amplitudes: tuple[complex, ...] | None = None
-
-    def state(self, labels=("1", "2")) -> PureState:
-        if self.kind == "bell_phi_plus":
-            return bell_state("phi+", labels)
-        if self.kind == "bell_psi_plus":
-            return bell_state("psi+", labels)
-        if self.kind == "bell_psi_minus":
-            return bell_state("psi-", labels)
-        if self.kind == "schmidt":
-            if self.theta is None:
-                raise ValueError("schmidt input needs theta")
-            c, s = math.cos(self.theta), math.sin(self.theta)
-            return PureState(np.array([c, 0, 0, s], dtype=complex), labels)
-        if self.kind == "custom":
-            if self.amplitudes is None or len(self.amplitudes) != 4:
-                raise ValueError("custom input needs 4 amplitudes")
-            return PureState(np.asarray(self.amplitudes, dtype=complex), labels)
-        raise ValueError(f"unknown input kind {self.kind!r}")
-
-    @staticmethod
-    def from_name(name: str) -> "InputSpec":
-        name = name.strip()
-        table = {"phi+": "bell_phi_plus", "psi+": "bell_psi_plus",
-                 "psi-": "bell_psi_minus"}
-        if name in table:
-            return InputSpec(table[name])
-        if name.startswith("schmidt:"):
-            angle = name.split(":", 1)[1]
-            try:
-                theta = float(angle)
-            except ValueError:
-                theta = math.nan
-            if not math.isfinite(theta):
-                raise ValueError("schmidt angle must be a finite number of "
-                                 f"radians, got {angle!r}")
-            return InputSpec("schmidt", theta=theta)
-        raise ValueError(f"unknown input state {name!r}")
+_POLARIZATION_PAIRS = (("H", "H"), ("H", "V"), ("V", "H"), ("V", "V"))
 
 
 @dataclass(frozen=True)
@@ -162,34 +113,23 @@ def run_ideal(config: NetworkConfig) -> CloneOutcome:
                         weight)
 
 
-def _fock_initial_state(input_spec: InputSpec) -> FockState:
-    amps = input_spec.state().amplitudes
-    pols = ("H", "V")
-    inp_terms = {}
-    for i, p in enumerate(pols):
-        for j, q in enumerate(pols):
-            c = amps[2 * i + j]
-            if abs(c) > 0:
-                inp_terms[(("1", p, 0), ("2", q, 0))] = c
-    inp = FockState(inp_terms)
-    s = 1 / math.sqrt(2)
-
-    def singlet(arm_a, arm_b):
-        return FockState({
-            ((arm_a, "H", 0), (arm_b, "V", 0)): s,
-            ((arm_a, "V", 0), (arm_b, "H", 0)): -s,
-        })
-
-    return inp.tensor(singlet("3", "4")).tensor(singlet("5", "6"))
+def _fock_pair(amps: np.ndarray, arm_a: str, arm_b: str) -> FockState:
+    """One photon in each arm, with polarization amplitudes ``amps`` on
+    |HH>, |HV>, |VH>, |VV>."""
+    return FockState({((arm_a, p, 0), (arm_b, q, 0)): c
+                      for (p, q), c in zip(_POLARIZATION_PAIRS, amps)})
 
 
 def _network_branches(input_spec: InputSpec,
                       overlap_sq: float) -> list[tuple[FockState, float]]:
-    """The six-photon input split over the distinguishability branches of
-    photons 3 and 5; it does not depend on the reflectivities."""
+    """The six-photon input |phi>_12 |Psi->_34 |Psi->_56 split over the
+    distinguishability branches of photons 3 and 5; it does not depend on
+    the reflectivities."""
+    singlet = bell_state("psi-").amplitudes
+    xi = _fock_pair(input_spec.state().amplitudes, "1", "2").tensor(
+        _fock_pair(singlet, "3", "4")).tensor(_fock_pair(singlet, "5", "6"))
     lam = math.sqrt(overlap_sq)
-    return fock.dephase_internal(_fock_initial_state(input_spec),
-                                 [("1", "3", lam), ("2", "5", lam)])
+    return fock.dephase_internal(xi, [("1", "3", lam), ("2", "5", lam)])
 
 
 def _run_branches(branches: list[tuple[FockState, float]], r1: float,
@@ -234,9 +174,7 @@ def run_physical(config: NetworkConfig) -> CloneOutcome:
 
 def ideal_clone_sigma() -> DensityMatrix:
     """The symmetric-point clone 4/9 |Phi+><Phi+| + 5/36 I on two qubits."""
-    phi = metrics.PHI_PLUS
-    rho = (4.0 / 9.0) * np.outer(phi, np.conj(phi)) + (5.0 / 36.0) * np.eye(4)
-    return DensityMatrix(rho, ("a", "b"))
+    return named_density("sigma")
 
 
 def _hom_coincidence_probability(r: float, lam: float) -> float:
@@ -282,7 +220,7 @@ def fidelity_sweep(input_spec: InputSpec, r_grid, overlap_sq: float,
         raise ValueError(f"worker count must be at least 1, got {workers}")
     # checked before the grid, so an empty grid rejects what a full one does
     _check_unit("overlap_sq", overlap_sq)
-    target = input_spec.state().amplitudes
+    target = input_spec.state()
     configs = [NetworkConfig(input_spec, float(r), float(r), overlap_sq)
                for r in r_grid]
     if not configs:

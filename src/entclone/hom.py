@@ -24,9 +24,10 @@ def fit_overlap(v_measured: float, r: float) -> float:
     """Squared overlap reproducing a measured HOM visibility at given R."""
     _check_unit("reflectivity", r)
     ideal = ideal_hom_visibility(r)
+    if ideal == 0.0:
+        raise ValueError(f"at R = {r} the visibility is 0 for every overlap, "
+                         "so none can be fitted")
     if not 0.0 <= v_measured <= ideal + 1e-12:
         raise ValueError(
             f"visibility {v_measured} outside physical range [0, {ideal}]")
-    if ideal == 0.0:
-        return 0.0
     return min(1.0, v_measured / ideal)

@@ -12,9 +12,10 @@ import numpy as np
 
 from . import qmath
 from .qmath import (ConsistencyError, DensityMatrix, PureState,
-                    _float_or_rows, herm_eig, kron, psd_sqrt)
+                    _float_or_rows, bell_state, check_amplitudes, herm_eig,
+                    kron, psd_sqrt)
 
-PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+PHI_PLUS = bell_state("phi+").amplitudes
 
 _PAULI = {"X": qmath.SX, "Y": qmath.SY, "Z": qmath.SZ}
 PAULI_BASES = ("X", "Y", "Z")
@@ -28,16 +29,12 @@ def _mat(rho) -> np.ndarray:
     return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
 
 
-def _vec(state) -> np.ndarray:
-    if isinstance(state, PureState):
-        return state.amplitudes
-    return np.asarray(state, dtype=complex).ravel()
-
-
 def fidelity_to_pure(rho, target):
-    """Overlap <t|rho|t> of a mixed state with a pure target."""
+    """Overlap <t|rho|t> of a mixed state with a pure target: a `PureState`
+    or a plain vector, checked as `PureState` checks its amplitudes."""
     m = _mat(rho)
-    t = _vec(target)
+    t = (target.amplitudes if isinstance(target, PureState)
+         else check_amplitudes(target))
     if m.shape[-1] != t.size:
         raise ValueError(f"dimension mismatch: {m.shape[-1]} vs {t.size}")
     # one np.vdot per state: no stacked product sums <t|m t> in its order

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cloner, metrics, tomography
-from .cloner import InputSpec, NetworkConfig
-from .qmath import DensityMatrix
+from .cloner import NetworkConfig
+from .qmath import DensityMatrix, InputSpec
 
-PHI, PSI = InputSpec("bell_phi_plus"), InputSpec("bell_psi_plus")
+PHI, PSI = InputSpec.from_name("phi+"), InputSpec.from_name("psi+")
 # criterion 5 compares the two network models on these inputs and R values
-EQUIVALENCE_INPUTS = (PHI, PSI, InputSpec("schmidt", theta=math.pi / 8))
+EQUIVALENCE_INPUTS = (PHI, PSI,
+                      InputSpec.from_name(f"schmidt:{math.pi / 8!r}"))
 R_GRID = np.linspace(0, 1, 11)
 # Schmidt angles scanned for the input hardest to clone (criterion 8)
 _THETAS = np.linspace(1e-3, math.pi / 2 - 1e-3, 50)
@@ -198,12 +199,12 @@ def criterion_7(seed: int = 0) -> list[CheckResult]:
 
 def _symmetric_clone_fidelity(spec: InputSpec) -> float:
     out = cloner.run_ideal(NetworkConfig(spec, 1 / 3, 1 / 3))
-    return metrics.fidelity_to_pure(out.rho_local, spec.state().amplitudes)
+    return metrics.fidelity_to_pure(out.rho_local, spec.state())
 
 
 def criterion_8(seed: int = 0) -> list[CheckResult]:
-    fids = [_symmetric_clone_fidelity(InputSpec("schmidt", theta=float(t)))
-            for t in _THETAS]
+    fids = [_symmetric_clone_fidelity(InputSpec.from_name(f"schmidt:{t!r}"))
+            for t in _THETAS.tolist()]
     return [check("psi_plus_universality", _symmetric_clone_fidelity(PSI)),
             check("worst_case_schmidt_angle",
                   float(_THETAS[int(np.argmin(fids))]))]

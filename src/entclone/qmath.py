@@ -21,10 +21,14 @@ at unit trace and d = 64 that is −τ − 7e-15 (complex arithmetic scales the
 constant by a small factor), well inside the 1e-12 between τ and
 `EIG_CLAMP`. So a stack that factors passes, and only a stack that does not
 pays for `eigvalsh`, whose verdict and message are final.
+
+Every state name is read here, stripped of surrounding whitespace: by
+`InputSpec.from_name` for a network input, by `named_density` for a state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Sequence
 
@@ -34,6 +38,7 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_CLAMP = 1e-9       # eigenvalues in [-EIG_CLAMP, 0) are numerical noise
 EIG_NEGATIVE_ERR = 1e-6  # below -EIG_NEGATIVE_ERR the matrix is genuinely not PSD
+NORM_TOL = 1e-12       # |psi|^2 of a pure state may differ from 1 this much
 # check_density's certificate shift: the 1e-12 it leaves below EIG_CLAMP
 # absorbs the Cholesky factorization's rounding
 CHOLESKY_SHIFT = 0.999 * EIG_CLAMP
@@ -153,6 +158,18 @@ def _as_labels(labels: Iterable[str]) -> tuple[str, ...]:
     return labels
 
 
+def check_amplitudes(amps) -> np.ndarray:
+    """``amps`` as a flat complex vector; ValueError unless every entry is
+    finite and the squared norm is 1 within `NORM_TOL`."""
+    amps = np.asarray(amps, dtype=complex).ravel()
+    if not np.all(np.isfinite(amps.view(float))):
+        raise ValueError("non-finite amplitude")
+    norm2 = float(np.vdot(amps, amps).real)
+    if abs(norm2 - 1.0) > NORM_TOL:
+        raise ValueError(f"state not normalized: |psi|^2 = {norm2!r}")
+    return amps
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector over a labeled qubit register."""
@@ -167,12 +184,7 @@ class PureState:
             raise ValueError(
                 f"{len(labels)} labels but amplitude vector of length {amps.size}"
             )
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("non-finite amplitude")
-        norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > 1e-12:
-            raise ValueError(f"state not normalized: |psi|^2 = {norm2!r}")
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", check_amplitudes(amps))
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -240,15 +252,68 @@ class DensityMatrix:
         return DensityMatrix(reduced, new_labels)
 
 
+_S = 1 / np.sqrt(2)
+# amplitudes on |HH>, |HV>, |VH>, |VV>
+_BELL = {"phi+": (_S, 0, 0, _S), "phi-": (_S, 0, 0, -_S),
+         "psi+": (0, _S, _S, 0), "psi-": (0, _S, -_S, 0)}
+
+
 def bell_state(which: str, labels: Sequence[str] = ("a", "b")) -> PureState:
     """One of the four Bell states: 'phi+', 'phi-', 'psi+', 'psi-'."""
-    s = 1 / np.sqrt(2)
-    table = {
-        "phi+": [s, 0, 0, s],
-        "phi-": [s, 0, 0, -s],
-        "psi+": [0, s, s, 0],
-        "psi-": [0, s, -s, 0],
-    }
-    if which not in table:
+    if which not in _BELL:
         raise ValueError(f"unknown Bell state {which!r}")
-    return PureState(np.array(table[which], dtype=complex), tuple(labels))
+    return PureState(_BELL[which], tuple(labels))
+
+
+@dataclass(frozen=True)
+class InputSpec:
+    """Two-qubit pure input of the cloning network: its amplitudes on |HH>,
+    |HV>, |VH>, |VV>, checked as `PureState` checks them when it is built.
+    `from_name` reads ``phi+``, ``psi+``, ``psi-`` and ``schmidt:<theta>``,
+    cos t |HH> + sin t |VV> with t in radians."""
+
+    amplitudes: tuple[complex, ...]
+
+    def __post_init__(self):
+        amps = PureState(self.amplitudes, ("1", "2")).amplitudes
+        object.__setattr__(self, "amplitudes", tuple(amps.tolist()))
+
+    def state(self, labels=("1", "2")) -> PureState:
+        return PureState(self.amplitudes, labels)
+
+    @staticmethod
+    def from_name(name: str) -> "InputSpec":
+        name = name.strip()
+        if name in ("phi+", "psi+", "psi-"):
+            return InputSpec(_BELL[name])
+        if not name.startswith("schmidt:"):
+            raise ValueError(f"unknown input state {name!r}")
+        angle = name.split(":", 1)[1]
+        try:
+            theta = float(angle)
+        except ValueError:
+            theta = math.nan
+        if not math.isfinite(theta):
+            raise ValueError("schmidt angle must be a finite number of "
+                             f"radians, got {angle!r}")
+        return InputSpec((math.cos(theta), 0, 0, math.sin(theta)))
+
+
+def named_density(name: str) -> DensityMatrix | None:
+    """The named two-qubit state on labels ("a", "b"): an input name, the
+    symmetric clone ``sigma`` = 4/9 |Phi+><Phi+| + 5/36 I or ``mixed`` =
+    I/4. None for a name outside the table; a bad schmidt angle raises."""
+    name = name.strip()
+    if name == "sigma":
+        rho = (4.0 / 9.0) * bell_state("phi+").to_density().matrix \
+            + (5.0 / 36.0) * np.eye(4)
+        return DensityMatrix(rho, ("a", "b"))
+    if name == "mixed":
+        return DensityMatrix(np.eye(4) / 4.0, ("a", "b"))
+    try:
+        spec = InputSpec.from_name(name)
+    except ValueError:
+        if name.startswith("schmidt:"):
+            raise  # names the bad angle
+        return None
+    return spec.state(("a", "b")).to_density()

@@ -9,7 +9,9 @@ the maximum-likelihood reconstruction.
 - ``paper_seed3.txt`` and ``paper_seed3.json``: ``entclone --seed 3 paper``,
   as text and as JSON.
 
-``network_golden.json`` does not derive from the MLE and is left as it is.
+``network_golden.json`` and ``cli_network_golden.json`` (the ``clone`` and
+``sweep`` stdout bytes, ``cli_network_golden_text()`` of
+``tests/test_cli.py``) do not derive from the MLE and are left as they are.
 A change that moves the MLE's output is then: run this, and read
 ``git diff tests/data``.
 

@@ -411,6 +411,20 @@ class TestTomo:
         assert out.out == ""
         assert out.err == f"entclone: error: {problem}\n"
 
+    # every state name is stripped by one rule (" sigma" and " mixed" were
+    # unknown states while " phi+" ran); the report echoes the name as given
+    @pytest.mark.parametrize("state", ["sigma", "mixed", "phi+"])
+    def test_state_name_whitespace_stripped(self, capsys, state):
+        argv = ("--seed", "4", "tomo", "--n", "500", "--state")
+        code, out = run_cli(*argv, state, capsys=capsys)
+        assert code == 0
+        padded_code, padded = run_cli(*argv, f" {state}\t", capsys=capsys)
+        assert padded_code == 0
+        report, padded_report = json.loads(out.out), json.loads(padded.out)
+        assert padded_report.pop("state") == f" {state}\t"
+        assert report.pop("state") == state
+        assert padded_report == report
+
     def test_csv_format_rejected(self, capsys):
         code, _ = run_cli("--format", "csv", "tomo", "--state", "sigma",
                           capsys=capsys)
@@ -607,6 +621,16 @@ class TestHom:
         assert code != 0
         assert "error" in out.err
 
+    # every overlap gives visibility 0 at R = 0 or 1; "overlap_sq,0" came out
+    @pytest.mark.parametrize("r", ["0", "1"])
+    def test_fit_where_no_overlap_shows_fails(self, capsys, r):
+        code, out = run_cli("hom", "--r", r, "--fit", "0", capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err == (f"entclone: error: at R = {float(r)} the "
+                           "visibility is 0 for every overlap, so none can "
+                           "be fitted\n")
+
     def test_fit_nan_fails(self, capsys):
         code, out = run_cli("hom", "--r", "0.3", "--fit", "nan",
                             capsys=capsys)
@@ -765,6 +789,15 @@ class TestImportGraph:
         loaded = _modules_loaded("-m", "entclone.cli", *argv)
         assert "entclone.cloner" in loaded
         assert not loaded & {"entclone.tomography", "entclone.paperchecks"}
+
+    # a state name is read in qmath: tomo runs no network code
+    @pytest.mark.parametrize("state", ["mixed", "sigma", "phi+", "psi+",
+                                       "psi-", "schmidt:0.3"])
+    def test_tomo_skips_network_code(self, state):
+        loaded = _modules_loaded("-m", "entclone.cli", "tomo", "--state",
+                                 state, "--n", "500")
+        assert "entclone.tomography" in loaded
+        assert not loaded & {"entclone.cloner", "entclone.fock"}
 
     def test_tomo_skips_paperchecks(self):
         loaded = _modules_loaded("-m", "entclone.cli", "tomo", "--state",

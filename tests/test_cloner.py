@@ -13,11 +13,11 @@ from entclone.cloner import (InputSpec, NetworkConfig, fidelity_sweep,
 from entclone.fock import (BeamSplitterSpec, FockState, apply_beamsplitter,
                            dephase_internal, postselect_coincidence)
 from entclone.paperchecks import REFERENCES
-from entclone.qmath import ConsistencyError, DensityMatrix
+from entclone.qmath import ConsistencyError, DensityMatrix, bell_state
 from entclone.tomography import matrix_to_json_dict
 
-PHI = InputSpec("bell_phi_plus")
-PSI = InputSpec("bell_psi_plus")
+PHI = InputSpec.from_name("phi+")
+PSI = InputSpec.from_name("psi+")
 
 P_SYM = (np.eye(4) + cloner.SWAP) / 2
 P_ANTI = (np.eye(4) - cloner.SWAP) / 2
@@ -30,8 +30,8 @@ RANGE_TOL = 1e-12
 # every named input leaves each network amplitude real or imaginary, and
 # such products round the same with or without a fused multiply-add; the
 # complex amplitudes of this input would show one in the last bit
-_CUSTOM = InputSpec("custom", amplitudes=(0.4 + 0.3j, 0.1 - 0.5j, -0.3 + 0.2j,
-                                          0.5 + math.sqrt(0.11) * 1j))
+_CUSTOM = InputSpec((0.4 + 0.3j, 0.1 - 0.5j, -0.3 + 0.2j,
+                     0.5 + math.sqrt(0.11) * 1j))
 NETWORK_GOLDEN_INPUTS = {"phi+": InputSpec.from_name("phi+"),
                          "psi-": InputSpec.from_name("psi-"),
                          "schmidt:0.3": InputSpec.from_name("schmidt:0.3"),
@@ -122,8 +122,8 @@ class TestRunIdeal:
             pytest.approx(0.25, abs=1e-12)
 
     def test_symmetry_at_one_third_for_any_input(self):
-        specs = [PHI, PSI, InputSpec("schmidt", theta=0.3),
-                 InputSpec("custom", amplitudes=(0.5, 0.5j, -0.5, 0.5))]
+        specs = [PHI, PSI, InputSpec.from_name("schmidt:0.3"),
+                 InputSpec((0.5, 0.5j, -0.5, 0.5))]
         for spec in specs:
             out = run_ideal(NetworkConfig(spec, 1 / 3, 1 / 3))
             assert np.max(np.abs(out.rho_local.matrix
@@ -148,8 +148,8 @@ class TestRunIdeal:
     def test_maximally_entangled_is_worst_case(self):
         thetas = np.linspace(0.03, math.pi / 2 - 0.03, 50)
         fids = []
-        for theta in thetas:
-            spec = InputSpec("schmidt", theta=float(theta))
+        for theta in thetas.tolist():
+            spec = InputSpec.from_name(f"schmidt:{theta!r}")
             out = run_ideal(NetworkConfig(spec, 1 / 3, 1 / 3))
             fids.append(metrics.fidelity_to_pure(out.rho_local,
                                                  spec.state().amplitudes))
@@ -173,7 +173,8 @@ class TestRunIdeal:
 
 class TestRunPhysical:
     def test_matches_ideal_at_unit_overlap(self):
-        for spec in (PHI, PSI, InputSpec("schmidt", theta=math.pi / 8)):
+        schmidt = InputSpec.from_name(f"schmidt:{math.pi / 8!r}")
+        for spec in (PHI, PSI, schmidt):
             for r in (0.0, 0.25, 1 / 3, 0.5, 0.8, 1.0):
                 a = run_ideal(NetworkConfig(spec, r, r))
                 b = run_physical(NetworkConfig(spec, r, r, 1.0))
@@ -239,7 +240,7 @@ class TestPostselectedNetworkBits:
         vec = np.array(amps)
         norm = np.linalg.norm(vec)
         assume(norm > 0.1)
-        spec = InputSpec("custom", amplitudes=tuple(vec / norm))
+        spec = InputSpec(tuple(vec / norm))
         config = NetworkConfig(spec, r1, r2, overlap_sq)
         got, want = run_physical(config), unitary_run_physical(config)
         assert got.rho_local.matrix.tobytes() == \
@@ -258,7 +259,7 @@ class TestPhysicalProperties:
            theta=st.floats(0.0, math.pi / 2))
     def test_outputs_physical_and_match_ideal(self, r1, r2, overlap_sq,
                                               theta):
-        spec = InputSpec("schmidt", theta=theta)
+        spec = InputSpec.from_name(f"schmidt:{theta!r}")
         out = run_physical(NetworkConfig(spec, r1, r2, overlap_sq))
         assert math.isfinite(out.success_weight)
         assert out.success_weight >= 0.0
@@ -288,7 +289,7 @@ class TestPhysicalProperties:
         def w(r):
             return (1 - r) ** 2 + r ** 2 - overlap_sq * r * (1 - r)
 
-        spec = InputSpec("schmidt", theta=theta)
+        spec = InputSpec.from_name(f"schmidt:{theta!r}")
         out = run_physical(NetworkConfig(spec, r1, r2, overlap_sq))
         assert abs(out.success_weight - w(r1) * w(r2)) <= 1e-12
         assert out.success_weight >= 1 / 16 - 1e-12
@@ -333,8 +334,11 @@ class TestHom:
         with pytest.raises(ValueError):
             fit_overlap(0.9, 1 / 3)
 
+    # at R = 0 or 1 (or so close that it rounds there) every overlap gives
+    # visibility 0, so none fits; 0.0 came back
     @pytest.mark.parametrize("v, r", [
         (float("nan"), 1 / 3), (0.5, float("nan")), (0.5, -0.1), (0.5, 1.5),
+        (0.0, 0.0), (0.0, 1.0), (0.0, 1e-300),
     ])
     def test_fit_rejects_nan_and_out_of_range(self, v, r):
         with pytest.raises(ValueError):
@@ -399,21 +403,31 @@ class TestSweep:
         for overlap_sq in (2.0, float("nan")):
             with pytest.raises(ValueError, match="overlap_sq"):
                 fidelity_sweep(PHI, [], overlap_sq)
+        # an unnormalized input fails when it is built, before any sweep
         with pytest.raises(ValueError, match="normalized"):
-            fidelity_sweep(InputSpec("custom", amplitudes=(1, 1, 0, 0)), [],
-                           1.0)
+            InputSpec((1, 1, 0, 0))
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
             fidelity_sweep(PHI, [0.1, 0.2], 1.0, workers=0)
 
 
+def _bits(amplitudes) -> bytes:
+    return np.asarray(amplitudes, dtype=complex).tobytes()
+
+
 class TestInputSpec:
+    # an input is its amplitudes: a name gives those of `bell_state`, or
+    # cos t and sin t on |HH> and |VV>, bit for bit and whitespace aside
     def test_named_parsing(self):
-        assert InputSpec.from_name("phi+").kind == "bell_phi_plus"
-        assert InputSpec.from_name("psi-").kind == "bell_psi_minus"
-        spec = InputSpec.from_name("schmidt:0.5")
-        assert spec.theta == 0.5
+        for name in ("phi+", "psi+", "psi-"):
+            assert _bits(InputSpec.from_name(name).amplitudes) == \
+                _bits(bell_state(name).amplitudes)
+        spec = InputSpec.from_name(" schmidt:0.5\t")
+        assert _bits(spec.amplitudes) == \
+            _bits([math.cos(0.5), 0, 0, math.sin(0.5)])
+        assert _bits(spec.state().amplitudes) == _bits(spec.amplitudes)
+        assert spec.state(("a", "b")).labels == ("a", "b")
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):
@@ -427,9 +441,18 @@ class TestInputSpec:
                            f"number of radians, got '{angle}'"):
             InputSpec.from_name(f"schmidt:{angle}")
 
+    # invalid amplitudes fail when the input is built, not when it is used
     def test_custom_must_be_normalized(self):
-        with pytest.raises(ValueError):
-            InputSpec("custom", amplitudes=(1, 1, 0, 0)).state()
+        with pytest.raises(ValueError, match="state not normalized"):
+            InputSpec((1, 1, 0, 0))
+
+    @pytest.mark.parametrize("amplitudes, problem", [
+        ((1, 0, 0), "2 labels but amplitude vector of length 3"),
+        ((math.nan, 0, 0, 1), "non-finite amplitude"),
+    ], ids=["length", "finite"])
+    def test_bad_amplitudes_rejected_when_built(self, amplitudes, problem):
+        with pytest.raises(ValueError, match=problem):
+            InputSpec(amplitudes)
 
     def test_config_range_checks(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +11,8 @@ from entclone.metrics import (concurrence, fidelity_to_pure, pauli_correlation,
                               ppt_min_eigenvalue, trace_distance,
                               uhlmann_fidelity, von_neumann_entropy,
                               witness_expectation)
-from entclone.qmath import ConsistencyError, DensityMatrix, bell_state, kron
+from entclone.qmath import (NORM_TOL, ConsistencyError, DensityMatrix,
+                            PureState, bell_state, kron)
 
 PHI_DM = bell_state("phi+").to_density()
 MIXED = DensityMatrix(np.eye(4) / 4, ("a", "b"))
@@ -33,6 +36,35 @@ class TestFidelityToPure:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity_to_pure(MIXED, np.array([1, 0]))
+
+    # a plain target is checked as a PureState's amplitudes are: [1, 0, 0, 1]
+    # gave F = 2 and a NaN target F = nan
+    @pytest.mark.parametrize("target, problem", [
+        ([1, 0, 0, 1], "state not normalized"),
+        ([math.nan, 0, 0, 1], "non-finite amplitude"),
+    ], ids=["unnormalized", "nan"])
+    def test_bad_target_rejected(self, target, problem):
+        with pytest.raises(ValueError, match=problem):
+            fidelity_to_pure(PHI_DM, target)
+
+    # one norm tolerance, qmath.NORM_TOL, for a target and a PureState
+    def test_norm_tolerance_shared_with_pure_state(self):
+        phi = metrics.PHI_PLUS
+        inside = phi * math.sqrt(1 + 0.5 * NORM_TOL)
+        outside = phi * math.sqrt(1 + 2 * NORM_TOL)
+        assert fidelity_to_pure(PHI_DM, inside) == \
+            pytest.approx(1.0, abs=1e-11)
+        PureState(inside, ("a", "b"))
+        for check in (lambda: fidelity_to_pure(PHI_DM, outside),
+                      lambda: PureState(outside, ("a", "b"))):
+            with pytest.raises(ValueError, match="not normalized"):
+                check()
+
+    def test_phi_plus_is_the_bell_state(self):
+        old = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+        assert metrics.PHI_PLUS.tobytes() == old.tobytes()
+        assert metrics.PHI_PLUS.tobytes() == \
+            bell_state("phi+").amplitudes.tobytes()
 
 
 class TestPauliCorrelation:
