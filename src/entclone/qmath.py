@@ -305,7 +305,8 @@ def named_density(name: str) -> DensityMatrix | None:
     I/4. None for a name outside the table; a bad schmidt angle raises."""
     name = name.strip()
     if name == "sigma":
-        rho = (4.0 / 9.0) * bell_state("phi+").to_density().matrix \
+        phi = bell_state("phi+").amplitudes
+        rho = (4.0 / 9.0) * np.outer(phi, np.conj(phi)) \
             + (5.0 / 36.0) * np.eye(4)
         return DensityMatrix(rho, ("a", "b"))
     if name == "mixed":
