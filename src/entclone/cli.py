@@ -262,6 +262,13 @@ def cmd_paper(args) -> int:
     return 1 if failed else 0
 
 
+# the state names `qmath` reads, spelled out so that parsing loads no
+# numpy; tests/test_cli.py checks them against qmath's tables
+_INPUT_HELP = "phi+ | psi+ | psi- | schmidt:<theta radians>"
+_STATE_HELP = "phi+ | psi+ | psi- | sigma | mixed | schmidt:<theta> | " \
+    "path to matrix JSON"
+
+
 # parsing leaves the parser as it was, so one serves every call of `main`
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -281,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("clone", help="run the network once and report metrics")
-    c.add_argument("--input", required=True,
-                   help="phi+ | psi+ | psi- | schmidt:<theta radians>")
+    c.add_argument("--input", required=True, help=_INPUT_HELP)
     c.add_argument("--r", type=float, default=None)
     c.add_argument("--r1", type=float, default=None)
     c.add_argument("--r2", type=float, default=None)
@@ -290,16 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--model", choices=("ideal", "physical"), default="ideal")
 
     s = sub.add_parser("sweep", help="fidelity vs reflectivity sweep")
-    s.add_argument("--input", required=True)
+    s.add_argument("--input", required=True, help=_INPUT_HELP)
     s.add_argument("--r-min", type=float, default=0.0)
     s.add_argument("--r-max", type=float, default=1.0)
     s.add_argument("--steps", type=int, default=11)
     s.add_argument("--overlap-sq", type=float, default=1.0)
 
     t = sub.add_parser("tomo", help="simulate tomography and reconstruct")
-    t.add_argument("--state", required=True,
-                   help="phi+ | psi+ | psi- | sigma | mixed | "
-                        "schmidt:<theta> | path to matrix JSON")
+    t.add_argument("--state", required=True, help=_STATE_HELP)
     t.add_argument("--n", type=float, default=4000.0,
                    help="mean counts per setting")
     t.add_argument("--resamples", type=int, default=0,

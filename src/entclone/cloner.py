@@ -214,9 +214,11 @@ def fidelity_sweep(input_spec: InputSpec, r_grid, overlap_sq: float,
     Returns a list of (R, F_local, F_distant, success_weight), fidelities
     measured against the pure input state. The input state and its
     distinguishability branches are built once; the points run serially.
-    ``workers`` must be at least 1 but starts no process.
+    ``workers`` must be an int of at least 1 but starts no process.
     """
-    if workers < 1:
+    # by type first: nan < 1 is False, and 1.5 is no count
+    if isinstance(workers, bool) or not isinstance(workers, int) \
+            or workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
     # checked before the grid, so an empty grid rejects what a full one does
     _check_unit("overlap_sq", overlap_sq)

@@ -13,6 +13,14 @@ The six-photon cloning network post-selects inside its beam splitters
 in, 32 between the splitters and 64 at the read-out, against up to 256 had
 each splitter been expanded as the full unitary. Nothing dense is
 materialized before `postselect_coincidence` reads out the polarization.
+
+Neither step's routing depends on R or on a coefficient, so each is built
+once and cached: `_coincidence_table` keyed on the state's monomials in
+order plus the splitter's input and output arms, `_readout_table` on the
+monomials plus the read-out arms, each bounded at `_TABLE_SIZE` entries.
+One table serves every R of a sweep. A call forms the amplitudes from it
+with the same products, prune tests and sums, in the same order, as a walk
+over the routes would, so every output bit is what it was without a cache.
 """
 
 from __future__ import annotations
@@ -35,6 +43,9 @@ Mode = tuple[str, str, int]
 
 _PRUNE = 1e-15
 _POL_INDEX = {"H": 0, "V": 1}
+# entries each of the route and read-out caches keeps, least recently used
+# out first; a sweep fills a few, a `paper` run under 20, each under 10 KB
+_TABLE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -121,36 +132,43 @@ class FockState:
         return FockState(out)
 
 
-def _routing(state: FockState, bs: BeamSplitterSpec
+def _routing(monos: Iterable[tuple[Mode, ...]], input_arms: tuple[str, str],
+             output_arms: tuple[str, str]
              ) -> tuple[dict[Mode, tuple], dict[Mode, tuple]]:
-    """Each mode's output (factor, mode) pairs through the beam splitter,
-    split into the factors and the modes so that one product over each
-    walks the same combinations. An input-arm mode goes to the first
-    output arm (index 0) or the second (index 1); a passive mode keeps its
-    arm with the factor 1.0, which is multiplied in like the others so
-    every amplitude is the same product in the same order."""
-    a_in, b_in = bs.input_arms
-    c_out, d_out = bs.output_arms
-    modes = {mode for mono in state.terms for mode in mono}
+    """Each mode's output (factor slot, mode) pairs through the beam
+    splitter, split into the slots and the modes so that one product over
+    each walks the same combinations. A slot indexes `_factors`: an
+    input-arm mode goes to the first output arm (route 0) or the second
+    (route 1) with the factors t and r in the order its arm gives; a passive
+    mode keeps its arm with the factor 1.0, which is multiplied in like the
+    others so every amplitude is the same product in the same order."""
+    a_in, b_in = input_arms
+    c_out, d_out = output_arms
+    modes = {mode for mono in monos for mode in mono}
     # a vacuum port is legitimate (single-photon splitting); both ports
     # empty means the splitter is wired to arms this state does not have
-    if state.terms and not {a_in, b_in} & {arm for arm, _, _ in modes}:
+    if monos and not {a_in, b_in} & {arm for arm, _, _ in modes}:
         raise KeyError(
-            f"neither input arm of {bs.input_arms} carries a photon")
-    t = math.sqrt(1.0 - bs.reflectivity)
-    r = 1j * math.sqrt(bs.reflectivity)
+            f"neither input arm of {input_arms} carries a photon")
 
-    factors: dict[Mode, tuple] = {}
+    slots: dict[Mode, tuple] = {}
     routes: dict[Mode, tuple] = {}
     for mode in modes:
         arm, pol, internal = mode
         if arm in (a_in, b_in):
-            factors[mode] = (t, r) if arm == a_in else (r, t)
+            slots[mode] = (0, 1) if arm == a_in else (1, 0)
             routes[mode] = ((c_out, pol, internal), (d_out, pol, internal))
         else:
-            factors[mode] = (1.0,)
+            slots[mode] = (2,)
             routes[mode] = (mode,)
-    return factors, routes
+    return slots, routes
+
+
+def _factors(bs: BeamSplitterSpec) -> tuple:
+    """The values of the factor slots: transmitted t = sqrt(1-R),
+    reflected r = i sqrt(R) and passive 1.0."""
+    return (math.sqrt(1.0 - bs.reflectivity),
+            1j * math.sqrt(bs.reflectivity), 1.0)
 
 
 def apply_beamsplitter(state: FockState, bs: BeamSplitterSpec) -> FockState:
@@ -162,7 +180,9 @@ def apply_beamsplitter(state: FockState, bs: BeamSplitterSpec) -> FockState:
     with (c, d) the output arms; polarization and internal labels ride along
     unchanged. Photon number and norm are preserved.
     """
-    factors, routes = _routing(state, bs)
+    slots, routes = _routing(state.terms, bs.input_arms, bs.output_arms)
+    factor = _factors(bs)
+    factors = {m: tuple(map(factor.__getitem__, s)) for m, s in slots.items()}
     out: dict[tuple[Mode, ...], complex] = defaultdict(complex)
     for mono, coeff in state.terms.items():
         for amps, outs in zip(
@@ -185,26 +205,53 @@ def apply_postselected_beamsplitter(state: FockState,
     two bunched in an output arm takes none. The routes come in the order
     that ``apply_beamsplitter``'s product reaches them, so every kept
     amplitude is the same product summed in the same order, and the result
-    equals the unitary's output projected, bit for bit.
+    equals the unitary's output projected, bit for bit. The routes come
+    from `_coincidence_table`, which holds no reflectivity.
     """
-    factors, routes = _routing(state, bs)
-    c_out, d_out = bs.output_arms
-    # "move" through the splitter, already sit in an output arm, or neither
-    role = {m: "move" if len(f) == 2 else {c_out: "c", d_out: "d"}.get(m[0])
-            for m, f in factors.items()}
-    out: dict[tuple[Mode, ...], complex] = defaultdict(complex)
-    for mono, coeff in state.terms.items():
-        picks = _coincidence_picks(tuple(map(role.__getitem__, mono)))
-        if not picks:
-            continue
-        amps = list(map(factors.__getitem__, mono))
-        outs = list(map(routes.__getitem__, mono))
-        for pick in picks:
-            amp = functools.reduce(operator.mul,
-                                   map(operator.getitem, amps, pick), coeff)
+    patterns, table, outs = _coincidence_table(
+        tuple(state.terms), bs.input_arms, bs.output_arms)
+    factor = _factors(bs)
+    factors = [tuple(map(factor.__getitem__, p)) for p in patterns]
+    # math.prod folds from ``start`` left to right, as functools.reduce does
+    out: dict[int, complex] = defaultdict(complex)
+    for coeff, routes in zip(state.terms.values(), table):
+        for k, j in routes:
+            amp = math.prod(factors[k], start=coeff)
             if abs(amp) > _PRUNE:
-                out[tuple(sorted(map(operator.getitem, outs, pick)))] += amp
-    return FockState._from_canonical(out)
+                out[j] += amp
+    return FockState._from_canonical({outs[j]: c for j, c in out.items()})
+
+
+@functools.lru_cache(maxsize=_TABLE_SIZE)
+def _coincidence_table(monos: tuple[tuple[Mode, ...], ...],
+                       input_arms: tuple[str, str],
+                       output_arms: tuple[str, str]
+                       ) -> tuple[tuple, tuple, tuple]:
+    """The coincidence routes of ``monos`` through the splitter from
+    ``input_arms`` to ``output_arms``: the distinct factor-slot patterns;
+    per monomial, in order, its routes in ``itertools.product`` order as
+    (pattern index, output index) pairs; and the distinct sorted output
+    monomials. Patterns and outputs are numbered as the routes first reach
+    them."""
+    slots, routes = _routing(monos, input_arms, output_arms)
+    c_out, d_out = output_arms
+    # "move" through the splitter, already sit in an output arm, or neither
+    role = {m: "move" if len(s) == 2 else {c_out: "c", d_out: "d"}.get(m[0])
+            for m, s in slots.items()}
+    patterns: dict[tuple[int, ...], int] = {}
+    outs: dict[tuple[Mode, ...], int] = {}
+    table = []
+    for mono in monos:
+        mono_slots = list(map(slots.__getitem__, mono))
+        mono_routes = list(map(routes.__getitem__, mono))
+        kept = []
+        for pick in _coincidence_picks(tuple(map(role.__getitem__, mono))):
+            pattern = tuple(map(operator.getitem, mono_slots, pick))
+            out = tuple(sorted(map(operator.getitem, mono_routes, pick)))
+            kept.append((patterns.setdefault(pattern, len(patterns)),
+                         outs.setdefault(out, len(outs))))
+        table.append(tuple(kept))
+    return tuple(patterns), tuple(table), tuple(outs)
 
 
 @functools.cache
@@ -242,45 +289,74 @@ def postselect_coincidence(
         raise ValueError(
             f"state has {state.num_photons()} photons, expected {len(arms)}"
         )
-    arm_pos = {a: k for k, a in enumerate(arms)}
+    slot_of, size, groups = _readout_table(tuple(state.terms), tuple(arms))
 
-    # (pol indices per arm, internal labels per arm) -> amplitude; with the
-    # photon number checked above, a monomial is kept unless some photon
-    # sits in an unlisted arm or shares its arm with an earlier one
-    kept: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] = defaultdict(complex)
-    for mono, coeff in state.terms.items():
-        pols = [None] * len(arms)
-        internals = [0] * len(arms)
-        for arm, pol, internal in mono:
-            k = arm_pos.get(arm)
-            if k is None or pols[k] is not None:
-                break
-            pols[k] = _POL_INDEX[pol]
-            internals[k] = internal
-        else:
-            kept[(tuple(pols), tuple(internals))] += coeff
+    # one amplitude per kept (polarization index, internal labels), summed
+    # from 0j in the order the monomials first reach it
+    kept = [0j] * size
+    for coeff, k in zip(state.terms.values(), slot_of):
+        if k is not None:
+            kept[k] += coeff
 
-    weight = sum(abs(c) ** 2 for c in kept.values())
+    weight = sum(abs(c) ** 2 for c in kept)
     if weight <= 0.0:
         return None, 0.0
 
     dim = 2 ** len(arms)
     rho = np.zeros((dim, dim), dtype=complex)
-    # group by internal configuration: the internal label is traced, so only
-    # amplitudes with identical internals interfere
-    by_internal: dict[tuple[int, ...], dict[int, complex]] = defaultdict(dict)
-    for (pols, internals), amp in kept.items():
-        idx = 0
-        for p in pols:
-            idx = 2 * idx + p
-        # kept's keys are unique, so each index appears once per group
-        by_internal[internals][idx] = amp
-    for vec in by_internal.values():
-        idx = list(vec)
-        amps = np.fromiter(vec.values(), dtype=complex, count=len(idx))
-        rho[np.ix_(idx, idx)] += _outer_conj(amps)
+    # the internal label is traced, so only amplitudes with identical
+    # internals interfere
+    for block, members in groups:
+        amps = np.fromiter(map(kept.__getitem__, members), dtype=complex,
+                           count=len(members))
+        rho[block] += _outer_conj(amps)
     rho /= weight
     return DensityMatrix(rho, tuple(arms)), weight
+
+
+@functools.lru_cache(maxsize=_TABLE_SIZE)
+def _readout_table(monos: tuple[tuple[Mode, ...], ...], arms: tuple[str, ...]
+                   ) -> tuple[tuple[int | None, ...], int, tuple[tuple, ...]]:
+    """The read-out of ``monos`` on ``arms``: per monomial its slot among
+    the kept amplitudes, or None when rejected; the number of slots; and
+    per internal configuration, in the order the slots first reach it, the
+    ``np.ix_`` block of its polarization indices and its slots.
+
+    With the photon number checked, a monomial is kept unless some photon
+    sits in an unlisted arm or shares its arm with an earlier one. Slots
+    are numbered in the order of first arrival, and so are the slots of
+    each group.
+    """
+    arm_pos = {a: k for k, a in enumerate(arms)}
+    slot: dict[tuple[int, tuple[int, ...]], int] = {}
+    slot_of = []
+    for mono in monos:
+        pols = [None] * len(arms)
+        internals = [0] * len(arms)
+        for arm, pol, internal in mono:
+            k = arm_pos.get(arm)
+            if k is None or pols[k] is not None:
+                slot_of.append(None)
+                break
+            pols[k] = _POL_INDEX[pol]
+            internals[k] = internal
+        else:
+            idx = 0
+            for p in pols:
+                idx = 2 * idx + p
+            slot_of.append(slot.setdefault((idx, tuple(internals)), len(slot)))
+    by_internal: dict[tuple[int, ...], list[tuple[int, int]]] = \
+        defaultdict(list)
+    for (idx, internals), k in slot.items():
+        by_internal[internals].append((idx, k))
+    groups = []
+    for members in by_internal.values():
+        idx, slots = zip(*members)
+        block = np.ix_(idx, idx)
+        for index in block:  # shared by every call that hits this entry
+            index.flags.writeable = False
+        groups.append((block, slots))
+    return tuple(slot_of), len(slot), tuple(groups)
 
 
 def _outer_conj(a: np.ndarray) -> np.ndarray:

@@ -256,6 +256,8 @@ _S = 1 / np.sqrt(2)
 # amplitudes on |HH>, |HV>, |VH>, |VV>
 _BELL = {"phi+": (_S, 0, 0, _S), "phi-": (_S, 0, 0, -_S),
          "psi+": (0, _S, _S, 0), "psi-": (0, _S, -_S, 0)}
+# the names `InputSpec.from_name` reads besides schmidt:<theta>
+_INPUT_NAMES = ("phi+", "psi+", "psi-")
 
 
 def bell_state(which: str, labels: Sequence[str] = ("a", "b")) -> PureState:
@@ -284,7 +286,7 @@ class InputSpec:
     @staticmethod
     def from_name(name: str) -> "InputSpec":
         name = name.strip()
-        if name in ("phi+", "psi+", "psi-"):
+        if name in _INPUT_NAMES:
             return InputSpec(_BELL[name])
         if not name.startswith("schmidt:"):
             raise ValueError(f"unknown input state {name!r}")
@@ -299,18 +301,23 @@ class InputSpec:
         return InputSpec((math.cos(theta), 0, 0, math.sin(theta)))
 
 
+def _sigma() -> np.ndarray:
+    phi = bell_state("phi+").amplitudes
+    return (4.0 / 9.0) * np.outer(phi, np.conj(phi)) + (5.0 / 36.0) * np.eye(4)
+
+
+# the names `named_density` reads besides the input names, each with the
+# builder of its matrix
+_DENSITIES = {"sigma": _sigma, "mixed": lambda: np.eye(4) / 4.0}
+
+
 def named_density(name: str) -> DensityMatrix | None:
     """The named two-qubit state on labels ("a", "b"): an input name, the
     symmetric clone ``sigma`` = 4/9 |Phi+><Phi+| + 5/36 I or ``mixed`` =
     I/4. None for a name outside the table; a bad schmidt angle raises."""
     name = name.strip()
-    if name == "sigma":
-        phi = bell_state("phi+").amplitudes
-        rho = (4.0 / 9.0) * np.outer(phi, np.conj(phi)) \
-            + (5.0 / 36.0) * np.eye(4)
-        return DensityMatrix(rho, ("a", "b"))
-    if name == "mixed":
-        return DensityMatrix(np.eye(4) / 4.0, ("a", "b"))
+    if name in _DENSITIES:
+        return DensityMatrix(_DENSITIES[name](), ("a", "b"))
     try:
         spec = InputSpec.from_name(name)
     except ValueError:

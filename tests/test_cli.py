@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import importlib
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import entclone
-from entclone import cli, cloner, metrics, tomography as tg
+from entclone import cli, cloner, metrics, qmath, tomography as tg
 from entclone.cli import build_parser, main
 from entclone.cloner import ideal_clone_sigma
 from entclone.paperchecks import CheckResult
@@ -745,6 +746,38 @@ class TestGlobalFlags:
                             lambda args: calls.append(args.r) or 0)
         assert run_cli("hom", "--r", "0.3", capsys=capsys)[0] == 0
         assert calls == [0.3]
+
+
+def _help_names(command: str, dest: str) -> list[str]:
+    """The entries of the help text of ``command``'s ``dest`` option."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices[command]._actions if a.dest == dest)
+    return action.help.split(" | ")
+
+
+class TestStateNameHelp:
+    """The help texts spell the state names for a parser that loads no
+    numpy; they must be the names `qmath` reads, no more and no fewer."""
+
+    @pytest.mark.parametrize("command", ["clone", "sweep"])
+    def test_input_help_lists_every_input_name(self, command):
+        names = _help_names(command, "input")
+        plain = [n for n in names if not n.startswith("schmidt:<")]
+        assert len(names) == len(plain) + 1
+        for name in plain + ["schmidt:0.3"]:
+            qmath.InputSpec.from_name(name)
+        assert sorted(plain) == sorted(qmath._INPUT_NAMES)
+
+    def test_state_help_lists_every_state_name(self):
+        *names, path = _help_names("tomo", "state")
+        assert path == "path to matrix JSON"
+        plain = [n for n in names if not n.startswith("schmidt:<")]
+        assert len(names) == len(plain) + 1
+        for name in plain + ["schmidt:0.3"]:
+            assert qmath.named_density(name) is not None
+        assert sorted(plain) == \
+            sorted(qmath._INPUT_NAMES + tuple(qmath._DENSITIES))
 
 
 def _fresh_python(*args) -> subprocess.CompletedProcess:

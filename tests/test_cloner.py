@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from entclone import cloner, metrics
+from entclone import cloner, fock, metrics
 from entclone.cloner import (InputSpec, NetworkConfig, fidelity_sweep,
                              fit_overlap, hom_visibility,
                              postselection_operator, run_ideal, run_physical)
@@ -250,6 +250,53 @@ class TestPostselectedNetworkBits:
         assert got.success_weight.hex() == want.success_weight.hex()
 
 
+def clear_tables():
+    fock._coincidence_table.cache_clear()
+    fock._readout_table.cache_clear()
+
+
+class TestCachedTables:
+    """The Fock network reads its routes and read-out from tables that hold
+    no R and no coefficient; a state that reuses one keeps the bits of the
+    unitary composition."""
+
+    # phi+ and schmidt:0.3 have amplitudes on |HH> and |VV> only, psi+ and
+    # psi- on |HV> and |VH>: each pair's branches share their monomials
+    @pytest.mark.parametrize("names", [
+        ("phi+", "schmidt:0.3"), ("schmidt:0.3", "phi+"), ("psi+", "psi-"),
+        ("psi-", "psi+")])
+    def test_shared_monomials_keep_unitary_bits(self, names):
+        clear_tables()
+        for name in names:
+            hits = fock._coincidence_table.cache_info().hits
+            for overlap_sq in (1.0, 0.91375):
+                # R = 0 and 1 prune routes, 1/2 cancels the HOM pairs
+                for r1, r2 in ((0.0, 0.5), (0.5, 1.0), (1.0, 0.0),
+                               (0.5, 0.5), (1 / 3, 0.7)):
+                    config = NetworkConfig(InputSpec.from_name(name), r1, r2,
+                                           overlap_sq)
+                    got, want = run_physical(config), \
+                        unitary_run_physical(config)
+                    assert got.rho_local.matrix.tobytes() == \
+                        want.rho_local.matrix.tobytes()
+                    assert got.rho_distant.matrix.tobytes() == \
+                        want.rho_distant.matrix.tobytes()
+                    assert got.success_weight.hex() == \
+                        want.success_weight.hex()
+            assert fock._coincidence_table.cache_info().hits > hits
+
+    def test_sweep_builds_no_table_per_point(self):
+        # 0.5 is not on the grid, so no point prunes a route
+        spec = InputSpec.from_name("schmidt:0.3")
+        built = []
+        for grid in ([0.3], np.linspace(0.05, 0.95, 20)):
+            clear_tables()
+            fidelity_sweep(spec, grid, 0.91375)
+            built.append((fock._coincidence_table.cache_info().misses,
+                          fock._readout_table.cache_info().misses))
+        assert built[0] == built[1] == (8, 4)
+
+
 class TestPhysicalProperties:
     """Physical outputs over the whole parameter space; at overlap^2 = 1
     the Fock model must be the qubit model."""
@@ -408,8 +455,10 @@ class TestSweep:
             InputSpec((1, 1, 0, 0))
 
     def test_zero_workers_rejected(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            fidelity_sweep(PHI, [0.1, 0.2], 1.0, workers=0)
+        # nan < 1 is False, and 1.5 or True is no worker count
+        for workers in (0, float("nan"), 1.5, True):
+            with pytest.raises(ValueError, match="at least 1"):
+                fidelity_sweep(PHI, [0.1, 0.2], 1.0, workers=workers)
 
 
 def _bits(amplitudes) -> bytes:

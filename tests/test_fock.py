@@ -1,10 +1,11 @@
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from entclone import fock
 from entclone.fock import BeamSplitterSpec, FockState, apply_beamsplitter, \
     apply_postselected_beamsplitter, dephase_internal, postselect_coincidence
 
@@ -154,6 +155,154 @@ class TestPostselectedBeamSplitter:
         with pytest.raises(KeyError, match="neither input arm"):
             apply_postselected_beamsplitter(
                 one_photon("a"), BeamSplitterSpec(("x", "y"), ("u", "v"), 0.5))
+
+
+def projected_unitary(state, bs):
+    return coincidences(apply_beamsplitter(state, bs), bs.output_arms)
+
+
+def three_photons(coeffs):
+    """One photon in each of arms a and b (the splitter's inputs) and e
+    (passive), with ``coeffs`` on four fixed polarization patterns."""
+    pols = ("HHV", "HVH", "VHH", "VVV")
+    return FockState({
+        tuple((arm, p, 0) for arm, p in zip("abe", pol)): c
+        for pol, c in zip(pols, coeffs)})
+
+
+# the same monomials with other coefficients; most are real or imaginary,
+# so a signed zero a product got wrong would show
+SHARED_MONOMIALS = (three_photons((0.5, -0.5j, 0.5, 0.5)),
+                    three_photons((0.1 + 0.7j, -0.3, 0.2j, -0.6 - 0.1j)))
+
+
+class TestRouteTable:
+    """A cached route table serves every state with the same monomials and
+    splitter arms, whatever the coefficients and R, with the bits of the
+    projected unitary."""
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_hit_keeps_projected_unitary_bits(self, order):
+        bs = BeamSplitterSpec(("a", "b"), ("c", "d"), 0.3)
+        fock._coincidence_table.cache_clear()
+        for k in order:
+            state = SHARED_MONOMIALS[k]
+            assert bits(apply_postselected_beamsplitter(state, bs)) == \
+                bits(projected_unitary(state, bs))
+        info = fock._coincidence_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_pruning_reflectivities_keep_bits(self):
+        # at R = 1/2 the HOM routes cancel and at R = 1 the kept routes
+        # come in another order, so the second splitter meets other
+        # monomial sequences than at R = 0.3
+        fock._coincidence_table.cache_clear()
+        between = set()
+        for state in SHARED_MONOMIALS:
+            for r in (0.0, 0.5, 1.0, 0.3, 0.0, 1.0, 0.5):
+                first = BeamSplitterSpec(("a", "b"), ("c", "d"), r)
+                second = BeamSplitterSpec(("c", "e"), ("f", "g"), r)
+                once = apply_postselected_beamsplitter(state, first)
+                between.add(tuple(once.terms))
+                want = projected_unitary(projected_unitary(state, first),
+                                         second)
+                assert bits(apply_postselected_beamsplitter(once, second)) \
+                    == bits(want)
+        # one table for the first splitter, one per sequence after it
+        assert len(between) == 3
+        assert fock._coincidence_table.cache_info().misses == 1 + 3
+
+    @pytest.mark.parametrize("inputs, outputs", [
+        (("a", "b"), ("c", "d")), (("b", "a"), ("c", "d")),
+        (("a", "b"), ("d", "c")), (("b", "a"), ("d", "c"))])
+    def test_swapped_arms_keep_bits(self, inputs, outputs):
+        # each arm order routes the same monomials with its own table
+        for r in (0.3, 0.0, 1 / 3):
+            bs = BeamSplitterSpec(inputs, outputs, r)
+            for state in SHARED_MONOMIALS:
+                assert bits(apply_postselected_beamsplitter(state, bs)) == \
+                    bits(projected_unitary(state, bs))
+
+
+def reference_readout(state, arms):
+    """`postselect_coincidence`'s read-out by a direct walk over the
+    monomials: each kept amplitude summed in a dict in monomial order,
+    grouped by internal labels."""
+    arm_pos = {a: k for k, a in enumerate(arms)}
+    kept = defaultdict(complex)
+    for mono, coeff in state.terms.items():
+        pols = [None] * len(arms)
+        internals = [0] * len(arms)
+        for arm, pol, internal in mono:
+            k = arm_pos.get(arm)
+            if k is None or pols[k] is not None:
+                break
+            pols[k] = "HV".index(pol)
+            internals[k] = internal
+        else:
+            kept[(tuple(pols), tuple(internals))] += coeff
+    weight = sum(abs(c) ** 2 for c in kept.values())
+    if weight <= 0.0:
+        return None, 0.0
+    rho = np.zeros((2 ** len(arms),) * 2, dtype=complex)
+    by_internal = defaultdict(dict)
+    for (pols, internals), amp in kept.items():
+        by_internal[internals][int("".join(map(str, pols)), 2)] = amp
+    for vec in by_internal.values():
+        idx = list(vec)
+        rho[np.ix_(idx, idx)] += fock._outer_conj(
+            np.array(list(vec.values()), dtype=complex))
+    return rho / weight, weight
+
+
+@st.composite
+def readout_cases(draw):
+    """Read-out arms and a state on them whose monomials, in the order
+    drawn, mostly hold one photon per arm; the others have one photon
+    elsewhere and are rejected."""
+    arms = draw(st.sampled_from([("a", "b"), ("b", "a", "c"),
+                                 ("c", "d", "e", "a")]))
+    monos = []
+    for _ in range(draw(st.integers(1, 8))):
+        mono = [(arm, draw(st.sampled_from("HV")), draw(st.integers(0, 2)))
+                for arm in arms]
+        if draw(st.booleans()):
+            mono[draw(st.integers(0, len(arms) - 1))] = draw(MODES)
+        monos.append(tuple(mono))
+    return arms, FockState({mono: draw(COEFFS) for mono in monos})
+
+
+class TestReadoutTable:
+    @given(case=readout_cases())
+    def test_equals_direct_walk_bits(self, case):
+        arms, state = case
+        for _ in range(2):  # built, then read from the cache
+            got, weight = postselect_coincidence(state, arms)
+            want, want_weight = reference_readout(state, arms)
+            assert weight.hex() == float(want_weight).hex()
+            if want is None:
+                assert got is None
+            else:
+                assert got.matrix.tobytes() == want.tobytes()
+
+    def test_hit_with_other_coefficients_keeps_bits(self):
+        fock._readout_table.cache_clear()
+        for state in SHARED_MONOMIALS + SHARED_MONOMIALS[::-1]:
+            got, weight = postselect_coincidence(state, ("a", "b", "e"))
+            want, want_weight = reference_readout(state, ("a", "b", "e"))
+            assert got.matrix.tobytes() == want.tobytes()
+            assert weight.hex() == want_weight.hex()
+        info = fock._readout_table.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_cached_index_blocks_are_read_only(self):
+        postselect_coincidence(SHARED_MONOMIALS[0], ("a", "b", "e"))
+        _, _, groups = fock._readout_table(
+            tuple(SHARED_MONOMIALS[0].terms), ("a", "b", "e"))
+        for block, _ in groups:
+            for index in block:
+                with pytest.raises(ValueError, match="read-only"):
+                    index[0] = 0
 
 
 class TestPostselect:
