@@ -44,7 +44,7 @@ def _default_seed() -> int:
     return seed
 
 
-def _named_density(name: str) -> tuple[DensityMatrix, str]:
+def _named_density(name: str) -> DensityMatrix:
     """A named state (`qmath.named_density`) or, for a name outside the
     table, a matrix-JSON path resolved to a density matrix."""
     from . import tomography
@@ -52,14 +52,14 @@ def _named_density(name: str) -> tuple[DensityMatrix, str]:
 
     rho = named_density(name)
     if rho is not None:
-        return rho, name
+        return rho
     if not os.path.exists(name):
         raise CliError(f"unknown state {name!r} and no such file")
     rho = tomography.matrix_from_json(name)
     if rho.num_qubits != 2:
         raise CliError(f"matrix JSON {name!r} holds a {rho.num_qubits}-qubit "
                        "state, not a two-qubit one")
-    return rho, name
+    return rho
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -171,7 +171,7 @@ def cmd_tomo(args) -> int:
     if not (math.isfinite(args.n) and 0 < args.n <= most):
         raise CliError(f"--n must be finite, positive and at most {most:g}, "
                        f"got {args.n}")
-    rho_true, state_name = _named_density(args.state)
+    rho_true = _named_density(args.state)
     if args.n > tomography.CERTIFIABLE_MEAN_COUNT:
         print(f"entclone: warning: --n {args.n:g} is above "
               f"{tomography.CERTIFIABLE_MEAN_COUNT:.3g} counts per setting, "
@@ -185,7 +185,7 @@ def cmd_tomo(args) -> int:
               f"certified log-likelihood gap is {rec.certified_gap:.3g}, "
               f"above {tomography.CERT_TOL:g}", file=sys.stderr)
     report = {
-        "state": state_name,
+        "state": args.state,
         "n_per_setting": args.n,
         "seed": args.seed,
         "log_likelihood": rec.log_likelihood,

@@ -106,11 +106,15 @@ def run_ideal(config: NetworkConfig) -> CloneOutcome:
     weight = float(np.vdot(vec, vec).real)
     if weight == 0.0:
         raise ConsistencyError("post-selection kept no weight")
-    rho = np.outer(vec, np.conj(vec)) / weight
+    return _outcome(np.outer(vec, np.conj(vec)) / weight, weight)
+
+
+def _outcome(rho: np.ndarray, weight: float) -> CloneOutcome:
+    """The outcome of a run whose six-arm read-out is ``rho``, in the order
+    of `_ALL_OUTPUT_ARMS`: its one checked state and the two pairs."""
     full = DensityMatrix(rho, _ALL_OUTPUT_ARMS)
     return CloneOutcome(full.partial_trace(LOCAL_PAIR),
-                        full.partial_trace(DISTANT_PAIR),
-                        weight)
+                        full.partial_trace(DISTANT_PAIR), weight)
 
 
 def _fock_pair(amps: np.ndarray, arm_a: str, arm_b: str) -> FockState:
@@ -151,12 +155,9 @@ def _run_branches(branches: list[tuple[FockState, float]], r1: float,
         rho6, weight = fock.postselect_coincidence(st, _ALL_OUTPUT_ARMS)
         if rho6 is None:
             raise ConsistencyError("post-selection rejected a branch")
-        rho_acc += w * weight * rho6.matrix
+        rho_acc += w * weight * rho6
         total += w * weight
-    full = DensityMatrix(rho_acc / total, _ALL_OUTPUT_ARMS)
-    return CloneOutcome(full.partial_trace(LOCAL_PAIR),
-                        full.partial_trace(DISTANT_PAIR),
-                        total)
+    return _outcome(rho_acc / total, total)
 
 
 def run_physical(config: NetworkConfig) -> CloneOutcome:

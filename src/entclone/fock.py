@@ -12,7 +12,8 @@ The six-photon cloning network post-selects inside its beam splitters
 (`apply_postselected_beamsplitter`), so a branch holds at most 16 monomials
 in, 32 between the splitters and 64 at the read-out, against up to 256 had
 each splitter been expanded as the full unitary. Nothing dense is
-materialized before `postselect_coincidence` reads out the polarization.
+materialized before `postselect_coincidence` reads out the polarization
+as a plain matrix, from which `cloner` builds the checked state.
 
 Neither step's routing depends on R or on a coefficient, so each is built
 once and cached: `_coincidence_table` keyed on the state's monomials in
@@ -36,7 +37,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .hom import _check_unit
-from .qmath import DensityMatrix
 
 # (arm, polarization, internal)
 Mode = tuple[str, str, int]
@@ -273,13 +273,13 @@ def _coincidence_picks(roles: tuple[str | None, ...]
 
 def postselect_coincidence(
     state: FockState, arms: Sequence[str]
-) -> tuple[DensityMatrix | None, float]:
+) -> tuple[np.ndarray | None, float]:
     """Project onto exactly one photon per requested arm and read out polarization.
 
     Internal labels are traced out. Returns the normalized polarization
-    density matrix labeled by ``arms`` plus the squared norm of the kept
-    component (relative success probability). A fully rejected state comes
-    back as ``(None, 0.0)``.
+    density matrix, a plain array in the order of ``arms`` that `cloner`
+    checks once mixed, plus the squared norm of the kept component (relative
+    success probability). A fully rejected state comes back as ``(None, 0.0)``.
     """
     arms = [str(a) for a in arms]
     for k, arm in enumerate(arms):
@@ -311,7 +311,7 @@ def postselect_coincidence(
                            count=len(members))
         rho[block] += _outer_conj(amps)
     rho /= weight
-    return DensityMatrix(rho, tuple(arms)), weight
+    return rho, weight
 
 
 @functools.lru_cache(maxsize=_TABLE_SIZE)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 
 def _check_unit(name: str, val: float) -> None:
-    """Reject a reflectivity or overlap outside [0, 1], NaN included."""
+    """Reject a reflectivity or overlap outside [0, 1], NaN or a bool."""
+    if isinstance(val, bool):
+        raise ValueError(f"{name} must be a number, got {val}")
     if not 0.0 <= val <= 1.0:
         raise ValueError(f"{name} = {val} outside [0, 1]")
 

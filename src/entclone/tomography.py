@@ -107,7 +107,8 @@ class CountRecord:
                 f"unknown setting ({self.setting_a}, {self.setting_b})")
         # NaN fails every comparison, so `count < 0` alone let it through
         try:
-            valid = (math.isfinite(self.count) and self.count >= 0
+            valid = (not isinstance(self.count, bool)
+                     and math.isfinite(self.count) and self.count >= 0
                      and self.count == int(self.count))
         except OverflowError:  # an int too large for a float
             valid = False
@@ -244,7 +245,7 @@ def sample_counts(rho, n_per_setting: float, seed: int,
     order; deterministic given the seed, which must be an integer. The 36
     Born probabilities are one stacked product, each with the bits
     `born_probability` gives it."""
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"sampling needs an integer seed, got {seed!r}")
     if not (math.isfinite(n_per_setting) and n_per_setting > 0):
         raise ValueError(
@@ -556,7 +557,8 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
     if n_resamples == 1 or n_resamples < 0:
         raise ValueError("n_resamples must be 0 (no error bars) or at least "
                          f"2, got {n_resamples}")
-    if n_resamples and not isinstance(seed, (int, np.integer)):
+    if n_resamples and (isinstance(seed, bool)
+                        or not isinstance(seed, (int, np.integer))):
         raise ValueError(f"resampling needs an integer seed, got {seed!r}")
     counts, exposures = _mle_arrays(records)
     counts = counts[None]

@@ -50,7 +50,7 @@ def scan_case(state: str, n: float,
     dual point, the largest iteration count, the largest gap of a draw that
     did not certify (NaN if all did) and the seeds that did not certify,
     for one state and count."""
-    rho, _ = _named_density(state)
+    rho = _named_density(state)
     rows = np.array([tg._mle_arrays(tg.sample_counts(rho, n, seed=seed))[0]
                      for seed in seeds])
     results = tg._mle_batch(rows, np.ones(36))

@@ -838,6 +838,12 @@ class TestImportGraph:
         assert "entclone.tomography" in loaded
         assert "entclone.paperchecks" not in loaded
 
+    def test_fock_loads_no_qmath(self):
+        # the read-out is a plain matrix: cloner builds the checked state
+        loaded = _modules_loaded("-c", "import entclone.fock")
+        assert "entclone.fock" in loaded
+        assert "entclone.qmath" not in loaded
+
     def test_package_import_loads_no_numpy(self):
         loaded = _modules_loaded("-c", "import entclone")
         assert "entclone" in loaded

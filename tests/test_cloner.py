@@ -13,7 +13,8 @@ from entclone.cloner import (InputSpec, NetworkConfig, fidelity_sweep,
 from entclone.fock import (BeamSplitterSpec, FockState, apply_beamsplitter,
                            dephase_internal, postselect_coincidence)
 from entclone.paperchecks import REFERENCES
-from entclone.qmath import ConsistencyError, DensityMatrix, bell_state
+from entclone.qmath import (ConsistencyError, DensityMatrix, bell_state,
+                            check_density)
 from entclone.tomography import matrix_to_json_dict
 
 PHI = InputSpec.from_name("phi+")
@@ -220,7 +221,7 @@ def unitary_run_physical(config: NetworkConfig) -> cloner.CloneOutcome:
                                               config.overlap_sq):
         out = apply_beamsplitter(apply_beamsplitter(branch, bs1), bs2)
         rho6, weight = postselect_coincidence(out, arms)
-        rho_acc += w * weight * rho6.matrix
+        rho_acc += w * weight * rho6
         total += w * weight
     full = DensityMatrix(rho_acc / total, arms)
     return cloner.CloneOutcome(full.partial_trace(cloner.LOCAL_PAIR),
@@ -359,6 +360,74 @@ class TestZeroWeight:
                             lambda r: np.zeros((4, 4), dtype=complex))
         with pytest.raises(ConsistencyError, match="no weight"):
             run_ideal(NetworkConfig(PHI, 0.3, 0.3))
+
+
+class TestCheckedStates:
+    """A network run checks one six-arm state and its two pairs; the Fock
+    read-outs it mixes are plain arrays, checked through the mixture."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The labels of each `DensityMatrix` built, counted where
+        bench/tracing.py hooks the check."""
+        labels = []
+        check = DensityMatrix.__post_init__
+
+        def counted(self):
+            check(self)
+            labels.append(self.labels)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+        return labels
+
+    @pytest.mark.parametrize("run, overlap_sq", [
+        (run_physical, 1.0), (run_physical, 0.9), (run_ideal, 1.0)],
+        ids=["physical-1", "physical-0.9", "ideal"])
+    def test_one_checked_state_per_run(self, built, run, overlap_sq):
+        run(NetworkConfig(PHI, 0.3, 0.4, overlap_sq))
+        assert built == [cloner._ALL_OUTPUT_ARMS, cloner.LOCAL_PAIR,
+                         cloner.DISTANT_PAIR]
+
+    def test_sweep_checks_three_states_per_point(self, built):
+        fidelity_sweep(PHI, [0.2, 0.5], 0.9)
+        assert len(built) == 6
+
+    def test_hom_visibility_checks_no_state(self, built):
+        assert hom_visibility(1 / 3, 0.9) == pytest.approx(0.72, abs=1e-12)
+        assert built == []
+
+    @pytest.mark.parametrize("name", ["phi+", "psi-", "schmidt:0.3"])
+    def test_branch_readouts_are_states(self, monkeypatch, name):
+        # what a check per branch would have checked
+        readouts = []
+        readout = fock.postselect_coincidence
+
+        def recorded(state, arms):
+            rho, weight = readout(state, arms)
+            readouts.append(rho)
+            return rho, weight
+
+        monkeypatch.setattr(cloner.fock, "postselect_coincidence", recorded)
+        for r1, r2 in ((0.3, 0.4), (0.5, 0.5), (0.0, 1.0)):
+            run_physical(NetworkConfig(InputSpec.from_name(name), r1, r2,
+                                       0.9))
+        assert len(readouts) == 12
+        for rho in readouts:
+            assert np.array_equal(rho, rho.conj().T)
+            check_density(rho)
+
+    def test_non_finite_readout_raises_in_the_mixture(self, monkeypatch):
+        readout = fock.postselect_coincidence
+
+        def poisoned(state, arms):
+            rho, weight = readout(state, arms)
+            rho[0, 1] = math.nan
+            return rho, weight
+
+        monkeypatch.setattr(cloner.fock, "postselect_coincidence", poisoned)
+        for overlap_sq in (1.0, 0.9):
+            with pytest.raises(ValueError, match="non-finite matrix entry"):
+                run_physical(NetworkConfig(PHI, 0.3, 0.4, overlap_sq))
 
 
 class TestHom:
@@ -510,8 +579,9 @@ class TestInputSpec:
             NetworkConfig(PHI, 0.5, 0.5, overlap_sq=1.1)
 
     # every entry point that takes a reflectivity or a squared overlap
-    # rejects it outside [0, 1], NaN included, with one message
-    @pytest.mark.parametrize("value", [math.nan, -0.1, 1.5])
+    # rejects it outside [0, 1], NaN included, with one message, and a
+    # bool, which compares as 0 or 1, with another
+    @pytest.mark.parametrize("value", [math.nan, -0.1, 1.5, True, False])
     @pytest.mark.parametrize("name, call", [
         ("r1", lambda v: NetworkConfig(PHI, v, 0.5)),
         ("r2", lambda v: NetworkConfig(PHI, 0.5, v)),
@@ -531,6 +601,8 @@ class TestInputSpec:
             "fock-beamsplitter", "fock-dephase"])
     def test_unit_range_rejected_by_every_entry_point(self, name, call,
                                                       value):
-        with pytest.raises(ValueError,
-                           match=rf"^{name} = {value} outside \[0, 1\]$"):
+        problem = (f"{name} must be a number, got {value}"
+                   if isinstance(value, bool)
+                   else rf"{name} = {value} outside \[0, 1\]")
+        with pytest.raises(ValueError, match=rf"^{problem}$"):
             call(value)

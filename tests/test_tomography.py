@@ -32,7 +32,7 @@ def mle_golden_text() -> str:
     log-likelihood history and reconstruction, floats in repr form."""
     out = {}
     for state, n, seed in MLE_GOLDEN_CASES:
-        rho, _ = _named_density(state)
+        rho = _named_density(state)
         rec = tg.mle_reconstruct(tg.sample_counts(rho, n, seed=seed))
         out[f"{state} n={n!r} seed={seed}"] = {
             "converged": rec.converged,
@@ -146,7 +146,7 @@ class TestSampleCounts:
     def test_matches_one_setting_at_a_time(self, state):
         # the one draw over all 36 means, against a copy of the loop that
         # drew one setting at a time
-        rho, _ = _named_density(state)
+        rho = _named_density(state)
         for n in (30, 1e3, 1e18):
             for exposure in (1.0, 1.5):
                 if n * exposure > tg.MAX_MEAN_COUNT:
@@ -206,9 +206,12 @@ class TestSampleCounts:
         assert tg.sample_counts(SIGMA.matrix, 1000, seed=4) == \
             tg.sample_counts(SIGMA, 1000, seed=4)
 
-    # None drew from fresh OS entropy, so two calls differed
-    @pytest.mark.parametrize("seed", [None, 2.5, np.random.default_rng(0)],
-                             ids=["none", "float", "generator"])
+    # None drew from fresh OS entropy, so two calls differed; True drew
+    # the counts of seed 1
+    @pytest.mark.parametrize("seed", [None, 2.5, np.random.default_rng(0),
+                                      True, False],
+                             ids=["none", "float", "generator", "true",
+                                  "false"])
     def test_seed_must_be_an_integer(self, seed):
         with pytest.raises(ValueError,
                            match="sampling needs an integer seed, got"):
@@ -278,7 +281,7 @@ class TestMleReconstruct:
         assert rec.converged
         assert rec.iterations == len(rec.log_likelihood_history) - 1 > 1
         assert 0 < rec.certified_gap < tg.CERT_TOL
-        rho, _ = _named_density("schmidt:0.4")
+        rho = _named_density("schmidt:0.4")
         large = tg.mle_reconstruct(tg.sample_counts(rho, 3e10, seed=100))
         assert not large.converged
         assert large.iterations == len(large.log_likelihood_history) - 1 > 1
@@ -299,7 +302,7 @@ class TestMleReconstruct:
         ("phi+", 1e12, False), ("phi+", 1e15, False), ("phi+", 1e18, False)])
     def test_large_counts_converged_only_when_certified(self, state, n,
                                                         converged):
-        rho, _ = _named_density(state)
+        rho = _named_density(state)
         rec = tg.mle_reconstruct(tg.sample_counts(rho, n, seed=7))
         assert rec.converged == converged
         assert (rec.certified_gap < tg.CERT_TOL) == converged
@@ -417,7 +420,7 @@ class TestIterationCount:
     def test_mixed_certified_at_its_start(self):
         # the projected linear inversion of a full-rank state's counts is
         # of full rank, and the dual gap certifies it before any step
-        rho, _ = _named_density("mixed")
+        rho = _named_density("mixed")
         rec = tg.mle_reconstruct(tg.sample_counts(rho, 1e4, seed=2))
         assert (rec.iterations, rec.converged) == (0, True)
         assert rec.certified_gap < tg.CERT_TOL
@@ -754,7 +757,8 @@ class TestMonteCarlo:
         (1, 4, "n_resamples must be 0"), (-1, 4, "n_resamples must be 0"),
         (-5, None, "n_resamples must be 0"),
         (3, None, "integer seed"), (3, 2.0, "integer seed"),
-        (3, "4", "integer seed")])
+        (3, "4", "integer seed"), (3, True, "integer seed"),
+        (3, False, "integer seed")])
     def test_bad_resampling_rejected(self, n_resamples, seed, problem):
         records = tg.sample_counts(SIGMA, 1000, seed=8)
         with pytest.raises(ValueError, match=problem):
@@ -877,7 +881,7 @@ class TestMonteCarloStatistics:
 def _resampled_rows(state, n, seed, size):
     """``size`` Poisson resamples of one simulated data set, as rows of
     counts in the MLE's setting order."""
-    rho, _ = _named_density(state)
+    rho = _named_density(state)
     counts, _ = tg._mle_arrays(tg.sample_counts(rho, n, seed=seed))
     rows = np.random.default_rng(seed).poisson(counts, size=(size, 36))
     assert rows.sum(axis=1).all()
@@ -1202,7 +1206,7 @@ def _point_rows(cases):
     """Counts of each simulated (state, counts per setting, seed) data set,
     in the MLE's setting order."""
     return np.array([tg._mle_arrays(tg.sample_counts(
-        _named_density(state)[0], n, seed=seed))[0]
+        _named_density(state), n, seed=seed))[0]
         for state, n, seed in cases])
 
 
@@ -1437,7 +1441,7 @@ class TestCountRecord:
     # a NaN or infinite count made the MLE return I/4 as converged after
     # 0 iterations, with a NaN log-likelihood
     @pytest.mark.parametrize("count", [
-        float("nan"), float("inf"), float("-inf"), 2.5, -1,
+        float("nan"), float("inf"), float("-inf"), 2.5, -1, True, False,
         # too large for a float: math.isfinite raised OverflowError
         pytest.param(10**400, id="10**400")])
     def test_count_not_a_non_negative_integer_rejected(self, count):
