@@ -9,11 +9,14 @@ with occupations ``n_m`` is ``coeff * sqrt(prod n_m!)``, which is where the
 bosonic bunching factors enter.
 
 The six-photon cloning network post-selects inside its beam splitters
-(`apply_postselected_beamsplitter`), so a branch holds at most 16 monomials
-in, 32 between the splitters and 64 at the read-out, against up to 256 had
-each splitter been expanded as the full unitary. Nothing dense is
-materialized before `postselect_coincidence` reads out the polarization
-as a plain matrix, from which `cloner` builds the checked state.
+(`apply_postselected_beamsplitter`): of a monomial's routes through a
+splitter, only those leaving one photon in each output arm are kept. So a
+branch holds at most 16 monomials in, 32 between the splitters and 64 at
+the read-out, against up to 256 had each splitter's full unitary output
+been formed; that unitary is kept only in the tests, as the reference the
+filtered splitter must match bit for bit. Nothing dense is materialized
+before `postselect_coincidence` reads out the polarization as a plain
+matrix, from which `cloner` builds the checked state.
 
 Neither step's routing depends on R or on a coefficient, so each is built
 once and cached: `_coincidence_table` keyed on the state's monomials in
@@ -29,8 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -112,15 +114,6 @@ class FockState:
     def num_photons(self) -> int:
         return len(next(iter(self.terms))) if self.terms else 0
 
-    def norm_squared(self) -> float:
-        total = 0.0
-        for mono, coeff in self.terms.items():
-            boson = 1.0
-            for n in Counter(mono).values():
-                boson *= math.factorial(n)
-            total += abs(coeff) ** 2 * boson
-        return total
-
     def arms(self) -> set[str]:
         return {m[0] for mono in self.terms for m in mono}
 
@@ -132,38 +125,6 @@ class FockState:
         return FockState(out)
 
 
-def _routing(monos: Iterable[tuple[Mode, ...]], input_arms: tuple[str, str],
-             output_arms: tuple[str, str]
-             ) -> tuple[dict[Mode, tuple], dict[Mode, tuple]]:
-    """Each mode's output (factor slot, mode) pairs through the beam
-    splitter, split into the slots and the modes so that one product over
-    each walks the same combinations. A slot indexes `_factors`: an
-    input-arm mode goes to the first output arm (route 0) or the second
-    (route 1) with the factors t and r in the order its arm gives; a passive
-    mode keeps its arm with the factor 1.0, which is multiplied in like the
-    others so every amplitude is the same product in the same order."""
-    a_in, b_in = input_arms
-    c_out, d_out = output_arms
-    modes = {mode for mono in monos for mode in mono}
-    # a vacuum port is legitimate (single-photon splitting); both ports
-    # empty means the splitter is wired to arms this state does not have
-    if monos and not {a_in, b_in} & {arm for arm, _, _ in modes}:
-        raise KeyError(
-            f"neither input arm of {input_arms} carries a photon")
-
-    slots: dict[Mode, tuple] = {}
-    routes: dict[Mode, tuple] = {}
-    for mode in modes:
-        arm, pol, internal = mode
-        if arm in (a_in, b_in):
-            slots[mode] = (0, 1) if arm == a_in else (1, 0)
-            routes[mode] = ((c_out, pol, internal), (d_out, pol, internal))
-        else:
-            slots[mode] = (2,)
-            routes[mode] = (mode,)
-    return slots, routes
-
-
 def _factors(bs: BeamSplitterSpec) -> tuple:
     """The values of the factor slots: transmitted t = sqrt(1-R),
     reflected r = i sqrt(R) and passive 1.0."""
@@ -171,42 +132,20 @@ def _factors(bs: BeamSplitterSpec) -> tuple:
             1j * math.sqrt(bs.reflectivity), 1.0)
 
 
-def apply_beamsplitter(state: FockState, bs: BeamSplitterSpec) -> FockState:
-    """Rewrite creation operators through the beam splitter.
+def apply_postselected_beamsplitter(state: FockState,
+                                    bs: BeamSplitterSpec) -> FockState:
+    """The beam splitter's output projected onto exactly one photon in
+    each output arm: a partial Bell-state projection.
 
     Arm a: a+ -> sqrt(1-R) c+ + i sqrt(R) d+
     Arm b: b+ -> i sqrt(R) c+ + sqrt(1-R) d+
 
-    with (c, d) the output arms; polarization and internal labels ride along
-    unchanged. Photon number and norm are preserved.
-    """
-    slots, routes = _routing(state.terms, bs.input_arms, bs.output_arms)
-    factor = _factors(bs)
-    factors = {m: tuple(map(factor.__getitem__, s)) for m, s in slots.items()}
-    out: dict[tuple[Mode, ...], complex] = defaultdict(complex)
-    for mono, coeff in state.terms.items():
-        for amps, outs in zip(
-                itertools.product(*[factors[m] for m in mono]),
-                itertools.product(*[routes[m] for m in mono])):
-            amp = functools.reduce(operator.mul, amps, coeff)
-            if abs(amp) > _PRUNE:
-                out[tuple(sorted(outs))] += amp
-    return FockState._from_canonical(out)
-
-
-def apply_postselected_beamsplitter(state: FockState,
-                                    bs: BeamSplitterSpec) -> FockState:
-    """``apply_beamsplitter(state, bs)`` projected onto exactly one photon
-    in each output arm: a partial Bell-state projection.
-
-    No other route is built. An input-arm photon goes to whichever output
-    arm the photons already there leave empty, so a monomial with two
-    input-arm photons and none in (c, d) takes two routes, and one with
-    two bunched in an output arm takes none. The routes come in the order
-    that ``apply_beamsplitter``'s product reaches them, so every kept
-    amplitude is the same product summed in the same order, and the result
-    equals the unitary's output projected, bit for bit. The routes come
-    from `_coincidence_table`, which holds no reflectivity.
+    with (c, d) the output arms; polarization and internal labels ride
+    along unchanged, and a photon in any other arm passes with the factor
+    1.0. Each kept amplitude is the left fold of its route's factors from
+    the coefficient, summed over the routes in ``itertools.product`` order,
+    so the result equals the full unitary's output projected, bit for bit.
+    The routes come from `_coincidence_table`, which holds no reflectivity.
     """
     patterns, table, outs = _coincidence_table(
         tuple(state.terms), bs.input_arms, bs.output_arms)
@@ -229,46 +168,49 @@ def _coincidence_table(monos: tuple[tuple[Mode, ...], ...],
                        ) -> tuple[tuple, tuple, tuple]:
     """The coincidence routes of ``monos`` through the splitter from
     ``input_arms`` to ``output_arms``: the distinct factor-slot patterns;
-    per monomial, in order, its routes in ``itertools.product`` order as
-    (pattern index, output index) pairs; and the distinct sorted output
-    monomials. Patterns and outputs are numbered as the routes first reach
-    them."""
-    slots, routes = _routing(monos, input_arms, output_arms)
+    per monomial, in order, its routes as (pattern index, output index)
+    pairs; and the distinct sorted output monomials. Patterns and outputs
+    are numbered as the routes first reach them.
+
+    A route sends each input-arm photon to the first output arm or the
+    second and keeps every other photon where it is. Each monomial's
+    routes are walked in ``itertools.product`` order, and only those
+    leaving exactly one photon in each output arm are kept. A slot indexes
+    `_factors`: t or r for a moved photon, in the order its arm gives, and
+    1.0 for a passive one.
+    """
+    a_in, b_in = input_arms
     c_out, d_out = output_arms
-    # "move" through the splitter, already sit in an output arm, or neither
-    role = {m: "move" if len(s) == 2 else {c_out: "c", d_out: "d"}.get(m[0])
-            for m, s in slots.items()}
+    modes = {mode for mono in monos for mode in mono}
+    # a vacuum port is legitimate (single-photon splitting); both ports
+    # empty means the splitter is wired to arms this state does not have
+    if monos and not {a_in, b_in} & {arm for arm, _, _ in modes}:
+        raise KeyError(
+            f"neither input arm of {input_arms} carries a photon")
+
+    # each mode's (factor slot, output mode) choices
+    choices: dict[Mode, tuple] = {}
+    for mode in modes:
+        arm, pol, internal = mode
+        if arm in input_arms:
+            slot_c, slot_d = (0, 1) if arm == a_in else (1, 0)
+            choices[mode] = ((slot_c, (c_out, pol, internal)),
+                             (slot_d, (d_out, pol, internal)))
+        else:
+            choices[mode] = ((2, mode),)
     patterns: dict[tuple[int, ...], int] = {}
     outs: dict[tuple[Mode, ...], int] = {}
     table = []
     for mono in monos:
-        mono_slots = list(map(slots.__getitem__, mono))
-        mono_routes = list(map(routes.__getitem__, mono))
         kept = []
-        for pick in _coincidence_picks(tuple(map(role.__getitem__, mono))):
-            pattern = tuple(map(operator.getitem, mono_slots, pick))
-            out = tuple(sorted(map(operator.getitem, mono_routes, pick)))
-            kept.append((patterns.setdefault(pattern, len(patterns)),
-                         outs.setdefault(out, len(outs))))
+        for route in itertools.product(*map(choices.__getitem__, mono)):
+            pattern, out = zip(*route)
+            arms = [arm for arm, _, _ in out]
+            if arms.count(c_out) == arms.count(d_out) == 1:
+                kept.append((patterns.setdefault(pattern, len(patterns)),
+                             outs.setdefault(tuple(sorted(out)), len(outs))))
         table.append(tuple(kept))
     return tuple(patterns), tuple(table), tuple(outs)
-
-
-@functools.cache
-def _coincidence_picks(roles: tuple[str | None, ...]
-                       ) -> tuple[tuple[int, ...], ...]:
-    """The route indices, one per mode of a monomial whose modes play
-    ``roles``, that leave one photon in each output arm, in
-    ``itertools.product`` order. A mover takes route 0 (first output arm)
-    or 1 (second); any other mode has only route 0."""
-    to_c = 1 - roles.count("c")
-    to_d = 1 - roles.count("d")
-    if min(to_c, to_d) < 0 or roles.count("move") != to_c + to_d:
-        return ()
-    return tuple(
-        pick for pick in itertools.product(
-            *[(0, 1) if role == "move" else (0,) for role in roles])
-        if pick.count(1) == to_d)
 
 
 def postselect_coincidence(

@@ -25,6 +25,8 @@ def ideal_hom_visibility(r: float) -> float:
 def fit_overlap(v_measured: float, r: float) -> float:
     """Squared overlap reproducing a measured HOM visibility at given R."""
     _check_unit("reflectivity", r)
+    if isinstance(v_measured, bool):
+        raise ValueError(f"visibility must be a number, got {v_measured}")
     ideal = ideal_hom_visibility(r)
     if ideal == 0.0:
         raise ValueError(f"at R = {r} the visibility is 0 for every overlap, "

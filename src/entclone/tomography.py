@@ -115,6 +115,8 @@ class CountRecord:
         if not valid:
             raise ValueError("count must be a non-negative integer, got "
                              f"{_shown(self.count)}")
+        if isinstance(self.exposure, bool):
+            raise ValueError(f"exposure must be a number, got {self.exposure}")
         try:
             valid = math.isfinite(self.exposure) and self.exposure > 0
         except OverflowError:  # an int too large for a float
@@ -247,6 +249,10 @@ def sample_counts(rho, n_per_setting: float, seed: int,
     `born_probability` gives it."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"sampling needs an integer seed, got {seed!r}")
+    for name, value in (("n_per_setting", n_per_setting),
+                        ("exposure", exposure)):
+        if isinstance(value, bool):
+            raise ValueError(f"{name} must be a number, got {value}")
     if not (math.isfinite(n_per_setting) and n_per_setting > 0):
         raise ValueError(
             f"n_per_setting must be finite and positive, got {n_per_setting}")
@@ -541,10 +547,10 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
     ``CERT_TOL``. ``log_likelihood``, ``iterations`` (accepted steps) and
     ``converged`` are read from the history and the gap.
 
-    ``n_resamples`` is 0 (no error bars, ``monte_carlo`` is None) or at
-    least 2, and resampling needs an integer ``seed``. Resample k draws
-    its 36 counts in one call, in record order, from child k of
-    ``SeedSequence(seed).spawn(n_resamples)``. The observed counts and the
+    ``n_resamples`` is an integer, 0 (no error bars, ``monte_carlo`` is
+    None) or at least 2, and resampling needs an integer ``seed``.
+    Resample k draws its 36 counts in one call, in record order, from
+    child k of ``SeedSequence(seed).spawn(n_resamples)``. The observed counts and the
     resamples are reconstructed as the rows of one `_mle_batch` stack, the
     observed counts as row 0; a row has the same bits in any stack, so
     every field but ``monte_carlo`` is the same with or without resamples.
@@ -554,7 +560,9 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
     has the bits the statistic gives that resample alone; 'trace_distance'
     and 'uhlmann_fidelity' compare each resample with the point estimate.
     """
-    if n_resamples == 1 or n_resamples < 0:
+    if isinstance(n_resamples, bool) or \
+            not isinstance(n_resamples, (int, np.integer)) or \
+            n_resamples == 1 or n_resamples < 0:
         raise ValueError("n_resamples must be 0 (no error bars) or at least "
                          f"2, got {n_resamples}")
     if n_resamples and (isinstance(seed, bool)

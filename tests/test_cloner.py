@@ -10,12 +10,13 @@ from entclone import cloner, fock, metrics
 from entclone.cloner import (InputSpec, NetworkConfig, fidelity_sweep,
                              fit_overlap, hom_visibility,
                              postselection_operator, run_ideal, run_physical)
-from entclone.fock import (BeamSplitterSpec, FockState, apply_beamsplitter,
-                           dephase_internal, postselect_coincidence)
+from entclone.fock import (BeamSplitterSpec, FockState, dephase_internal,
+                           postselect_coincidence)
 from entclone.paperchecks import REFERENCES
 from entclone.qmath import (ConsistencyError, DensityMatrix, bell_state,
                             check_density)
 from entclone.tomography import matrix_to_json_dict
+from fock_reference import apply_beamsplitter
 
 PHI = InputSpec.from_name("phi+")
 PSI = InputSpec.from_name("psi+")
@@ -451,13 +452,16 @@ class TestHom:
             fit_overlap(0.9, 1 / 3)
 
     # at R = 0 or 1 (or so close that it rounds there) every overlap gives
-    # visibility 0, so none fits; 0.0 came back
+    # visibility 0, so none fits; 0.0 came back. At R = 1/2 a visibility of
+    # True fitted 1.0 and False 0.0
     @pytest.mark.parametrize("v, r", [
         (float("nan"), 1 / 3), (0.5, float("nan")), (0.5, -0.1), (0.5, 1.5),
-        (0.0, 0.0), (0.0, 1.0), (0.0, 1e-300),
+        (0.0, 0.0), (0.0, 1.0), (0.0, 1e-300), (True, 0.5), (False, 0.5),
     ])
     def test_fit_rejects_nan_and_out_of_range(self, v, r):
-        with pytest.raises(ValueError):
+        problem = (f"^visibility must be a number, got {v}$"
+                   if isinstance(v, bool) else None)
+        with pytest.raises(ValueError, match=problem):
             fit_overlap(v, r)
 
     def test_disagreeing_forms_raise_typed_error(self, monkeypatch):

@@ -3,12 +3,13 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from entclone import fock
-from entclone.fock import BeamSplitterSpec, FockState, apply_beamsplitter, \
+from entclone.fock import BeamSplitterSpec, FockState, \
     apply_postselected_beamsplitter, dephase_internal, postselect_coincidence
 from entclone.qmath import check_density
+from fock_reference import apply_beamsplitter, norm_squared
 
 
 def one_photon(arm, pol="H", internal=0):
@@ -57,17 +58,17 @@ class TestBeamSplitter:
             (("a", "V", 0), ("b", "H", 0)): amps[2],
             (("a", "V", 1), ("b", "V", 0)): amps[3],
         })
-        assert st.norm_squared() == pytest.approx(1.0)
+        assert norm_squared(st) == pytest.approx(1.0)
         for r in (0.0, 0.25, 0.5, 1 / 3, 0.9, 1.0):
             out = apply_beamsplitter(st, BeamSplitterSpec(("a", "b"), ("c", "d"), r))
-            assert out.norm_squared() == pytest.approx(1.0, abs=1e-12)
+            assert norm_squared(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_photon_number_conserved_through_cascade(self):
         st = FockState.from_photons([("a", "H", 0), ("b", "V", 0), ("e", "H", 0)])
         out = apply_beamsplitter(st, BeamSplitterSpec(("a", "b"), ("c", "d"), 0.3))
         out = apply_beamsplitter(out, BeamSplitterSpec(("c", "e"), ("f", "g"), 0.6))
         assert out.num_photons() == 3
-        assert out.norm_squared() == pytest.approx(1.0, abs=1e-12)
+        assert norm_squared(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_double_application_not_identity_but_r0_is(self):
         st = one_photon("a")
@@ -83,7 +84,7 @@ class TestBeamSplitter:
         # each with probability 1/2, which needs the sqrt(n!) factors
         st = FockState.from_photons([("a", "H", 0), ("b", "H", 0)])
         out = apply_beamsplitter(st, BeamSplitterSpec(("a", "b"), ("c", "d"), 0.5))
-        assert out.norm_squared() == pytest.approx(1.0, abs=1e-12)
+        assert norm_squared(out) == pytest.approx(1.0, abs=1e-12)
         both_c = out.terms[(("c", "H", 0), ("c", "H", 0))]
         # |coeff|^2 * 2! = 1/2
         assert abs(both_c) ** 2 * 2 == pytest.approx(0.5, abs=1e-12)
@@ -140,6 +141,18 @@ def fock_states(draw):
 
 
 class TestPostselectedBeamSplitter:
+    # a passive photon already in c and a mover, which must go to d
+    @example(state=FockState({(("a", "H", 0), ("c", "V", 1)): 0.6 - 0.8j}),
+             r=0.3)
+    # photons already in c and d and a mover: no route keeps both singles
+    @example(state=FockState({(("a", "H", 0), ("c", "H", 0), ("d", "V", 2)):
+                              0.5j}), r=0.3)
+    # two movers bunched in one input arm take both routes to one monomial
+    @example(state=FockState({(("b", "V", 1), ("b", "V", 1)): -0.7}), r=0.4)
+    # photons in c and d and no mover pass as they are, beside a monomial
+    # whose movers split
+    @example(state=FockState({(("c", "H", 0), ("d", "V", 0)): 0.8,
+                              (("a", "V", 0), ("b", "H", 0)): -0.6j}), r=0.3)
     @given(state=fock_states(), r=REFLECTIVITIES)
     def test_equals_projected_unitary_bits(self, state, r):
         bs = BeamSplitterSpec(("a", "b"), ("c", "d"), r)

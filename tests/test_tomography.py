@@ -164,10 +164,13 @@ class TestSampleCounts:
         with pytest.raises(ValueError):
             tg.sample_counts(SIGMA, 0, seed=1)
 
+    # True drew 11 counts at n = 1
     @pytest.mark.parametrize("n", [float("nan"), float("inf"), -float("inf"),
-                                   0.0, -5.0])
+                                   0.0, -5.0, True, False])
     def test_non_finite_or_non_positive_n_rejected(self, n):
-        with pytest.raises(ValueError, match="n_per_setting must be finite"):
+        problem = (f"n_per_setting must be a number, got {n}$"
+                   if isinstance(n, bool) else "n_per_setting must be finite")
+        with pytest.raises(ValueError, match=problem):
             tg.sample_counts(SIGMA, n, seed=1)
 
     def test_mean_count_too_large_rejected(self):
@@ -178,11 +181,15 @@ class TestSampleCounts:
                 tg.sample_counts(SIGMA, n, seed=1, exposure=exposure)
         assert len(tg.sample_counts(SIGMA, 1e18, seed=1)) == 36
 
-    # NaN and negative exposures failed inside numpy's Poisson sampler
+    # NaN and negative exposures failed inside numpy's Poisson sampler, and
+    # True was kept as each record's exposure
     @pytest.mark.parametrize("exposure", [float("nan"), float("inf"), 0.0,
-                                          -1.0])
+                                          -1.0, True, False])
     def test_bad_exposure_rejected(self, exposure):
-        with pytest.raises(ValueError, match="exposure must be finite"):
+        problem = (f"exposure must be a number, got {exposure}$"
+                   if isinstance(exposure, bool)
+                   else "exposure must be finite")
+        with pytest.raises(ValueError, match=problem):
             tg.sample_counts(SIGMA, 100.0, seed=1, exposure=exposure)
 
     # a plain array was drawn from unchecked: np.eye(4) gave 36 102 counts
@@ -752,13 +759,19 @@ class TestMonteCarlo:
         records = tg.sample_counts(SIGMA, 1000, seed=8)
         assert tg.mle_reconstruct(records).monte_carlo is None
         assert tg.mle_reconstruct(records, 0, seed=3).monte_carlo is None
+        assert tg.mle_reconstruct(records, np.int64(0)).monte_carlo is None
 
     @pytest.mark.parametrize("n_resamples, seed, problem", [
         (1, 4, "n_resamples must be 0"), (-1, 4, "n_resamples must be 0"),
         (-5, None, "n_resamples must be 0"),
         (3, None, "integer seed"), (3, 2.0, "integer seed"),
         (3, "4", "integer seed"), (3, True, "integer seed"),
-        (3, False, "integer seed")])
+        (3, False, "integer seed"),
+        # SeedSequence.spawn raised a TypeError for these
+        (2.5, 4, "n_resamples must be 0"), (3.0, 4, "n_resamples must be 0"),
+        (float("nan"), 4, "n_resamples must be 0"),
+        # ran without error bars
+        (False, 4, "n_resamples must be 0")])
     def test_bad_resampling_rejected(self, n_resamples, seed, problem):
         records = tg.sample_counts(SIGMA, 1000, seed=8)
         with pytest.raises(ValueError, match=problem):
@@ -1431,11 +1444,13 @@ class TestCountRecord:
     @pytest.mark.parametrize("exposure", [
         float("nan"), float("inf"),
         # too large for a float: math.isfinite raised OverflowError
-        pytest.param(10**400, id="10**400")])
+        pytest.param(10**400, id="10**400"), True, False])
     def test_non_finite_exposure_rejected(self, exposure):
         # a NaN exposure would reach the MLE and come back as a converged
-        # reconstruction of plausible fidelity
-        with pytest.raises(ValueError, match="finite and positive"):
+        # reconstruction of plausible fidelity; True was kept as it was
+        problem = (f"exposure must be a number, got {exposure}$"
+                   if isinstance(exposure, bool) else "finite and positive")
+        with pytest.raises(ValueError, match=problem):
             tg.CountRecord("H", "H", 5, exposure=exposure)
 
     # a NaN or infinite count made the MLE return I/4 as converged after
