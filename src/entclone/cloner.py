@@ -23,7 +23,8 @@ from . import fock, metrics
 from .fock import BeamSplitterSpec, FockState
 # re-exported: callers read the HOM calibration through this module, and
 # `hom_visibility` looks up `ideal_hom_visibility` in this namespace
-from .hom import _check_unit, fit_overlap, ideal_hom_visibility  # noqa: F401
+from .hom import (_check_unit, _finite, _is_integer, _shown,  # noqa: F401
+                  fit_overlap, ideal_hom_visibility)
 from .qmath import (ConsistencyError, DensityMatrix, InputSpec, PureState,
                     bell_state, named_density)
 
@@ -215,25 +216,26 @@ def fidelity_sweep(input_spec: InputSpec, r_grid, overlap_sq: float,
     Returns a list of (R, F_local, F_distant, success_weight), fidelities
     measured against the pure input state. The input state and its
     distinguishability branches are built once; the points run serially.
-    ``workers`` must be an int of at least 1 but starts no process.
+    ``workers`` must be an integer of at least 1 but starts no process.
     """
     # by type first: nan < 1 is False, and 1.5 is no count
-    if isinstance(workers, bool) or not isinstance(workers, int) \
-            or workers < 1:
-        raise ValueError(f"worker count must be at least 1, got {workers}")
+    if not (_is_integer(workers) and _finite(workers) and workers >= 1):
+        raise ValueError(
+            f"worker count must be at least 1, got {_shown(workers)}")
     # checked before the grid, so an empty grid rejects what a full one does
     _check_unit("overlap_sq", overlap_sq)
     target = input_spec.state()
-    configs = [NetworkConfig(input_spec, float(r), float(r), overlap_sq)
-               for r in r_grid]
-    if not configs:
+    # checked before float(), which takes a bool or a numeric string
+    grid = [float(NetworkConfig(input_spec, r, r, overlap_sq).r1)
+            for r in r_grid]
+    if not grid:
         return []
     branches = _network_branches(input_spec, overlap_sq)
     rows = []
-    for config in configs:
-        out = _run_branches(branches, config.r1, config.r2)
+    for r in grid:
+        out = _run_branches(branches, r, r)
         rows.append((
-            config.r1,
+            r,
             metrics.fidelity_to_pure(out.rho_local, target),
             metrics.fidelity_to_pure(out.rho_distant, target),
             out.success_weight,

@@ -86,7 +86,7 @@ def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("herm_eig requires a Hermitian matrix")
     vals, vecs = np.linalg.eigh(m)
     # eigh returns the eigenvalues ascending; the reversed views are copied
-    # so that callers get contiguous arrays, as the old index gather did
+    # so that callers get contiguous arrays
     return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 

@@ -41,15 +41,17 @@ reproducible for a seed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics
+from .hom import (_check_positive, _finite, _is_integer, _is_number,
+                  _shown)
 from .qmath import DensityMatrix, check_density
 
 PROJECTOR_LETTERS = ("H", "V", "D", "A", "L", "R")
@@ -80,17 +82,14 @@ CERT_TOL = 0.1
 CERTIFIABLE_MEAN_COUNT = CERT_TOL / (36 * np.finfo(float).eps)
 # the largest mean count sample_counts draws: numpy's Poisson sampler refuses
 # means above about 9.2e18, and with every Born probability at most 1 the
-# mean counts stay under n_per_setting * exposure
+# mean counts stay under n_per_setting
 MAX_MEAN_COUNT = 1e18
 
 
-def _shown(value) -> str:
-    """``value`` for an error message: an int too long to print, as Python
-    refuses to for more than 4300 digits, by its size instead."""
-    if isinstance(value, int) and value.bit_length() > 1000:
-        sign = "a negative" if value < 0 else "an"
-        return f"{sign} int of {value.bit_length()} bits"
-    return str(value)
+def _check_setting(setting_a: str, setting_b: str) -> None:
+    if setting_a not in PROJECTOR_LETTERS or \
+            setting_b not in PROJECTOR_LETTERS:
+        raise ValueError(f"unknown setting ({setting_a}, {setting_b})")
 
 
 @dataclass(frozen=True)
@@ -101,29 +100,15 @@ class CountRecord:
     exposure: float = 1.0
 
     def __post_init__(self):
-        if self.setting_a not in PROJECTOR_LETTERS or \
-                self.setting_b not in PROJECTOR_LETTERS:
-            raise ValueError(
-                f"unknown setting ({self.setting_a}, {self.setting_b})")
+        _check_setting(self.setting_a, self.setting_b)
         # NaN fails every comparison, so `count < 0` alone let it through
-        try:
-            valid = (not isinstance(self.count, bool)
-                     and math.isfinite(self.count) and self.count >= 0
-                     and self.count == int(self.count))
-        except OverflowError:  # an int too large for a float
-            valid = False
-        if not valid:
+        if not (_is_number(self.count) and _finite(self.count)
+                and self.count >= 0 and self.count == int(self.count)):
             raise ValueError("count must be a non-negative integer, got "
                              f"{_shown(self.count)}")
-        if isinstance(self.exposure, bool):
-            raise ValueError(f"exposure must be a number, got {self.exposure}")
-        try:
-            valid = math.isfinite(self.exposure) and self.exposure > 0
-        except OverflowError:  # an int too large for a float
-            valid = False
-        if not valid:
-            raise ValueError("exposure must be finite and positive, got "
-                             f"{_shown(self.exposure)}")
+        _check_positive("exposure", self.exposure)
+        # a float, so that the counts CSV writes it as one
+        object.__setattr__(self, "exposure", float(self.exposure))
 
 
 @dataclass(frozen=True)
@@ -163,6 +148,7 @@ class TomographyRecord:
 
 
 def setting_projector(setting_a: str, setting_b: str) -> np.ndarray:
+    _check_setting(setting_a, setting_b)
     ka, kb = _KETS[setting_a], _KETS[setting_b]
     k = np.kron(ka, kb)
     return np.outer(k, np.conj(k))
@@ -238,35 +224,24 @@ def _born(rho, projectors: np.ndarray) -> np.ndarray:
 
 def born_probability(rho, setting_a: str, setting_b: str) -> float:
     """Tr[rho (Pi_a x Pi_b)] for single-photon projectors a, b."""
+    _check_setting(setting_a, setting_b)
     return float(_born(rho, _PROJECTORS[setting_a, setting_b]))
 
 
-def sample_counts(rho, n_per_setting: float, seed: int,
-                  exposure: float = 1.0) -> list[CountRecord]:
-    """Poisson counts for all 36 settings, drawn in one call in ``SETTINGS``
-    order; deterministic given the seed, which must be an integer. The 36
-    Born probabilities are one stacked product, each with the bits
-    `born_probability` gives it."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+def sample_counts(rho, n_per_setting: float, seed: int) -> list[CountRecord]:
+    """Poisson counts for all 36 settings at unit exposure, drawn in one call
+    in ``SETTINGS`` order; deterministic given the seed, which must be an
+    integer. The 36 Born probabilities are one stacked product, each with
+    the bits `born_probability` gives it."""
+    if not _is_integer(seed):
         raise ValueError(f"sampling needs an integer seed, got {seed!r}")
-    for name, value in (("n_per_setting", n_per_setting),
-                        ("exposure", exposure)):
-        if isinstance(value, bool):
-            raise ValueError(f"{name} must be a number, got {value}")
-    if not (math.isfinite(n_per_setting) and n_per_setting > 0):
-        raise ValueError(
-            f"n_per_setting must be finite and positive, got {n_per_setting}")
-    if not (math.isfinite(exposure) and exposure > 0):
-        raise ValueError(
-            f"exposure must be finite and positive, got {exposure}")
-    if n_per_setting * exposure > MAX_MEAN_COUNT:
-        raise ValueError(
-            f"n_per_setting * exposure must be at most {MAX_MEAN_COUNT:g}, "
-            f"got {n_per_setting} * {exposure}")
-    mus = n_per_setting * exposure * _born(rho, _SETTING_PROJECTORS)
+    _check_positive("n_per_setting", n_per_setting)
+    if n_per_setting > MAX_MEAN_COUNT:
+        raise ValueError(f"n_per_setting must be at most {MAX_MEAN_COUNT:g}, "
+                         f"got {n_per_setting}")
+    mus = n_per_setting * _born(rho, _SETTING_PROJECTORS)
     drawn = np.random.default_rng(seed).poisson(mus).tolist()
-    return [CountRecord(a, b, n, exposure)
-            for (a, b), n in zip(SETTINGS, drawn)]
+    return [CountRecord(a, b, n) for (a, b), n in zip(SETTINGS, drawn)]
 
 
 def _require_each_setting_once(records: list[CountRecord]) -> None:
@@ -560,13 +535,11 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
     has the bits the statistic gives that resample alone; 'trace_distance'
     and 'uhlmann_fidelity' compare each resample with the point estimate.
     """
-    if isinstance(n_resamples, bool) or \
-            not isinstance(n_resamples, (int, np.integer)) or \
-            n_resamples == 1 or n_resamples < 0:
+    if not (_is_integer(n_resamples) and _finite(n_resamples)
+            and (n_resamples == 0 or n_resamples >= 2)):
         raise ValueError("n_resamples must be 0 (no error bars) or at least "
-                         f"2, got {n_resamples}")
-    if n_resamples and (isinstance(seed, bool)
-                        or not isinstance(seed, (int, np.integer))):
+                         f"2, got {_shown(n_resamples)}")
+    if n_resamples and not _is_integer(seed):
         raise ValueError(f"resampling needs an integer seed, got {seed!r}")
     counts, exposures = _mle_arrays(records)
     counts = counts[None]
@@ -731,8 +704,7 @@ def counts_to_csv(records: list[CountRecord], path) -> None:
         for r in records:
             # CountRecord holds an integral float count as given, and the
             # reader takes integer literals only
-            w.writerow([r.setting_a, r.setting_b, int(r.count),
-                        repr(r.exposure)])
+            w.writerow([r.setting_a, r.setting_b, int(r.count), r.exposure])
 
 
 def counts_from_csv(path) -> list[CountRecord]:
@@ -749,18 +721,13 @@ def counts_from_csv(path) -> list[CountRecord]:
                 raise ValueError(
                     f"counts CSV line {reader.line_num} does not have the "
                     f"{len(CSV_HEADER)} fields {CSV_HEADER}")
-            try:
-                count = int(row["count"])
-            except ValueError:
-                raise ValueError(
-                    f"counts CSV line {reader.line_num}: count must be a "
-                    f"non-negative integer, got {row['count']!r}") from None
-            try:
-                exposure = float(row["exposure"])
-            except ValueError:
-                raise ValueError(
-                    f"counts CSV line {reader.line_num}: exposure must be a "
-                    f"number, got {row['exposure']!r}") from None
+            # a field that does not parse stays text, which CountRecord
+            # rejects as no number
+            count, exposure = row["count"], row["exposure"]
+            with contextlib.suppress(ValueError):
+                count = int(count)
+            with contextlib.suppress(ValueError):
+                exposure = float(exposure)
             try:
                 records.append(CountRecord(row["setting_a"], row["setting_b"],
                                            count, exposure))
