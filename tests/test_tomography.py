@@ -187,6 +187,19 @@ class TestSampleCounts:
             tg.sample_counts(SIGMA, 1e20, seed=1)
         assert len(tg.sample_counts(SIGMA, 1e18, seed=1)) == 36
 
+    # NaN and negative exposures failed inside numpy's Poisson sampler, and
+    # True was kept as each record's exposure. Drawn records get another
+    # exposure by `dataclasses.replace`, which checks it again.
+    @pytest.mark.parametrize("exposure", [float("nan"), float("inf"), 0.0,
+                                          -1.0, True, False])
+    def test_bad_exposure_rejected(self, exposure):
+        problem = (f"exposure must be a number, got {exposure}$"
+                   if isinstance(exposure, bool)
+                   else "exposure must be finite")
+        for record in tg.sample_counts(SIGMA, 100.0, seed=1):
+            with pytest.raises(ValueError, match=problem):
+                dataclasses.replace(record, exposure=exposure)
+
     # a plain array was drawn from unchecked: np.eye(4) gave 36 102 counts
     # and a non-PSD one failed inside numpy's Poisson sampler
     @pytest.mark.parametrize("bad", [
@@ -1453,7 +1466,7 @@ class TestCountRecord:
     @pytest.mark.parametrize("exposure", [
         float("nan"), float("inf"),
         # too large for a float: math.isfinite raised OverflowError
-        pytest.param(10**400, id="10**400"), True, False, 0.0, -1.0])
+        pytest.param(10**400, id="10**400"), True, False])
     def test_non_finite_exposure_rejected(self, exposure):
         # a NaN exposure would reach the MLE and come back as a converged
         # reconstruction of plausible fidelity; True was kept as it was
