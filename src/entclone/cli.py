@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``clone``, ``sweep``, ``tomo``, ``hom``, ``paper``. Global
-flags: ``--seed`` (falls back to the ECLONE_SEED environment variable),
-``--out``, ``--format {csv,json}`` (default: text for ``paper``, JSON for
-``tomo``, CSV otherwise), ``--threads``. All file outputs are
+flags: ``--seed`` (default 0), ``--out``, ``--format {csv,json}`` (default:
+text for ``paper``, JSON for ``tomo``, CSV otherwise), ``--threads``. Every
+output depends only on the command line and the files it names, and is
 bit-reproducible for a fixed seed. Angles (schmidt:<theta>) are in radians.
 
 Each handler imports the modules it runs, so a process loads only what its
@@ -29,19 +29,6 @@ if TYPE_CHECKING:
 
 class CliError(Exception):
     pass
-
-
-def _default_seed() -> int:
-    env = os.environ.get("ECLONE_SEED")
-    if not env:
-        return 0
-    try:
-        seed = int(env)
-    except ValueError:
-        raise CliError(f"ECLONE_SEED must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise CliError(f"ECLONE_SEED must be non-negative, got {env!r}")
-    return seed
 
 
 def _named_density(name: str) -> DensityMatrix:
@@ -275,9 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="entclone",
         description="Entanglement broadcasting network simulator")
-    p.add_argument("--seed", type=int, default=None,
-                   help="root RNG seed, non-negative (default: ECLONE_SEED "
-                        "env var or 0)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="root RNG seed, non-negative (default: 0)")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=None,
                    help="default: text for paper, json for tomo, "
@@ -308,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mean counts per setting")
     t.add_argument("--resamples", type=int, default=0,
                    help="Monte Carlo resamples for error bars "
-                        "(0 for none, else at least 2)")
+                        "(0 for none, else from 2 to 100000, "
+                        "tomography.MAX_RESAMPLES)")
 
     h = sub.add_parser("hom", help="Hong-Ou-Mandel visibility / overlap fit")
     h.add_argument("--r", type=float, required=True)
@@ -332,9 +319,7 @@ def main(argv=None) -> int:
     if args.format is None:
         args.format = _DEFAULT_FORMAT.get(args.command, "csv")
     try:
-        if args.seed is None:
-            args.seed = _default_seed()
-        elif args.seed < 0:
+        if args.seed < 0:
             raise CliError(f"--seed must be non-negative, got {args.seed}")
         if args.threads < 1:
             raise CliError(f"--threads must be at least 1, got {args.threads}")

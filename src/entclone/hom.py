@@ -72,6 +72,7 @@ def _check_positive(name: str, value: float) -> None:
 
 def ideal_hom_visibility(r: float) -> float:
     """Closed-form HOM visibility 1 - (1-2R)^2 / (R^2 + (1-R)^2)."""
+    _check_unit("reflectivity", r)
     return 1.0 - (1.0 - 2.0 * r) ** 2 / (r**2 + (1.0 - r) ** 2)
 
 

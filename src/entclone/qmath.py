@@ -43,7 +43,6 @@ NORM_TOL = 1e-12       # |psi|^2 of a pure state may differ from 1 this much
 # absorbs the Cholesky factorization's rounding
 CHOLESKY_SHIFT = 0.999 * EIG_CLAMP
 
-I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)

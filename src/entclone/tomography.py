@@ -84,6 +84,9 @@ CERTIFIABLE_MEAN_COUNT = CERT_TOL / (36 * np.finfo(float).eps)
 # means above about 9.2e18, and with every Born probability at most 1 the
 # mean counts stay under n_per_setting
 MAX_MEAN_COUNT = 1e18
+# the most resamples mle_reconstruct runs: its one stack takes about 9 KB
+# and 0.1 ms a resample, so a run stays near 0.9 GB and 11 s
+MAX_RESAMPLES = 100_000
 
 
 def _check_setting(setting_a: str, setting_b: str) -> None:
@@ -228,13 +231,20 @@ def born_probability(rho, setting_a: str, setting_b: str) -> float:
     return float(_born(rho, _PROJECTORS[setting_a, setting_b]))
 
 
+def _check_seed(use: str, seed) -> None:
+    if not _is_integer(seed):
+        raise ValueError(f"{use} needs an integer seed, got {seed!r}")
+    if seed < 0:
+        raise ValueError(
+            f"{use} needs a non-negative seed, got {_shown(seed)}")
+
+
 def sample_counts(rho, n_per_setting: float, seed: int) -> list[CountRecord]:
     """Poisson counts for all 36 settings at unit exposure, drawn in one call
-    in ``SETTINGS`` order; deterministic given the seed, which must be an
-    integer. The 36 Born probabilities are one stacked product, each with
-    the bits `born_probability` gives it."""
-    if not _is_integer(seed):
-        raise ValueError(f"sampling needs an integer seed, got {seed!r}")
+    in ``SETTINGS`` order; deterministic given the seed, which must be a
+    non-negative integer. The 36 Born probabilities are one stacked
+    product, each with the bits `born_probability` gives it."""
+    _check_seed("sampling", seed)
     _check_positive("n_per_setting", n_per_setting)
     if n_per_setting > MAX_MEAN_COUNT:
         raise ValueError(f"n_per_setting must be at most {MAX_MEAN_COUNT:g}, "
@@ -523,7 +533,8 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
     ``converged`` are read from the history and the gap.
 
     ``n_resamples`` is an integer, 0 (no error bars, ``monte_carlo`` is
-    None) or at least 2, and resampling needs an integer ``seed``.
+    None) or from 2 to ``MAX_RESAMPLES``, and resampling needs a
+    non-negative integer ``seed``.
     Resample k draws its 36 counts in one call, in record order, from
     child k of ``SeedSequence(seed).spawn(n_resamples)``. The observed counts and the
     resamples are reconstructed as the rows of one `_mle_batch` stack, the
@@ -539,8 +550,11 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
             and (n_resamples == 0 or n_resamples >= 2)):
         raise ValueError("n_resamples must be 0 (no error bars) or at least "
                          f"2, got {_shown(n_resamples)}")
-    if n_resamples and not _is_integer(seed):
-        raise ValueError(f"resampling needs an integer seed, got {seed!r}")
+    if n_resamples > MAX_RESAMPLES:
+        raise ValueError(f"n_resamples must be at most {MAX_RESAMPLES}, "
+                         f"got {n_resamples}")
+    if n_resamples:
+        _check_seed("resampling", seed)
     counts, exposures = _mle_arrays(records)
     counts = counts[None]
     if n_resamples:

@@ -50,3 +50,17 @@ def random_unitary(rng, dim):
 def rng():
     return np.random.default_rng(20240824)
 
+
+@pytest.fixture
+def no_spawn(monkeypatch):
+    """numpy's SeedSequence replaced by one whose ``spawn`` fails the test
+    at once, so that a resample count let through fails instead of
+    spawning seeds for days."""
+    class NoSpawn:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def spawn(self, n_children):
+            pytest.fail(f"spawned {n_children} seeds")
+
+    monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)

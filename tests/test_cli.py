@@ -282,36 +282,6 @@ class TestTomo:
             assert code == 0
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ECLONE_SEED", "23")
-        code, out = run_cli("--format", "json", "tomo", "--state", "mixed",
-                            "--n", "500", capsys=capsys)
-        assert code == 0
-        assert json.loads(out.out)["seed"] == 23
-
-    def test_bad_env_seed_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("ECLONE_SEED", "abc")
-        code, out = run_cli("paper", capsys=capsys)
-        assert code == 1
-        assert out.out == ""
-        assert out.err == ("entclone: error: ECLONE_SEED must be an integer, "
-                           "got 'abc'\n")
-
-    def test_negative_env_seed_rejected(self, capsys, monkeypatch):
-        # numpy used to reject it deep inside sampling, naming no input
-        monkeypatch.setenv("ECLONE_SEED", "-5")
-        code, out = run_cli("tomo", "--state", "sigma", capsys=capsys)
-        assert code == 1
-        assert out.out == ""
-        assert out.err == ("entclone: error: ECLONE_SEED must be "
-                           "non-negative, got '-5'\n")
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ECLONE_SEED", "23")
-        code, out = run_cli("--seed", "5", "--format", "json", "tomo",
-                            "--state", "mixed", "--n", "500", capsys=capsys)
-        assert json.loads(out.out)["seed"] == 5
-
     def test_matrix_file_round_trip(self, tmp_path, capsys):
         # export sigma, feed the file back in as the target state
         path = tmp_path / "sigma.json"
@@ -582,6 +552,14 @@ class TestTomo:
         assert out.err == ("entclone: error: --n must be finite, positive "
                            "and at most 1e+18, got 1e+20\n")
 
+    def test_too_many_resamples_rejected(self, capsys, no_spawn):
+        code, out = run_cli("tomo", "--state", "mixed", "--n", "500",
+                            "--resamples", "1000000000000", capsys=capsys)
+        assert code == 1
+        assert out.out == ""
+        assert out.err == ("entclone: error: n_resamples must be at most "
+                           "100000, got 1000000000000\n")
+
     def test_zero_resamples_means_no_error_bars(self, capsys):
         code, out = run_cli("tomo", "--state", "mixed", "--n", "500",
                             "--resamples", "0", capsys=capsys)
@@ -719,10 +697,8 @@ class TestGlobalFlags:
         assert out.err == ("entclone: error: --seed must be non-negative, "
                            "got -1\n")
 
-    def test_calls_in_one_process_match_separate_processes(self, capsys,
-                                                            monkeypatch):
+    def test_calls_in_one_process_match_separate_processes(self, capsys):
         # one parser serves every call of `main` in a process
-        monkeypatch.delenv("ECLONE_SEED", raising=False)
         commands = [["--format", "json", "hom", "--r", "0.3"],
                     ["sweep", "--input", "psi-", "--steps", "3"],
                     ["--seed", "2", "tomo", "--state", "mixed", "--n", "500"],
@@ -737,6 +713,16 @@ class TestGlobalFlags:
             assert (code, out.out, out.err) == \
                 (alone.returncode, alone.stdout, alone.stderr)
 
+    # the seed came from the ECLONE_SEED environment variable when --seed
+    # was absent, and the paper table printed it nowhere
+    def test_environment_leaves_the_output(self, capsys, monkeypatch):
+        commands = [["paper"], ["--format", "json", "tomo", "--state",
+                                "mixed", "--n", "500"]]
+        plain = [run_cli(*argv, capsys=capsys) for argv in commands]
+        monkeypatch.setenv("ECLONE_SEED", "23")
+        for argv, (code, out) in zip(commands, plain):
+            assert run_cli(*argv, capsys=capsys) == (code, out)
+        assert json.loads(plain[1][1].out)["seed"] == 0
 
     def test_handler_looked_up_per_call(self, capsys, monkeypatch):
         # a wrapper installed after the first call still runs
@@ -782,7 +768,7 @@ class TestStateNameHelp:
 
 def _fresh_python(*args) -> subprocess.CompletedProcess:
     """``python ARGS`` in a fresh interpreter importing this entclone."""
-    env = {k: v for k, v in os.environ.items() if k != "ECLONE_SEED"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(entclone.__file__).parents[1])
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -891,3 +877,21 @@ def test_no_module_imports_beyond_numpy():
     banned = {"scipy", "sympy", "mpmath", "hypothesis"}
     for module, name in _absolute_imports():
         assert name.split(".")[0] not in banned, f"{module} imports {name}"
+
+
+def test_no_module_reads_the_environment():
+    # an output depends only on the command line and the files it names;
+    # the seed fell back to the ECLONE_SEED environment variable
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(Path(entclone.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}"
+                      for name in names if name in reads]
+    assert found == []

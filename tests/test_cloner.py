@@ -9,7 +9,8 @@ from hypothesis import assume, example, given, strategies as st
 from entclone import cloner, fock, metrics
 from entclone.cloner import (InputSpec, NetworkConfig, fidelity_sweep,
                              fit_overlap, hom_visibility,
-                             postselection_operator, run_ideal, run_physical)
+                             ideal_hom_visibility, postselection_operator,
+                             run_ideal, run_physical)
 from entclone.fock import (BeamSplitterSpec, FockState, dephase_internal,
                            postselect_coincidence)
 from entclone.paperchecks import REFERENCES
@@ -593,6 +594,7 @@ class TestInputSpec:
         ("reflectivity", postselection_operator),
         ("reflectivity", lambda v: hom_visibility(v, 1.0)),
         ("overlap_sq", lambda v: hom_visibility(0.5, v)),
+        ("reflectivity", ideal_hom_visibility),
         ("reflectivity", lambda v: fit_overlap(0.5, v)),
         ("overlap_sq", lambda v: fidelity_sweep(PHI, [0.5], v)),
         ("reflectivity",
@@ -601,7 +603,7 @@ class TestInputSpec:
             FockState.from_photons([("a", "H", 0), ("b", "H", 0)]),
             [("a", "b", v)])),
     ], ids=["config-r1", "config-r2", "config-overlap", "postselection",
-            "hom-r", "hom-overlap", "fit-r", "sweep-overlap",
+            "hom-r", "hom-overlap", "hom-ideal", "fit-r", "sweep-overlap",
             "fock-beamsplitter", "fock-dephase"])
     def test_unit_range_rejected_by_every_entry_point(self, name, call,
                                                       value):

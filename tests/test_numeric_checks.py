@@ -13,7 +13,7 @@ import entclone
 from entclone import tomography as tg
 from entclone.cloner import (InputSpec, NetworkConfig, fidelity_sweep,
                              fit_overlap, hom_visibility,
-                             postselection_operator)
+                             ideal_hom_visibility, postselection_operator)
 from entclone.fock import BeamSplitterSpec, FockState, dephase_internal
 from entclone.qmath import bell_state
 
@@ -45,6 +45,7 @@ PARAMETERS = {
     "postselection": _unit("reflectivity", postselection_operator),
     "hom-r": _unit("reflectivity", lambda v: hom_visibility(v, 1.0)),
     "hom-overlap": _unit("overlap_sq", lambda v: hom_visibility(0.5, v)),
+    "hom-ideal": _unit("reflectivity", ideal_hom_visibility),
     "fit-r": _unit("reflectivity", lambda v: fit_overlap(0.5, v)),
     "fit-visibility": ("visibility", lambda v: fit_overlap(v, 0.5), "number",
                        0.5, NUMBER,
@@ -77,7 +78,7 @@ PARAMETERS = {
                  "integer", 1, "resampling needs an integer seed, got {shown}",
                  None),
 }
-# any integer seeds numpy's generators, however large, and the CLI passes
+# any non-negative integer seeds numpy's generators, however large, and the CLI passes
 # its --seed on as the int it parsed
 SEEDS = ("sample-seed", "mle-seed")
 NON_NUMBERS = [np.True_, np.False_, "0.5", None]
@@ -112,6 +113,18 @@ def test_int_too_large_for_a_float_rejected(key, value):
 @pytest.mark.parametrize("key", SEEDS)
 def test_any_integer_seed_taken(key, value):
     PARAMETERS[key][1](value)
+
+
+# numpy refused a negative seed with a bare "expected non-negative integer"
+@pytest.mark.parametrize("value, shown", [
+    (-1, "-1"), (-10**5000, "a negative int of 16610 bits")],
+    ids=["-1", "-10**5000"])
+@pytest.mark.parametrize("key, use", [("sample-seed", "sampling"),
+                                      ("mle-seed", "resampling")])
+def test_negative_seed_rejected(key, use, value, shown):
+    with pytest.raises(ValueError,
+                       match=f"^{use} needs a non-negative seed, got {shown}$"):
+        PARAMETERS[key][1](value)
 
 
 # fidelity_sweep took only a Python int as its worker count

@@ -785,6 +785,16 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=problem):
             tg.mle_reconstruct(records, n_resamples, seed=seed)
 
+    # SeedSequence.spawn built every child before any reconstruction, for
+    # days at 10**12
+    @pytest.mark.parametrize("n_resamples", [tg.MAX_RESAMPLES + 1, 10**12],
+                             ids=["max+1", "10**12"])
+    def test_too_many_resamples_rejected(self, no_spawn, n_resamples):
+        records = tg.sample_counts(SIGMA, 1000, seed=8)
+        with pytest.raises(ValueError, match="^n_resamples must be at most "
+                           f"100000, got {n_resamples}$"):
+            tg.mle_reconstruct(records, n_resamples, seed=4)
+
 
 def assert_same_point(rec, point):
     """``rec`` has the bits of ``point`` in every field but
