@@ -6,6 +6,12 @@ text for ``paper``, JSON for ``tomo``, CSV otherwise), ``--threads``. Every
 output depends only on the command line and the files it names, and is
 bit-reproducible for a fixed seed. Angles (schmidt:<theta>) are in radians.
 
+A value that a library call checks (``--n``, ``--resamples``, a reflectivity
+or overlap, a state name, a matrix file) is checked there alone, and
+``main`` prints that call's message; this module checks the rest: the flag
+combinations, the formats, the seed, ``--threads`` and the sweep's grid of
+at most ``MAX_STEPS`` points.
+
 Each handler imports the modules it runs, so a process loads only what its
 command needs: ``hom --fit`` loads no numpy, only ``tomo`` and ``paper``
 load ``tomography``, and ``tomo`` loads neither ``cloner`` nor ``fock``:
@@ -18,7 +24,6 @@ import argparse
 import functools
 import io
 import json
-import math
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -29,6 +34,11 @@ if TYPE_CHECKING:
 
 class CliError(Exception):
     pass
+
+
+# the most grid points a sweep runs: at 0.4-1.3 ms a point, about 40-130 s;
+# a grid is built in full before its first point runs
+MAX_STEPS = 100_000
 
 
 def _named_density(name: str) -> DensityMatrix:
@@ -81,12 +91,8 @@ def cmd_clone(args) -> int:
     if r1 is None or r2 is None:
         raise CliError("provide --r or both --r1 and --r2")
     config = NetworkConfig(spec, r1, r2, args.overlap_sq)
-    if args.model == "ideal":
-        if args.overlap_sq != 1.0:
-            raise CliError("the ideal model requires --overlap-sq 1")
-        out = cloner.run_ideal(config)
-    else:
-        out = cloner.run_physical(config)
+    run = cloner.run_ideal if args.model == "ideal" else cloner.run_physical
+    out = run(config)
     target = spec.state()
     pairs = [
         ("input", args.input),
@@ -121,6 +127,9 @@ def cmd_sweep(args) -> int:
         raise CliError("--r-min must not exceed --r-max")
     if args.steps < 1 or (args.steps < 2 and args.r_min != args.r_max):
         raise CliError("--steps must be at least 2 (1 for a degenerate grid)")
+    if args.steps > MAX_STEPS:
+        raise CliError(f"--steps must be at most {MAX_STEPS}, "
+                       f"got {args.steps}")
     import numpy as np
 
     from . import cloner
@@ -151,21 +160,15 @@ def cmd_tomo(args) -> int:
         raise CliError("tomo reports are JSON only; use --format json")
     from . import metrics, tomography
 
-    if args.resamples == 1 or args.resamples < 0:
-        raise CliError("--resamples must be 0 (no error bars) or at least 2, "
-                       f"got {args.resamples}")
-    most = tomography.MAX_MEAN_COUNT
-    if not (math.isfinite(args.n) and 0 < args.n <= most):
-        raise CliError(f"--n must be finite, positive and at most {most:g}, "
-                       f"got {args.n}")
     rho_true = _named_density(args.state)
+    # sample_counts and mle_reconstruct check --n and --resamples
+    records = tomography.sample_counts(rho_true, args.n, seed=args.seed)
     if args.n > tomography.CERTIFIABLE_MEAN_COUNT:
         print(f"entclone: warning: --n {args.n:g} is above "
               f"{tomography.CERTIFIABLE_MEAN_COUNT:.3g} counts per setting, "
               "where the certified gap's rounding bound alone exceeds "
               f"{tomography.CERT_TOL:g}: the reconstruction cannot converge",
               file=sys.stderr)
-    records = tomography.sample_counts(rho_true, args.n, seed=args.seed)
     rec = tomography.mle_reconstruct(records, args.resamples, seed=args.seed)
     if not rec.converged:
         print("entclone: warning: the reconstruction did not converge: its "
@@ -285,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--input", required=True, help=_INPUT_HELP)
     s.add_argument("--r-min", type=float, default=0.0)
     s.add_argument("--r-max", type=float, default=1.0)
-    s.add_argument("--steps", type=int, default=11)
+    s.add_argument("--steps", type=int, default=11,
+                   help="grid points, from 2 (1 for a degenerate grid) to "
+                        f"{MAX_STEPS}")
     s.add_argument("--overlap-sq", type=float, default=1.0)
 
     t = sub.add_parser("tomo", help="simulate tomography and reconstruct")

@@ -84,6 +84,11 @@ CERTIFIABLE_MEAN_COUNT = CERT_TOL / (36 * np.finfo(float).eps)
 # means above about 9.2e18, and with every Born probability at most 1 the
 # mean counts stay under n_per_setting
 MAX_MEAN_COUNT = 1e18
+# the largest count mle_reconstruct resamples: numpy's Poisson sampler takes
+# means up to int64 max - 10 sqrt(int64 max), about 9.2234e18, so 9.2e18
+# draws and 9.3e18 raises; MAX_MEAN_COUNT is no bound here, as a count
+# drawn at that mean can exceed it
+MAX_RESAMPLED_COUNT = 9.2e18
 # the most resamples mle_reconstruct runs: its one stack takes about 9 KB
 # and 0.1 ms a resample, so a run stays near 0.9 GB and 11 s
 MAX_RESAMPLES = 100_000
@@ -534,7 +539,8 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
 
     ``n_resamples`` is an integer, 0 (no error bars, ``monte_carlo`` is
     None) or from 2 to ``MAX_RESAMPLES``, and resampling needs a
-    non-negative integer ``seed``.
+    non-negative integer ``seed`` and every count at most
+    ``MAX_RESAMPLED_COUNT``.
     Resample k draws its 36 counts in one call, in record order, from
     child k of ``SeedSequence(seed).spawn(n_resamples)``. The observed counts and the
     resamples are reconstructed as the rows of one `_mle_batch` stack, the
@@ -555,6 +561,12 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
                          f"got {n_resamples}")
     if n_resamples:
         _check_seed("resampling", seed)
+        for r in records:
+            if r.count > MAX_RESAMPLED_COUNT:
+                raise ValueError(
+                    "resampling needs every count at most "
+                    f"{MAX_RESAMPLED_COUNT:g}, got {_shown(r.count)} at "
+                    f"setting {r.setting_a}{r.setting_b}")
     counts, exposures = _mle_arrays(records)
     counts = counts[None]
     if n_resamples:

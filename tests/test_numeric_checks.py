@@ -81,18 +81,30 @@ PARAMETERS = {
 # any non-negative integer seeds numpy's generators, however large, and the CLI passes
 # its --seed on as the int it parsed
 SEEDS = ("sample-seed", "mle-seed")
-NON_NUMBERS = [np.True_, np.False_, "0.5", None]
+NON_NUMBERS = [True, False, np.True_, np.False_, "0.5", None]
 HUGE = [pytest.param(10**400, id="10**400"),
         pytest.param(10**5000, id="10**5000")]
 
 
-# numpy's bool_ passed every isinstance(v, bool) check, and a string or None
-# raised a TypeError from the first comparison
+# a bool compares as 0 or 1, numpy's bool_ passed every isinstance(v, bool)
+# check, and a string or None raised a TypeError from the first comparison
 @pytest.mark.parametrize("value", NON_NUMBERS, ids=repr)
 @pytest.mark.parametrize("key", PARAMETERS)
 def test_non_number_rejected(key, value):
     name, call, _, _, message, _ = PARAMETERS[key]
     problem = message.format(name=name, shown=re.escape(repr(value)))
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        call(value)
+
+
+# every entry point that takes a reflectivity or a squared overlap rejects
+# it outside [0, 1], NaN included, with one message
+@pytest.mark.parametrize("value", [np.nan, -0.1, 1.5], ids=repr)
+@pytest.mark.parametrize("key", [k for k, p in PARAMETERS.items()
+                                 if p[5] == UNIT])
+def test_outside_unit_interval_rejected(key, value):
+    name, call, *_ = PARAMETERS[key]
+    problem = UNIT.format(name=name, shown=re.escape(str(value)))
     with pytest.raises(ValueError, match=f"^{problem}$"):
         call(value)
 

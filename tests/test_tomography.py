@@ -795,6 +795,15 @@ class TestMonteCarlo:
                            f"100000, got {n_resamples}$"):
             tg.mle_reconstruct(records, n_resamples, seed=4)
 
+    # numpy's Poisson sampler raised a bare "lam value too large"
+    def test_count_beyond_the_sampler_rejected(self, no_spawn):
+        records = tg.sample_counts(SIGMA, 1000, seed=8)
+        records[0] = dataclasses.replace(records[0], count=10**19)
+        with pytest.raises(ValueError, match=r"^resampling needs every count "
+                           r"at most 9\.2e\+18, got 10000000000000000000 at "
+                           "setting HH$"):
+            tg.mle_reconstruct(records, 2, seed=4)
+
 
 def assert_same_point(rec, point):
     """``rec`` has the bits of ``point`` in every field but
