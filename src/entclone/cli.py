@@ -13,9 +13,10 @@ combinations, the formats, the seed, ``--threads`` and the sweep's grid of
 at most ``MAX_STEPS`` points.
 
 Each handler imports the modules it runs, so a process loads only what its
-command needs: ``hom --fit`` loads no numpy, only ``tomo`` and ``paper``
-load ``tomography``, and ``tomo`` loads neither ``cloner`` nor ``fock``:
-`qmath` resolves every state name, this module only a matrix file.
+command needs: ``hom --fit`` loads `hom` and `checks` and no numpy, only
+``tomo`` and ``paper`` load ``tomography``, and ``tomo`` loads neither
+``cloner`` nor ``fock``: `qmath` resolves every state name, this module
+only a matrix file.
 """
 
 from __future__ import annotations

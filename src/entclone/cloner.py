@@ -20,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, metrics
+from .checks import check_unit, finite, is_integer, shown
 from .fock import BeamSplitterSpec, FockState
-# re-exported: callers read the HOM calibration through this module, and
-# `hom_visibility` looks up `ideal_hom_visibility` in this namespace
-from .hom import (_check_unit, _finite, _is_integer, _shown,  # noqa: F401
-                  fit_overlap, ideal_hom_visibility)
+# `hom_visibility` looks up `ideal_hom_visibility` in this namespace, where
+# tests replace it; `fit_overlap` is re-exported only because the benchmark
+# reads it, and `ideal_hom_visibility`, through this module
+from .hom import fit_overlap, ideal_hom_visibility  # noqa: F401
 from .qmath import (ConsistencyError, DensityMatrix, InputSpec, PureState,
                     bell_state, named_density)
 
@@ -49,7 +50,7 @@ class NetworkConfig:
     def __post_init__(self):
         for name, val in (("r1", self.r1), ("r2", self.r2),
                           ("overlap_sq", self.overlap_sq)):
-            _check_unit(name, val)
+            check_unit(name, val)
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ def postselection_operator(r: float) -> np.ndarray:
     (1-R) I - R SWAP = (1-2R) P_sym + P_anti (up to the global phase fixed
     by the +i reflection convention).
     """
-    _check_unit("reflectivity", r)
+    check_unit("reflectivity", r)
     return (1.0 - r) * np.eye(4, dtype=complex) - r * SWAP
 
 
@@ -197,8 +198,8 @@ def hom_visibility(r: float, overlap_sq: float) -> float:
     Computed by brute force in the Fock model and cross-checked against the
     closed form overlap_sq * (1 - (1-2R)^2 / (R^2 + (1-R)^2)).
     """
-    _check_unit("reflectivity", r)
-    _check_unit("overlap_sq", overlap_sq)
+    check_unit("reflectivity", r)
+    check_unit("overlap_sq", overlap_sq)
     p_dist = _hom_coincidence_probability(r, 0.0)
     p = _hom_coincidence_probability(r, math.sqrt(overlap_sq))
     v = 1.0 - p / p_dist
@@ -219,11 +220,11 @@ def fidelity_sweep(input_spec: InputSpec, r_grid, overlap_sq: float,
     ``workers`` must be an integer of at least 1 but starts no process.
     """
     # by type first: nan < 1 is False, and 1.5 is no count
-    if not (_is_integer(workers) and _finite(workers) and workers >= 1):
+    if not (is_integer(workers) and finite(workers) and workers >= 1):
         raise ValueError(
-            f"worker count must be at least 1, got {_shown(workers)}")
+            f"worker count must be at least 1, got {shown(workers)}")
     # checked before the grid, so an empty grid rejects what a full one does
-    _check_unit("overlap_sq", overlap_sq)
+    check_unit("overlap_sq", overlap_sq)
     target = input_spec.state()
     # checked before float(), which takes a bool or a numeric string
     grid = [float(NetworkConfig(input_spec, r, r, overlap_sq).r1)

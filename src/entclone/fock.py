@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .hom import _check_unit
+from .checks import check_unit
 
 # (arm, polarization, internal)
 Mode = tuple[str, str, int]
@@ -63,7 +63,7 @@ class BeamSplitterSpec:
     reflectivity: float
 
     def __post_init__(self):
-        _check_unit("reflectivity", self.reflectivity)
+        check_unit("reflectivity", self.reflectivity)
         for pair in (self.input_arms, self.output_arms):
             if pair[0] == pair[1]:
                 raise ValueError(f"arm {pair[0]!r} repeated in {pair}")
@@ -332,7 +332,7 @@ def dephase_internal(
     """
     branches: list[tuple[FockState, float]] = [(state, 1.0)]
     for k, (arm_a, arm_b, lam) in enumerate(pairings):
-        _check_unit("overlap", lam)
+        check_unit("overlap", lam)
         for arm in (arm_a, arm_b):
             if state.terms and arm not in state.arms():
                 raise KeyError(f"pairing references unknown arm {arm!r}")

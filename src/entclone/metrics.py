@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import qmath
-from .qmath import (ConsistencyError, DensityMatrix, PureState,
-                    _float_or_rows, bell_state, check_amplitudes, herm_eig,
-                    kron, psd_sqrt)
+from .qmath import (ConsistencyError, DensityMatrix, PureState, bell_state,
+                    check_amplitudes, float_or_rows, herm_eig, kron,
+                    psd_sqrt)
 
 PHI_PLUS = bell_state("phi+").amplitudes
 
@@ -40,7 +40,7 @@ def fidelity_to_pure(rho, target):
     # one np.vdot per state: no stacked product sums <t|m t> in its order
     mt = m @ t
     f = np.array([np.vdot(t, v) for v in mt.reshape(-1, t.size)]).real
-    return _float_or_rows(f.reshape(mt.shape[:-1]))
+    return float_or_rows(f.reshape(mt.shape[:-1]))
 
 
 def _two_qubit(rho, what: str) -> np.ndarray:
@@ -59,7 +59,7 @@ def pauli_correlation(rho, basis_a: str, basis_b: str):
 
 
 def _expectation(m: np.ndarray, op: np.ndarray):
-    return _float_or_rows((m @ op).trace(axis1=-2, axis2=-1).real)
+    return float_or_rows((m @ op).trace(axis1=-2, axis2=-1).real)
 
 
 def witness_expectation(rho):
@@ -97,7 +97,7 @@ def concurrence(rho):
     vals = np.linalg.eigvals(m @ m_tilde)
     vals = np.sqrt(np.maximum(vals.real, 0.0))
     vals = np.sort(vals, axis=-1)[..., ::-1]
-    return _float_or_rows(np.maximum(
+    return float_or_rows(np.maximum(
         0.0, vals[..., 0] - vals[..., 1] - vals[..., 2] - vals[..., 3]))
 
 
@@ -107,7 +107,7 @@ def von_neumann_entropy(rho):
     vals = np.maximum(vals, 0.0)
     # a zero eigenvalue adds 0 log 0 = 0
     logs = np.log2(vals, out=np.zeros_like(vals), where=vals > 0.0)
-    return _float_or_rows(-(vals * logs).sum(axis=-1))
+    return float_or_rows(-(vals * logs).sum(axis=-1))
 
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -132,17 +132,5 @@ def uhlmann_fidelity(a, b):
     # each square is a float's ** 2, libm's pow: numpy's array square, a
     # product, differs from it in the last bit on about one trace in 1000
     f = np.array([t ** 2 for t in np.ravel(tr).tolist()]).reshape(tr.shape)
-    return _float_or_rows(np.minimum(1.0, f))
+    return float_or_rows(np.minimum(1.0, f))
 
-
-def ppt_min_eigenvalue(rho):
-    """Smallest eigenvalue of the partial transpose (second qubit).
-
-    For two qubits, negativity of this eigenvalue is exactly equivalent to
-    entanglement; used as an independent cross-check of the concurrence.
-    """
-    m = _two_qubit(rho, "PPT test")
-    t = m.reshape(*m.shape[:-2], 2, 2, 2, 2)
-    pt = t.swapaxes(-3, -1).reshape(m.shape)
-    vals, _ = herm_eig(pt)
-    return _float_or_rows(vals[..., -1])

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import cloner, metrics, tomography
 from .cloner import NetworkConfig
+from .hom import fit_overlap
 from .qmath import DensityMatrix, InputSpec
 
 PHI, PSI = InputSpec.from_name("phi+"), InputSpec.from_name("psi+")
@@ -73,11 +74,10 @@ REFERENCES: dict[str, tuple[float, float]] = {
     # 9, acceptance suite only: sigma tomography, Uhlmann fidelity
     "tomography_sigma_fidelity": (1.0, 1.0 - 0.999),
 }
-# Acceptance suite only, so that `paper` keeps its rows and its cost: sigma's
-# tomography counts per setting; 10. the concurrence std of sigma over
-# MC_RESAMPLES resamples at MC_COUNTS counts per setting is within a factor
-# MC_STD_FACTOR of the published error bar MC_STD_REFERENCE
-SIGMA_TOMOGRAPHY_COUNTS = 1_000_000
+# Acceptance suite only, so that `paper` keeps its rows and its cost: 10. the
+# concurrence std of sigma over MC_RESAMPLES resamples at MC_COUNTS counts
+# per setting is within a factor MC_STD_FACTOR of the published error bar
+# MC_STD_REFERENCE
 MC_COUNTS, MC_RESAMPLES, MC_STD_REFERENCE, MC_STD_FACTOR = 4000, 1000, 0.032, 3
 
 
@@ -113,7 +113,7 @@ def _phi_plus_fidelities(out) -> tuple[float, float]:
 
 
 def _fitted_overlap() -> float:
-    return cloner.fit_overlap(HOM_VISIBILITY_MEASURED, 1 / 3)
+    return fit_overlap(HOM_VISIBILITY_MEASURED, 1 / 3)
 
 
 def criterion_1(seed: int = 0) -> list[CheckResult]:

@@ -66,7 +66,7 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).swapaxes(-1, -2)
 
 
-def _float_or_rows(values: np.ndarray):
+def float_or_rows(values: np.ndarray):
     """A per-matrix result: a Python float for a single matrix, the array
     of per-matrix values for a stack."""
     return float(values) if values.ndim == 0 else values
@@ -108,7 +108,7 @@ def trace_norm(m: np.ndarray):
     """Sum of absolute eigenvalues of a Hermitian matrix: a float, or an
     array of one per matrix of a ``(..., d, d)`` stack."""
     vals, _ = herm_eig(m)
-    return _float_or_rows(np.abs(vals).sum(axis=-1))
+    return float_or_rows(np.abs(vals).sum(axis=-1))
 
 
 def check_density(m: np.ndarray) -> None:

@@ -50,8 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .hom import (_check_positive, _finite, _is_integer, _is_number,
-                  _shown)
+from .checks import check_positive, finite, is_integer, is_number, shown
 from .qmath import DensityMatrix, check_density
 
 PROJECTOR_LETTERS = ("H", "V", "D", "A", "L", "R")
@@ -110,11 +109,11 @@ class CountRecord:
     def __post_init__(self):
         _check_setting(self.setting_a, self.setting_b)
         # NaN fails every comparison, so `count < 0` alone let it through
-        if not (_is_number(self.count) and _finite(self.count)
+        if not (is_number(self.count) and finite(self.count)
                 and self.count >= 0 and self.count == int(self.count)):
             raise ValueError("count must be a non-negative integer, got "
-                             f"{_shown(self.count)}")
-        _check_positive("exposure", self.exposure)
+                             f"{shown(self.count)}")
+        check_positive("exposure", self.exposure)
         # a float, so that the counts CSV writes it as one
         object.__setattr__(self, "exposure", float(self.exposure))
 
@@ -237,11 +236,11 @@ def born_probability(rho, setting_a: str, setting_b: str) -> float:
 
 
 def _check_seed(use: str, seed) -> None:
-    if not _is_integer(seed):
+    if not is_integer(seed):
         raise ValueError(f"{use} needs an integer seed, got {seed!r}")
     if seed < 0:
         raise ValueError(
-            f"{use} needs a non-negative seed, got {_shown(seed)}")
+            f"{use} needs a non-negative seed, got {shown(seed)}")
 
 
 def sample_counts(rho, n_per_setting: float, seed: int) -> list[CountRecord]:
@@ -250,7 +249,7 @@ def sample_counts(rho, n_per_setting: float, seed: int) -> list[CountRecord]:
     non-negative integer. The 36 Born probabilities are one stacked
     product, each with the bits `born_probability` gives it."""
     _check_seed("sampling", seed)
-    _check_positive("n_per_setting", n_per_setting)
+    check_positive("n_per_setting", n_per_setting)
     if n_per_setting > MAX_MEAN_COUNT:
         raise ValueError(f"n_per_setting must be at most {MAX_MEAN_COUNT:g}, "
                          f"got {n_per_setting}")
@@ -552,10 +551,10 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
     has the bits the statistic gives that resample alone; 'trace_distance'
     and 'uhlmann_fidelity' compare each resample with the point estimate.
     """
-    if not (_is_integer(n_resamples) and _finite(n_resamples)
+    if not (is_integer(n_resamples) and finite(n_resamples)
             and (n_resamples == 0 or n_resamples >= 2)):
         raise ValueError("n_resamples must be 0 (no error bars) or at least "
-                         f"2, got {_shown(n_resamples)}")
+                         f"2, got {shown(n_resamples)}")
     if n_resamples > MAX_RESAMPLES:
         raise ValueError(f"n_resamples must be at most {MAX_RESAMPLES}, "
                          f"got {n_resamples}")
@@ -565,7 +564,7 @@ def mle_reconstruct(records: list[CountRecord], n_resamples: int = 0, *,
             if r.count > MAX_RESAMPLED_COUNT:
                 raise ValueError(
                     "resampling needs every count at most "
-                    f"{MAX_RESAMPLED_COUNT:g}, got {_shown(r.count)} at "
+                    f"{MAX_RESAMPLED_COUNT:g}, got {shown(r.count)} at "
                     f"setting {r.setting_a}{r.setting_b}")
     counts, exposures = _mle_arrays(records)
     counts = counts[None]
@@ -799,11 +798,6 @@ def matrix_from_json_dict(d: dict) -> DensityMatrix:
         return DensityMatrix(np.array(entries), tuple(labels))
     except ValueError as e:
         raise ValueError(f"matrix JSON does not hold a state: {e}") from None
-
-
-def matrix_to_json(rho: DensityMatrix, path) -> None:
-    with open(path, "w") as f:
-        json.dump(matrix_to_json_dict(rho), f, indent=2)
 
 
 def matrix_from_json(path) -> DensityMatrix:

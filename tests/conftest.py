@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from entclone.qmath import DensityMatrix
+from entclone.tomography import matrix_to_json_dict
 
 # property tests draw the same bounded set of examples on every run and keep
 # no example database, so the suite stays reproducible
@@ -44,6 +47,13 @@ def random_unitary(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def matrix_to_json(rho: DensityMatrix, path) -> None:
+    """Write ``rho`` as the matrix JSON `tomography.matrix_from_json`
+    reads."""
+    with open(path, "w") as f:
+        json.dump(matrix_to_json_dict(rho), f, indent=2)
 
 
 @pytest.fixture

@@ -14,6 +14,9 @@ from entclone.cloner import (NetworkConfig, ideal_clone_sigma, run_ideal,
                              run_physical)
 
 SIGMA = ideal_clone_sigma()
+# criterion 9's sigma row is the acceptance suite's alone, so that `paper`
+# keeps its rows and its cost
+SIGMA_TOMOGRAPHY_COUNTS = 1_000_000
 
 
 def report(criterion, rows, detail=""):
@@ -102,7 +105,7 @@ def test_criterion_09_tomography_round_trip(monkeypatch):
 
     monkeypatch.setattr(tg, "mle_reconstruct", recording)
     rows = pc.criterion_9(seed=7)
-    counts = tg.sample_counts(SIGMA, pc.SIGMA_TOMOGRAPHY_COUNTS, seed=7)
+    counts = tg.sample_counts(SIGMA, SIGMA_TOMOGRAPHY_COUNTS, seed=7)
     rows.append(pc.check("tomography_sigma_fidelity", metrics.uhlmann_fidelity(
         tg.mle_reconstruct(counts).rho_hat, SIGMA)))
     assert len(reconstructions) == 2

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import entclone
+from conftest import matrix_to_json
 from entclone import cli, cloner, metrics, qmath, tomography as tg
 from entclone.cli import build_parser, main
 from entclone.cloner import ideal_clone_sigma
@@ -183,12 +184,6 @@ class TestClone:
         assert out.err == ("entclone: error: --r cannot be combined with "
                            "--r1 or --r2\n")
 
-    def test_ideal_model_rejects_overlap(self, capsys):
-        code, out = run_cli("clone", "--input", "phi+", "--r", "0.5",
-                            "--overlap-sq", "0.9", "--model", "ideal",
-                            capsys=capsys)
-        assert code != 0
-
     @pytest.mark.parametrize("model", ["ideal", "physical"])
     def test_zero_weight_is_an_error(self, capsys, monkeypatch, model):
         # unreachable from any input: the weight is at least 1/16
@@ -301,7 +296,7 @@ class TestTomo:
     def test_matrix_file_round_trip(self, tmp_path, capsys):
         # export sigma, feed the file back in as the target state
         path = tmp_path / "sigma.json"
-        tg.matrix_to_json(ideal_clone_sigma(), path)
+        matrix_to_json(ideal_clone_sigma(), path)
         code, out = run_cli("--format", "json", "--seed", "2", "tomo",
                             "--state", str(path), "--n", "100000",
                             capsys=capsys)
@@ -942,4 +937,29 @@ def test_no_module_reads_the_environment():
                 continue
             found += [f"{path.name}:{node.lineno} {name}"
                       for name in names if name in reads]
+    assert found == []
+
+
+def test_no_module_reads_a_private_name():
+    # an underscore name is its module's own: a rule that two modules share
+    # has a public home, as the numeric checks have in `checks`
+    found = []
+    for path in sorted(Path(entclone.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # `from .mod import ...` and `from entclone... import ...`
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and (
+                       node.level or node.module.split(".")[0] == "entclone")]
+        # the names `from . import fock` binds to the package's modules
+        siblings = {alias.asname or alias.name for node in imports
+                    if node.module in (None, "entclone")
+                    for alias in node.names}
+        reads = [(node.lineno, alias.name)
+                 for node in imports for alias in node.names]
+        reads += [(node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in siblings]
+        found += [f"{path.name}:{line} {name}" for line, name in reads
+                  if name.startswith("_") and not name.endswith("__")]
     assert found == []

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from conftest import random_unitary, tier1_examples
 from entclone import cloner, fock, metrics
 from entclone.cloner import (InputSpec, NetworkConfig, fidelity_sweep,
-                             fit_overlap, hom_visibility,
-                             postselection_operator, run_ideal, run_physical)
+                             hom_visibility, postselection_operator,
+                             run_ideal, run_physical)
 from entclone.fock import (BeamSplitterSpec, dephase_internal,
                            postselect_coincidence)
+from entclone.hom import fit_overlap
 from entclone.paperchecks import REFERENCES
 from entclone.qmath import (ConsistencyError, DensityMatrix, bell_state,
                             check_density)
@@ -342,6 +344,34 @@ class TestPhysicalProperties:
         out = run_physical(NetworkConfig(spec, r1, r2, overlap_sq))
         assert abs(out.success_weight - w(r1) * w(r2)) <= 1e-12
         assert out.success_weight >= 1 / 16 - 1e-12
+
+
+class TestLocalCovariance:
+    """Local unitaries on the input pair come out on both clone pairs: the
+    outputs for (u x v)|phi> are the outputs for |phi> conjugated by u x v,
+    at the same success weight. Each qubit's map is then a covariant, so
+    depolarizing, qubit channel."""
+
+    # a random complex input takes up to ~4 ms a run at overlap^2 < 1
+    @tier1_examples(15)
+    @given(seed=st.integers(0, 2**32 - 1), r1=st.floats(0.0, 1.0),
+           r2=st.floats(0.0, 1.0), overlap_sq=st.floats(0.0, 1.0))
+    def test_outputs_follow_local_unitaries(self, seed, r1, r2, overlap_sq):
+        rng = np.random.default_rng(seed)
+        vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        vec /= np.linalg.norm(vec)
+        w = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+        # the ideal model holds only at overlap^2 = 1
+        for run, s in ((run_physical, overlap_sq), (run_ideal, 1.0)):
+            out, moved = (run(NetworkConfig(InputSpec(tuple(a)), r1, r2, s))
+                          for a in (vec, w @ vec))
+            for rho, rho_moved in ((out.rho_local, moved.rho_local),
+                                   (out.rho_distant, moved.rho_distant)):
+                want = w @ rho.matrix @ w.conj().T
+                assert np.max(np.abs(rho_moved.matrix - want)) <= 1e-12, \
+                    run.__name__
+            assert abs(moved.success_weight - out.success_weight) <= 1e-12, \
+                run.__name__
 
 
 class TestZeroWeight:

@@ -8,9 +8,8 @@ from conftest import random_density, random_unitary
 from entclone import metrics, qmath
 from entclone.cloner import ideal_clone_sigma
 from entclone.metrics import (concurrence, fidelity_to_pure, pauli_correlation,
-                              ppt_min_eigenvalue, trace_distance,
-                              uhlmann_fidelity, von_neumann_entropy,
-                              witness_expectation)
+                              trace_distance, uhlmann_fidelity,
+                              von_neumann_entropy, witness_expectation)
 from entclone.qmath import (NORM_TOL, ConsistencyError, DensityMatrix,
                             PureState, bell_state, kron)
 
@@ -20,6 +19,20 @@ SIGMA = ideal_clone_sigma()
 
 # Werner weight of sigma and its analytic consequences
 SIGMA_ENTROPY = -(21 / 36) * np.log2(21 / 36) - 3 * (5 / 36) * np.log2(5 / 36)
+
+
+def ppt_min_eigenvalue(rho):
+    """Smallest eigenvalue of the partial transpose (second qubit), of one
+    state or of each state of a stack.
+
+    For two qubits, negativity of this eigenvalue is exactly equivalent to
+    entanglement; used as an independent cross-check of the concurrence.
+    """
+    m = rho.matrix if isinstance(rho, DensityMatrix) else \
+        np.asarray(rho, dtype=complex)
+    t = m.reshape(*m.shape[:-2], 2, 2, 2, 2)
+    vals, _ = qmath.herm_eig(t.swapaxes(-3, -1).reshape(m.shape))
+    return qmath.float_or_rows(vals[..., -1])
 
 
 class TestFidelityToPure:

@@ -1,6 +1,7 @@
-"""Every number entclone takes at its boundary is checked by `hom`'s shared
-predicates: one table of the public numeric parameters, and a walk of the
-source that keeps a hand-written bool check from coming back."""
+"""Every number entclone takes at its boundary is checked by the shared
+predicates of `checks`: one table of the public numeric parameters, and a
+walk of the source that keeps a hand-written bool check from coming back.
+`hom --fit` loads `hom` and `checks`, and still no numpy."""
 
 import ast
 import re
@@ -12,9 +13,9 @@ import pytest
 import entclone
 from entclone import tomography as tg
 from entclone.cloner import (InputSpec, NetworkConfig, fidelity_sweep,
-                             fit_overlap, hom_visibility,
-                             ideal_hom_visibility, postselection_operator)
+                             hom_visibility, postselection_operator)
 from entclone.fock import BeamSplitterSpec, FockState, dephase_internal
+from entclone.hom import fit_overlap, ideal_hom_visibility
 from entclone.qmath import bell_state
 
 PHI = InputSpec.from_name("phi+")
@@ -160,12 +161,12 @@ def _bool_checks(tree):
                 yield node.lineno
 
 
-def test_bool_checked_only_in_hom():
+def test_bool_checked_only_in_checks():
     found = {}
     for path in sorted(Path(entclone.__file__).parent.glob("*.py")):
         lines = list(_bool_checks(ast.parse(path.read_text())))
         if lines:
             found[path.name] = lines
     # the walk sees the shared predicates, and nothing else
-    assert "hom.py" in found
-    assert set(found) == {"hom.py"}, found
+    assert "checks.py" in found
+    assert set(found) == {"checks.py"}, found

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import random_density, tier1_examples
+from conftest import matrix_to_json, random_density, tier1_examples
 from entclone import metrics, tomography as tg
 from entclone.cli import _named_density
 from entclone.cloner import ideal_clone_sigma
@@ -1459,14 +1459,14 @@ class TestInterchange:
         records = tg.sample_counts(SIGMA, 4000, seed=6)
         rec = tg.mle_reconstruct(records)
         path = tmp_path / "rho.json"
-        tg.matrix_to_json(rec.rho_hat, path)
+        matrix_to_json(rec.rho_hat, path)
         back = tg.matrix_from_json(path)
         assert back.labels == rec.rho_hat.labels
         assert np.array_equal(back.matrix, rec.rho_hat.matrix)
 
     def test_round_trip_preserves_metrics(self, tmp_path):
         path = tmp_path / "sigma.json"
-        tg.matrix_to_json(SIGMA, path)
+        matrix_to_json(SIGMA, path)
         back = tg.matrix_from_json(path)
         assert abs(metrics.concurrence(back) - metrics.concurrence(SIGMA)) < 1e-12
         assert abs(metrics.witness_expectation(back)
