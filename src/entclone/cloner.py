@@ -10,10 +10,12 @@ Two models are provided: `run_ideal` works at the qubit level with the
 post-selected two-photon map, `run_physical` builds the second-quantized
 network (optionally with partial photon distinguishability) and must agree
 with the ideal model exactly when photons are indistinguishable.
+`fidelity_sweep` runs `run_physical` at each point of a reflectivity grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -126,32 +128,41 @@ def _fock_pair(amps: np.ndarray, arm_a: str, arm_b: str) -> FockState:
                       for (p, q), c in zip(_POLARIZATION_PAIRS, amps)})
 
 
-def _network_branches(input_spec: InputSpec,
-                      overlap_sq: float) -> list[tuple[FockState, float]]:
+@functools.lru_cache(maxsize=1)
+def _network_branches(input_spec: InputSpec, overlap_sq: float
+                      ) -> tuple[tuple[FockState, float], ...]:
     """The six-photon input |phi>_12 |Psi->_34 |Psi->_56 split over the
-    distinguishability branches of photons 3 and 5; it does not depend on
-    the reflectivities."""
+    distinguishability branches of photons 3 and 5. They do not depend on
+    the reflectivities, so the last input and overlap's branches are kept:
+    a run over R at one input and overlap builds them once. No `fock`
+    function changes a state, so the kept branches are shared."""
     singlet = bell_state("psi-").amplitudes
     xi = _fock_pair(input_spec.state().amplitudes, "1", "2").tensor(
         _fock_pair(singlet, "3", "4")).tensor(_fock_pair(singlet, "5", "6"))
     lam = math.sqrt(overlap_sq)
-    return fock.dephase_internal(xi, [("1", "3", lam), ("2", "5", lam)])
+    return tuple(fock.dephase_internal(xi, [("1", "3", lam), ("2", "5", lam)]))
 
 
-def _run_branches(branches: list[tuple[FockState, float]], r1: float,
-                  r2: float) -> CloneOutcome:
-    """Send each branch through both beam splitters, each post-selected on
-    one photon per output arm as it acts, so no bunched route is built;
-    read out the six arms' polarization per branch and average the branches
-    by weight. The bits equal those of the two unitaries followed by one
-    coincidence post-selection."""
-    bs1 = BeamSplitterSpec(("1", "3"), ("1'", "3'"), r1)
-    bs2 = BeamSplitterSpec(("2", "5"), ("2'", "5'"), r2)
+def run_physical(config: NetworkConfig) -> CloneOutcome:
+    """Second-quantized network with the distinguishability branch model.
+
+    Photons 3 and 5 (from the ancilla sources) each carry squared overlap
+    ``overlap_sq`` with the photon they interfere with; the orthogonal
+    branches evolve separately. Each branch goes through both beam
+    splitters, each post-selected on one photon per output arm as it acts,
+    so no bunched route is built, and the six arms' polarization is read
+    out per branch. The post-selected density matrices are averaged
+    weighted by branch probability times post-selection weight. The bits
+    equal those of the two unitaries followed by one coincidence
+    post-selection.
+    """
+    bs1 = BeamSplitterSpec(("1", "3"), ("1'", "3'"), config.r1)
+    bs2 = BeamSplitterSpec(("2", "5"), ("2'", "5'"), config.r2)
 
     dim = 2 ** len(_ALL_OUTPUT_ARMS)
     rho_acc = np.zeros((dim, dim), dtype=complex)
     total = 0.0
-    for st, w in branches:
+    for st, w in _network_branches(config.input_spec, config.overlap_sq):
         st = fock.apply_postselected_beamsplitter(st, bs1)
         st = fock.apply_postselected_beamsplitter(st, bs2)
         rho6, weight = fock.postselect_coincidence(st, _ALL_OUTPUT_ARMS)
@@ -160,19 +171,6 @@ def _run_branches(branches: list[tuple[FockState, float]], r1: float,
         rho_acc += w * weight * rho6
         total += w * weight
     return _outcome(rho_acc / total, total)
-
-
-def run_physical(config: NetworkConfig) -> CloneOutcome:
-    """Second-quantized network with the distinguishability branch model.
-
-    Photons 3 and 5 (from the ancilla sources) each carry squared overlap
-    ``overlap_sq`` with the photon they interfere with; the orthogonal
-    branches evolve separately and the post-selected density matrices are
-    averaged weighted by branch probability times post-selection weight.
-    """
-    return _run_branches(
-        _network_branches(config.input_spec, config.overlap_sq),
-        config.r1, config.r2)
 
 
 def ideal_clone_sigma() -> DensityMatrix:
@@ -215,9 +213,9 @@ def fidelity_sweep(input_spec: InputSpec, r_grid, overlap_sq: float,
     """Run the physical network over a reflectivity grid (R1 = R2 = R).
 
     Returns a list of (R, F_local, F_distant, success_weight), fidelities
-    measured against the pure input state. The input state and its
-    distinguishability branches are built once; the points run serially.
-    ``workers`` must be an integer of at least 1 but starts no process.
+    measured against the pure input state: each row is `run_physical` at
+    that R, and the points run serially. ``workers`` must be an integer of
+    at least 1 but starts no process.
     """
     # by type first: nan < 1 is False, and 1.5 is no count
     if not (is_integer(workers) and finite(workers) and workers >= 1):
@@ -229,12 +227,9 @@ def fidelity_sweep(input_spec: InputSpec, r_grid, overlap_sq: float,
     # checked before float(), which takes a bool or a numeric string
     grid = [float(NetworkConfig(input_spec, r, r, overlap_sq).r1)
             for r in r_grid]
-    if not grid:
-        return []
-    branches = _network_branches(input_spec, overlap_sq)
     rows = []
     for r in grid:
-        out = _run_branches(branches, r, r)
+        out = run_physical(NetworkConfig(input_spec, r, r, overlap_sq))
         rows.append((
             r,
             metrics.fidelity_to_pure(out.rho_local, target),

@@ -74,11 +74,6 @@ REFERENCES: dict[str, tuple[float, float]] = {
     # 9, acceptance suite only: sigma tomography, Uhlmann fidelity
     "tomography_sigma_fidelity": (1.0, 1.0 - 0.999),
 }
-# Acceptance suite only, so that `paper` keeps its rows and its cost: 10. the
-# concurrence std of sigma over MC_RESAMPLES resamples at MC_COUNTS counts
-# per setting is within a factor MC_STD_FACTOR of the published error bar
-# MC_STD_REFERENCE
-MC_COUNTS, MC_RESAMPLES, MC_STD_REFERENCE, MC_STD_FACTOR = 4000, 1000, 0.032, 3
 
 
 @dataclass(frozen=True)

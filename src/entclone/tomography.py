@@ -223,16 +223,10 @@ def _born(rho, projectors: np.ndarray) -> np.ndarray:
     array is checked as `DensityMatrix` checks its matrix."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     if m.shape != (4, 4):
-        raise ValueError("born_probability requires a two-qubit state")
+        raise ValueError("sample_counts requires a two-qubit state")
     if not isinstance(rho, DensityMatrix):
         check_density(m)
     return (m @ projectors).trace(axis1=-2, axis2=-1).real
-
-
-def born_probability(rho, setting_a: str, setting_b: str) -> float:
-    """Tr[rho (Pi_a x Pi_b)] for single-photon projectors a, b."""
-    _check_setting(setting_a, setting_b)
-    return float(_born(rho, _PROJECTORS[setting_a, setting_b]))
 
 
 def _check_seed(use: str, seed) -> None:
@@ -247,7 +241,7 @@ def sample_counts(rho, n_per_setting: float, seed: int) -> list[CountRecord]:
     """Poisson counts for all 36 settings at unit exposure, drawn in one call
     in ``SETTINGS`` order; deterministic given the seed, which must be a
     non-negative integer. The 36 Born probabilities are one stacked
-    product, each with the bits `born_probability` gives it."""
+    product, each with the bits of its own projector's product."""
     _check_seed("sampling", seed)
     check_positive("n_per_setting", n_per_setting)
     if n_per_setting > MAX_MEAN_COUNT:
@@ -720,16 +714,6 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
 # CSV / JSON interchange
 
 CSV_HEADER = ["setting_a", "setting_b", "count", "exposure"]
-
-
-def counts_to_csv(records: list[CountRecord], path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(CSV_HEADER)
-        for r in records:
-            # CountRecord holds an integral float count as given, and the
-            # reader takes integer literals only
-            w.writerow([r.setting_a, r.setting_b, int(r.count), r.exposure])
 
 
 def counts_from_csv(path) -> list[CountRecord]:

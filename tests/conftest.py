@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from entclone.qmath import DensityMatrix
-from entclone.tomography import matrix_to_json_dict
+from entclone.tomography import CSV_HEADER, matrix_to_json_dict
 
 # property tests draw the same bounded set of examples on every run and keep
 # no example database, so the suite stays reproducible
@@ -54,6 +55,18 @@ def matrix_to_json(rho: DensityMatrix, path) -> None:
     reads."""
     with open(path, "w") as f:
         json.dump(matrix_to_json_dict(rho), f, indent=2)
+
+
+def counts_to_csv(records, path) -> None:
+    """Write ``records`` as the counts CSV `tomography.counts_from_csv`
+    reads."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(CSV_HEADER)
+        for r in records:
+            # CountRecord holds an integral float count as given, and the
+            # reader takes integer literals only
+            w.writerow([r.setting_a, r.setting_b, int(r.count), r.exposure])
 
 
 @pytest.fixture

@@ -315,8 +315,8 @@ class TestTomo:
          "labels must be a list of strings"),
         ({"labels": ["a", "b"], "matrix": [[[0.25]] * 4] * 4},
          "entries must be [re, im] pairs"),
-        # a bare KeyError, numpy's "inhomogeneous shape" and
-        # born_probability's message before
+        # a bare KeyError, numpy's "inhomogeneous shape" and the
+        # two-qubit message of the Born probabilities before
         ({"labels": ["a", "b"]}, "has no 'matrix'"),
         ({"labels": ["a", "b"], "matrix": [[[1, 0]] * 4] * 3 + [[[0, 0]]]},
          "must hold a square matrix, got rows of lengths [4, 4, 4, 1]"),
@@ -963,3 +963,36 @@ def test_no_module_reads_a_private_name():
         found += [f"{path.name}:{line} {name}" for line, name in reads
                   if name.startswith("_") and not name.endswith("__")]
     assert found == []
+
+
+def test_every_public_name_is_used_in_the_package():
+    # a public name that only tests reach belongs in the tests;
+    # `counts_from_csv` waits for the command that will read a counts file
+    trees = {path.stem: ast.parse(path.read_text()) for path in
+             sorted(Path(entclone.__file__).parent.glob("*.py"))}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(alias.name for alias in node.names)
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [ast.Name(node.name)]
+            elif isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            unused += [f"{module}.{name.id}" for target in targets
+                       for name in ast.walk(target)
+                       if isinstance(name, ast.Name)
+                       and not name.id.startswith("_")
+                       and name.id not in loaded]
+    assert unused == ["tomography.counts_from_csv"]

@@ -207,6 +207,36 @@ class TestRunPhysical:
         assert f_noisy < f_clean
 
 
+def branch_builds(monkeypatch) -> list:
+    """Empty the memo of the network's branches, and list each build of
+    them from then on."""
+    cloner._network_branches.cache_clear()
+    calls = []
+    dephase = fock.dephase_internal
+    monkeypatch.setattr(fock, "dephase_internal",
+                        lambda *a: calls.append(a) or dephase(*a))
+    return calls
+
+
+def outcome_bits(out: cloner.CloneOutcome) -> tuple:
+    return (out.rho_local.matrix.tobytes(), out.rho_distant.matrix.tobytes(),
+            out.success_weight.hex())
+
+
+class TestBranchMemo:
+    def test_reflectivities_share_branches_and_keep_bits(self, monkeypatch):
+        configs = [NetworkConfig(_CUSTOM, r1, 0.6, 0.91375)
+                   for r1 in (0.2, 0.7)]
+        cold = []
+        for config in configs:
+            cloner._network_branches.cache_clear()
+            cold.append(outcome_bits(run_physical(config)))
+        calls = branch_builds(monkeypatch)
+        warm = [outcome_bits(run_physical(config)) for config in configs]
+        assert len(calls) == 1
+        assert warm == cold
+
+
 class TestNetworkGolden:
     def test_reproduces_golden_bits(self):
         assert network_golden_text() == NETWORK_GOLDEN.read_text()
@@ -537,12 +567,25 @@ class TestSweep:
         assert [r for r, _, _, _ in rows] == list(grid)
 
     def test_branches_built_once_per_sweep(self, monkeypatch):
-        calls = []
-        dephase = cloner.fock.dephase_internal
-        monkeypatch.setattr(cloner.fock, "dephase_internal",
-                            lambda *a: calls.append(a) or dephase(*a))
+        calls = branch_builds(monkeypatch)
         rows = fidelity_sweep(PHI, [0.1, 0.4, 0.7], 0.9)
         assert len(rows) == 3 and len(calls) == 1
+
+    # R = 0 and 1 prune routes; a float32 point runs at its float value
+    @pytest.mark.parametrize("overlap_sq", [1.0, 0.91375])
+    def test_rows_are_run_physical_per_point(self, overlap_sq):
+        grid = [0, np.float32(0.3), 1.0]
+        target = _CUSTOM.state()
+        want = []
+        for r in grid:
+            out = run_physical(NetworkConfig(_CUSTOM, float(r), float(r),
+                                             overlap_sq))
+            want.append((float(r), metrics.fidelity_to_pure(out.rho_local,
+                                                            target),
+                         metrics.fidelity_to_pure(out.rho_distant, target),
+                         out.success_weight))
+        rows = fidelity_sweep(_CUSTOM, grid, overlap_sq)
+        assert np.array(rows).tobytes() == np.array(want).tobytes()
 
     def test_every_point_validated(self):
         with pytest.raises(ValueError, match="r1 = 1.5"):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import matrix_to_json, random_density, tier1_examples
+from conftest import (counts_to_csv, matrix_to_json, random_density,
+                      tier1_examples)
 from entclone import metrics, tomography as tg
 from entclone.cli import _named_density
 from entclone.cloner import ideal_clone_sigma
@@ -43,15 +44,22 @@ def mle_golden_text() -> str:
     return json.dumps(out, indent=1) + "\n"
 
 
+def born_probability(rho, setting_a: str, setting_b: str) -> float:
+    """Tr[rho (Pi_a x Pi_b)] for one setting: the per-setting reference
+    whose bits each of `sample_counts`' stacked Born probabilities keeps."""
+    projector = tg.setting_projector(setting_a, setting_b)
+    return float((rho.matrix @ projector).trace().real)
+
+
 class TestBornProbability:
     def test_bell_hh(self):
-        assert tg.born_probability(PHI_DM, "H", "H") == pytest.approx(0.5)
+        assert born_probability(PHI_DM, "H", "H") == pytest.approx(0.5)
 
     def test_bell_hv_perfect_correlation(self):
-        assert tg.born_probability(PHI_DM, "H", "V") == pytest.approx(0.0)
+        assert born_probability(PHI_DM, "H", "V") == pytest.approx(0.0)
 
     def test_sigma_hh(self):
-        assert tg.born_probability(SIGMA, "H", "H") == \
+        assert born_probability(SIGMA, "H", "H") == \
             pytest.approx(13 / 36, abs=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
@@ -60,7 +68,7 @@ class TestBornProbability:
         # sample_counts' stacked product, against born_probability per
         # setting: every Poisson mean keeps its bits
         rho = random_density(np.random.default_rng(seed), rank=rank)
-        alone = [tg.born_probability(rho, a, b) for a, b in tg.SETTINGS]
+        alone = [born_probability(rho, a, b) for a, b in tg.SETTINGS]
         assert tg._born(rho, tg._SETTING_PROJECTORS).tobytes() == \
             np.array(alone).tobytes()
 
@@ -69,8 +77,6 @@ class TestBornProbability:
                              ids=["XH", "Hh"])
     def test_unknown_setting_rejected(self, setting):
         problem = f"^unknown setting \\({setting[0]}, {setting[1]}\\)$"
-        with pytest.raises(ValueError, match=problem):
-            tg.born_probability(SIGMA, *setting)
         with pytest.raises(ValueError, match=problem):
             tg.setting_projector(*setting)
 
@@ -81,7 +87,7 @@ class TestBornProbability:
     def test_probabilities_in_range(self, rng):
         rho = random_density(rng)
         for a, b in tg.SETTINGS:
-            p = tg.born_probability(rho, a, b)
+            p = born_probability(rho, a, b)
             assert -1e-12 <= p <= 1 + 1e-12
 
 
@@ -149,7 +155,7 @@ class TestSampleCounts:
         n = 1_000_000
         records = tg.sample_counts(SIGMA, n, seed=9)
         for rec in records:
-            p = tg.born_probability(SIGMA, rec.setting_a, rec.setting_b)
+            p = born_probability(SIGMA, rec.setting_a, rec.setting_b)
             assert rec.count / n == pytest.approx(p, abs=0.005)
 
     @pytest.mark.parametrize("state", ["sigma", "phi+", "mixed"])
@@ -161,7 +167,7 @@ class TestSampleCounts:
             for seed in (0, 1, 7, 2024):
                 rng = np.random.default_rng(seed)
                 loop = [tg.CountRecord(a, b, int(rng.poisson(
-                    n * tg.born_probability(rho, a, b))))
+                    n * born_probability(rho, a, b))))
                     for a, b in tg.SETTINGS]
                 drawn = tg.sample_counts(rho, n, seed)
                 assert drawn == loop
@@ -211,11 +217,17 @@ class TestSampleCounts:
     def test_plain_matrix_checked_as_a_state(self, bad):
         with pytest.raises(ValueError) as checked:
             check_density(bad)
-        for draw in (lambda: tg.sample_counts(bad, 1000, seed=0),
-                     lambda: tg.born_probability(bad, "H", "H")):
-            with pytest.raises(ValueError) as exc:
-                draw()
-            assert str(exc.value) == str(checked.value)
+        with pytest.raises(ValueError) as exc:
+            tg.sample_counts(bad, 1000, seed=0)
+        assert str(exc.value) == str(checked.value)
+
+    # the message named born_probability, which no longer exists, before
+    @pytest.mark.parametrize("bad", [
+        np.eye(2) / 2, DensityMatrix(np.eye(2) / 2, ("a",)), np.eye(8) / 8])
+    def test_not_two_qubits_rejected(self, bad):
+        with pytest.raises(ValueError, match="^sample_counts requires a "
+                           "two-qubit state$"):
+            tg.sample_counts(bad, 100, seed=1)
 
     def test_plain_matrix_draws_as_its_state(self):
         assert tg.sample_counts(SIGMA.matrix, 1000, seed=4) == \
@@ -237,7 +249,7 @@ class TestMleReconstruct:
     def test_noiseless_bell_counts(self):
         n = 1_000_000
         records = [
-            tg.CountRecord(a, b, round(n * tg.born_probability(PHI_DM, a, b)))
+            tg.CountRecord(a, b, round(n * born_probability(PHI_DM, a, b)))
             for a, b in tg.SETTINGS
         ]
         rec = tg.mle_reconstruct(records)
@@ -578,7 +590,7 @@ class TestCertificate:
         for _ in range(3):
             exposures = rng.uniform(0.3, 3.0, 36)
             records = [tg.CountRecord(a, b, int(rng.poisson(
-                1e4 * e * tg.born_probability(SIGMA, a, b))), float(e))
+                1e4 * e * born_probability(SIGMA, a, b))), float(e))
                 for (a, b), e in zip(tg.SETTINGS, exposures)]
             assert tg.mle_reconstruct(records).certified_gap < tg.CERT_TOL
 
@@ -750,7 +762,7 @@ class TestMonteCarlo:
     def test_noiseless_large_n_tiny_std(self):
         n = 1_000_000
         records = [
-            tg.CountRecord(a, b, round(n * tg.born_probability(PHI_DM, a, b)))
+            tg.CountRecord(a, b, round(n * born_probability(PHI_DM, a, b)))
             for a, b in tg.SETTINGS
         ]
         _, std = tg.mle_reconstruct(
@@ -1381,7 +1393,7 @@ class TestInterchange:
         records = [dataclasses.replace(r, exposure=1.5)
                    for r in tg.sample_counts(SIGMA, 4000 * 1.5, seed=6)]
         path = tmp_path / "counts.csv"
-        tg.counts_to_csv(records, path)
+        counts_to_csv(records, path)
         back = tg.counts_from_csv(path)
         assert back == records
 
@@ -1391,7 +1403,7 @@ class TestInterchange:
         records = [tg.CountRecord(a, b, 5, np.float64(1.5))
                    for a, b in tg.SETTINGS]
         path = tmp_path / "counts.csv"
-        tg.counts_to_csv(records, path)
+        counts_to_csv(records, path)
         assert "H,H,5,1.5\n" in path.read_text()
         back = tg.counts_from_csv(path)
         assert back == records
@@ -1401,7 +1413,7 @@ class TestInterchange:
         # a count of 5.0 was written as "5.0", which the reader refused
         records = [tg.CountRecord(a, b, 5.0) for a, b in tg.SETTINGS]
         path = tmp_path / "counts.csv"
-        tg.counts_to_csv(records, path)
+        counts_to_csv(records, path)
         assert "H,H,5,1.0\n" in path.read_text()
         assert tg.counts_from_csv(path) == records
 
