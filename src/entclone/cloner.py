@@ -110,7 +110,8 @@ def run_ideal(config: NetworkConfig) -> CloneOutcome:
     weight = float(np.vdot(vec, vec).real)
     if weight == 0.0:
         raise ConsistencyError("post-selection kept no weight")
-    return _outcome(np.outer(vec, np.conj(vec)) / weight, weight)
+    # complex / real runs numpy's complex-divide loop, which multiplies by 1/x
+    return _outcome(np.outer(vec, np.conj(vec)) * (1.0 / weight), weight)
 
 
 def _outcome(rho: np.ndarray, weight: float) -> CloneOutcome:
@@ -170,7 +171,8 @@ def run_physical(config: NetworkConfig) -> CloneOutcome:
             raise ConsistencyError("post-selection rejected a branch")
         rho_acc += w * weight * rho6
         total += w * weight
-    return _outcome(rho_acc / total, total)
+    # complex / real runs numpy's complex-divide loop, which multiplies by 1/x
+    return _outcome(rho_acc * (1.0 / total), total)
 
 
 def ideal_clone_sigma() -> DensityMatrix:
@@ -224,14 +226,18 @@ def fidelity_sweep(input_spec: InputSpec, r_grid, overlap_sq: float,
     # checked before the grid, so an empty grid rejects what a full one does
     check_unit("overlap_sq", overlap_sq)
     target = input_spec.state()
-    # checked before float(), which takes a bool or a numeric string
-    grid = [float(NetworkConfig(input_spec, r, r, overlap_sq).r1)
-            for r in r_grid]
+    # every point before any runs, under NetworkConfig's name and before
+    # float(), which takes a bool or a numeric string
+    configs = []
+    for r in r_grid:
+        check_unit("r1", r)
+        configs.append(NetworkConfig(input_spec, float(r), float(r),
+                                     overlap_sq))
     rows = []
-    for r in grid:
-        out = run_physical(NetworkConfig(input_spec, r, r, overlap_sq))
+    for config in configs:
+        out = run_physical(config)
         rows.append((
-            r,
+            config.r1,
             metrics.fidelity_to_pure(out.rho_local, target),
             metrics.fidelity_to_pure(out.rho_distant, target),
             out.success_weight,

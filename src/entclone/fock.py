@@ -252,7 +252,8 @@ def postselect_coincidence(
         amps = np.fromiter(map(kept.__getitem__, members), dtype=complex,
                            count=len(members))
         rho[block] += _outer_conj(amps)
-    rho /= weight
+    # complex / real runs numpy's complex-divide loop, which multiplies by 1/x
+    rho *= 1.0 / weight
     return rho, weight
 
 

@@ -151,7 +151,8 @@ def criterion_4(seed: int = 0) -> list[CheckResult]:
     n = 10_000
     a = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
     rhos = a @ np.conj(np.swapaxes(a, 1, 2))
-    rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None].real
+    # complex / real runs numpy's complex-divide loop, which multiplies by 1/x
+    rhos *= 1.0 / np.trace(rhos, axis1=1, axis2=2)[:, None, None].real
     direct = np.einsum("nab,ba->n", rhos, metrics.WITNESS).real
     xx, yy, zz = (np.einsum("nab,ba->n", rhos,
                             metrics.PAULI_PRODUCTS[b, b]).real

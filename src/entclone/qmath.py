@@ -137,7 +137,8 @@ def check_density(m: np.ndarray) -> None:
     if off.any():
         bad = float(np.ravel(tr)[np.ravel(off)][0])
         raise ValueError(f"trace = {bad!r}, expected 1")
-    h = (m + m_dagger) / 2
+    # complex / real runs numpy's complex-divide loop, which multiplies by 1/x
+    h = (m + m_dagger) * 0.5
     try:
         np.linalg.cholesky(h + CHOLESKY_SHIFT * np.eye(h.shape[-1]))
         return

@@ -318,8 +318,9 @@ def _loglik(counts: np.ndarray, expected: np.ndarray,
 
 def _finish(rho: np.ndarray) -> np.ndarray:
     """Hermitian part of the last iterate, at unit trace."""
-    rho = (rho + rho.conj().T) / 2.0
-    rho /= rho.trace().real
+    # complex / real runs numpy's complex-divide loop, which multiplies by 1/x
+    rho = (rho + rho.conj().T) * 0.5
+    rho *= 1.0 / rho.trace().real
     return rho
 
 
@@ -647,10 +648,12 @@ def _mle_batch(counts: np.ndarray, exposures: np.ndarray) -> list[tuple]:
     start, full = _linear_inversion(counts, expected)
     start_p = _probs_stack(start)
     start_ll = _loglik(counts, expected, start_p)
-    mixed_p = _probs(_IDENTITY / 4.0)
+    # complex / real runs numpy's complex-divide loop, which multiplies by 1/x
+    mixed = _IDENTITY * 0.25
+    mixed_p = _probs(mixed)
     mixed_ll = _loglik(counts, expected, mixed_p)
     taken = start_ll > mixed_ll
-    rho = np.where(taken[:, None, None], start, _IDENTITY / 4.0)
+    rho = np.where(taken[:, None, None], start, mixed)
     p = np.where(taken[:, None], start_p, mixed_p)
     history = [[v] for v in np.where(taken, start_ll, mixed_ll).tolist()]
     alpha = 1.0 / np.maximum(counts.sum(axis=1), 1.0)

@@ -477,6 +477,32 @@ class TestCheckedStates:
             assert np.array_equal(rho, rho.conj().T)
             check_density(rho)
 
+    # the read-outs are Hermitian bit for bit, and scaling each by a real
+    # weight, summing and multiplying by 1/total keeps that. run_ideal is
+    # left out: its np.outer of a complex vector with its conjugate missed
+    # bit-exact Hermiticity on every one of 40 complex draws, by numpy's
+    # fused multiply-add (see fock._outer_conj), though always within
+    # check_density's tolerance
+    def test_mixture_is_hermitian_bit_for_bit(self, monkeypatch):
+        mixtures = []
+        outcome = cloner._outcome
+
+        def recorded(rho, weight):
+            mixtures.append(rho)
+            return outcome(rho, weight)
+
+        monkeypatch.setattr(cloner, "_outcome", recorded)
+        rng = np.random.default_rng(38)
+        for _ in range(40):
+            amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            r1, r2, overlap_sq = rng.uniform(0.0, 1.0, 3)
+            run_physical(NetworkConfig(InputSpec(amps / np.linalg.norm(amps)),
+                                       float(r1), float(r2),
+                                       float(overlap_sq)))
+        assert len(mixtures) == 40
+        for rho in mixtures:
+            assert np.array_equal(rho, rho.conj().T)
+
     def test_non_finite_readout_raises_in_the_mixture(self, monkeypatch):
         readout = fock.postselect_coincidence
 
@@ -599,6 +625,16 @@ class TestSweep:
         # an unnormalized input fails when it is built, before any sweep
         with pytest.raises(ValueError, match="normalized"):
             InputSpec((1, 1, 0, 0))
+
+    def test_bad_point_stops_the_sweep_before_any_point_runs(self,
+                                                             monkeypatch):
+        runs = []
+        run = cloner.run_physical
+        monkeypatch.setattr(cloner, "run_physical",
+                            lambda config: runs.append(config) or run(config))
+        with pytest.raises(ValueError, match="r1 = 1.5"):
+            fidelity_sweep(PHI, [0.2, 1.5], 1.0)
+        assert runs == []
 
     def test_zero_workers_rejected(self):
         # nan < 1 is False, and 1.5 or True is no worker count
